@@ -22,12 +22,9 @@ from .omega_sets import (
     Progression,
     SequenceSet,
     StrideSelection,
-    combine,
     complement,
-    count_below,
     difference,
     intersect,
-    kth_element,
     materialize_prefix,
     parse_set,
     union,
@@ -38,8 +35,6 @@ from .partitions import (
     IntervalSubset,
     IntervalSymbolicSet,
     build_partition,
-    interval_of,
-    verify_growth,
 )
 from .density import (
     DensityReport,

@@ -48,13 +48,5 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
-
-
-def floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator

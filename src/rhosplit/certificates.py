@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from ._util import HALF, frac_str
+from ._util import HALF
 
 __all__ = [
     "Step",
@@ -46,7 +46,7 @@ class Step:
         return _REL[self.rel](self.lhs, self.rhs)
 
     def to_json(self) -> dict:
-        return {"lhs": frac_str(self.lhs), "rel": self.rel, "rhs": frac_str(self.rhs)}
+        return {"lhs": str(self.lhs), "rel": self.rel, "rhs": str(self.rhs)}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Step":
@@ -74,12 +74,12 @@ class Certificate:
         return {
             "kind": self.kind,
             "index": self.index,
-            "eps": frac_str(self.eps),
-            "eps_prime": frac_str(self.eps_prime) if self.eps_prime is not None else None,
+            "eps": str(self.eps),
+            "eps_prime": str(self.eps_prime) if self.eps_prime is not None else None,
             "cardinalities": {k: str(v) for k, v in sorted(self.cardinalities.items())},
             "steps": [s.to_json() for s in self.steps],
             "conclusion": {"rel": self.conclusion_rel,
-                           "bound": frac_str(self.conclusion_bound)},
+                           "bound": str(self.conclusion_bound)},
             "boundaries": [str(b) for b in self.boundaries],
         }
 

@@ -14,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-from ._util import as_fraction, frac_str
+from ._util import as_fraction
 from .adversary import (
     centred_escape,
     centred_thresholds,
@@ -198,7 +198,7 @@ def _cmd_partition(args) -> tuple[int, dict]:
         "boundaries": part.to_json(args.count),
         "sizes": [str(part.size(n)) for n in range(args.count)],
         "growth": "ok" if violation is None else {"violation_at": violation},
-        "growth_ratios": [frac_str(part.growth_ratio(n))
+        "growth_ratios": [str(part.growth_ratio(n))
                           for n in range(1, args.count)],
     }
     return (0 if violation is None else 1), report
@@ -232,12 +232,12 @@ def _cmd_adversary(args) -> tuple[int, dict]:
     ok = all(verify_certificate(c) for c in result.certificates)
     report = {
         "command": "adversary",
-        "epsilon": frac_str(args.epsilon),
+        "epsilon": str(args.epsilon),
         "min_index": min_index_for_eps(args.epsilon),
         "certificates": [c.to_json() for c in result.certificates],
         "cases": result.cases,
         "realized": [
-            {"index": n, "ratio": frac_str(r)} for n, r in result.realized
+            {"index": n, "ratio": str(r)} for n, r in result.realized
         ],
         "x_set": result.x_set.to_json(max(n for n, _ in result.realized) + 1),
         "verified": ok,
@@ -352,7 +352,7 @@ def _cmd_transform(args) -> tuple[int, dict]:
     report = {
         "command": "transform",
         "direction": args.direction,
-        "rho": frac_str(args.rho),
+        "rho": str(args.rho),
         "seed": args.seed,
         "result": result.to_json(),
     }

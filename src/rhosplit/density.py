@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from ._util import HALF, as_fraction, ceil_frac, frac_str
+from ._util import HALF, as_fraction, ceil_frac
 from .omega_sets import CombineNode, OmegaSet, require_infinite
 
 __all__ = [
@@ -62,15 +62,15 @@ class DensityReport:
     def to_json(self) -> dict:
         return {
             "checkpoints": list(self.checkpoints),
-            "ratios": [frac_str(r) for r in self.ratios],
+            "ratios": [str(r) for r in self.ratios],
             "counts": [[n, d] for n, d in zip(self.numerators, self.denominators)],
-            "tail_window": frac_str(self.tail_window),
+            "tail_window": str(self.tail_window),
             "tail_from": self.tail_from,
-            "upper_est": frac_str(self.upper_est),
-            "lower_est": frac_str(self.lower_est),
-            "target": frac_str(self.target) if self.target is not None else None,
+            "upper_est": str(self.upper_est),
+            "lower_est": str(self.lower_est),
+            "target": str(self.target) if self.target is not None else None,
             "max_tail_deviation": (
-                frac_str(self.max_tail_deviation)
+                str(self.max_tail_deviation)
                 if self.max_tail_deviation is not None
                 else None
             ),

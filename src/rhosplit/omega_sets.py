@@ -1,12 +1,13 @@
 """Infinite subsets of the naturals with exact counting at finite horizon.
 
 A set is an immutable descriptor tree.  Membership of a single point is
-always computable.  Prefix counts use closed forms wherever the
-descriptor admits one (arithmetic progressions, eventually periodic
-boolean combinations, sparse enumerations) and fall back to materialised
-bit vectors below a configurable cap.  Partition-scale work should use
-the interval-symbolic representation from :mod:`rhosplit.partitions`,
-which counts exactly at any magnitude.
+always computable.  Prefix counts go through one method, ``counts_at``:
+closed forms wherever the descriptor admits one (arithmetic
+progressions, eventually periodic boolean combinations), then
+materialised bit vectors below a configurable cap, then sparse
+enumerations.  Partition-scale work should use the interval-symbolic
+representation from :mod:`rhosplit.partitions`, which counts exactly at
+any magnitude.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,13 +43,10 @@ __all__ = [
     "ODDS",
     "explicit_cap",
     "materialize_prefix",
-    "count_below",
-    "combine",
     "intersect",
     "union",
     "difference",
     "complement",
-    "kth_element",
     "parse_set",
 ]
 
@@ -91,18 +90,31 @@ class TailPattern:
     period: int
     pattern: tuple[bool, ...]
 
-    def count_range(self, lo: int, hi: int) -> int:
-        """Members in [lo, hi); requires lo >= start."""
-        if hi <= lo:
-            return 0
-        per_period = sum(self.pattern)
-        full, rest = divmod(hi - lo, self.period)
-        total = full * per_period
-        base = lo % self.period
-        for j in range(rest):
-            if self.pattern[(base + j) % self.period]:
-                total += 1
-        return total
+    def counts_at(self, head: np.ndarray, checkpoints: Sequence[int]) -> list[int]:
+        """Members below each checkpoint, given the member bits of the head
+        [0, start); the bits may stop at the largest checkpoint."""
+        cum = [0, *accumulate(self.pattern)]
+
+        def periodic(m: int) -> int:  # members of the periodic extension below m
+            q, r = divmod(m, self.period)
+            return q * cum[-1] + cum[r]
+
+        heads = _prefix_counts(head, [min(n, self.start) for n in checkpoints])
+        base = periodic(self.start)
+        return [c + periodic(n) - base if n > self.start else c
+                for c, n in zip(heads, checkpoints)]
+
+
+def _prefix_counts(bits: np.ndarray, checkpoints: Sequence[int]) -> list[int]:
+    """bits[:n].sum() at each checkpoint n <= len(bits), counted one
+    segment between consecutive checkpoints at a time."""
+    at, total, prev = {}, 0, 0
+    for n in sorted(set(checkpoints)):
+        if n > prev:
+            total += int(np.count_nonzero(bits[prev:n]))
+            prev = n
+        at[n] = total
+    return [at[n] for n in checkpoints]
 
 
 class OmegaSet:
@@ -131,13 +143,6 @@ class OmegaSet:
         tp = self.tail_pattern()
         return tp is not None and not any(tp.pattern)
 
-    @property
-    def provably_coinfinite(self) -> bool:
-        tp = self.tail_pattern()
-        if tp is not None:
-            return not all(tp.pattern)
-        return False
-
     def size_if_finite(self) -> int | None:
         tp = self.tail_pattern()
         if tp is not None and not any(tp.pattern):
@@ -147,40 +152,29 @@ class OmegaSet:
     # -- exact counting ------------------------------------------------
 
     def count_below(self, n: int) -> int:
-        """|self ∩ [0, n)|, exactly.
-
-        Strategy order: closed form from the periodic structure, then a
-        materialised bit vector below the cap, then sparse enumeration
-        (the rescue path for astronomically large horizons).
-        """
-        if n <= 0:
-            return 0
-        tp = self.tail_pattern()
-        if tp is not None and tp.start <= _PREFIX_SCAN_LIMIT:
-            head = min(n, tp.start)
-            c = sum(1 for k in range(head) if self.contains(k))
-            if n > tp.start:
-                c += tp.count_range(tp.start, n)
-            return c
-        if n <= explicit_cap():
-            return int(self.materialize(n).sum())
-        elems = self.enumerate_below(n, _ENUM_LIMIT)
-        if elems is not None:
-            return len(elems)
-        return int(self.materialize(n).sum())  # raises HorizonOverflowError
+        """|self ∩ [0, n)|, exactly."""
+        return self.counts_at([n])[0]
 
     def counts_at(self, checkpoints: Sequence[int]) -> list[int]:
-        """count_below at each checkpoint, sharing work across them."""
+        """|self ∩ [0, n)| at each checkpoint n, exactly, sharing work
+        across the checkpoints.
+
+        Subclasses with a closed form override this; everything else
+        counts here, by the first strategy that applies: the closed form
+        of an eventually periodic tail, its head read once from the bit
+        vector; the cached bit vector below the cap; sparse enumeration
+        (the rescue path for astronomically large horizons).
+        """
         if not checkpoints:
             return []
-        horizon = max(checkpoints)
+        horizon = max(max(checkpoints), 0)
         tp = self.tail_pattern()
         if tp is not None and tp.start <= _PREFIX_SCAN_LIMIT:
-            return [self.count_below(n) for n in checkpoints]
+            # the head is short, so it is read whatever the cap
+            head = min(horizon, tp.start)
+            return tp.counts_at(self.materialize(head, cap=head), checkpoints)
         if horizon <= explicit_cap():
-            arr = self.materialize(horizon)
-            cum = np.cumsum(arr, dtype=np.int64)
-            return [int(cum[n - 1]) if n > 0 else 0 for n in checkpoints]
+            return _prefix_counts(self.materialize(horizon), checkpoints)
         elems = self.enumerate_below(horizon, _ENUM_LIMIT)
         if elems is not None:
             return [bisect_left(elems, n) for n in checkpoints]
@@ -241,12 +235,6 @@ class OmegaSet:
                 hi = mid
         return lo
 
-    def iter_elements(self) -> Iterator[int]:
-        k = 0
-        while True:
-            yield self.kth_element(k)
-            k += 1
-
     def descriptor(self) -> str:
         """Grammar form of this set, when it has one."""
         raise NotImplementedError(f"{type(self).__name__} has no grammar form")
@@ -267,13 +255,8 @@ class Progression(OmegaSet):
     def contains(self, k: int) -> bool:
         return k >= self.a and (k - self.a) % self.d == 0
 
-    def count_below(self, n: int) -> int:
-        if n <= self.a:
-            return 0
-        return (n - 1 - self.a) // self.d + 1
-
     def counts_at(self, checkpoints):
-        return [self.count_below(n) for n in checkpoints]
+        return [max(0, (n - 1 - self.a) // self.d + 1) for n in checkpoints]
 
     def kth_element(self, k: int) -> int:
         if k < 0:
@@ -289,10 +272,6 @@ class Progression(OmegaSet):
     @property
     def provably_finite(self) -> bool:
         return False
-
-    @property
-    def provably_coinfinite(self) -> bool:
-        return self.d > 1
 
     def enumerate_below(self, n, limit):
         c = self.count_below(n)
@@ -318,7 +297,7 @@ class Progression(OmegaSet):
 class ExplicitSet(OmegaSet):
     """Explicit prefix bits followed by a periodic tail pattern."""
 
-    __slots__ = ("prefix", "tail", "_cum")
+    __slots__ = ("prefix", "tail")
 
     def __init__(self, prefix_bits, tail: Sequence[bool] = (False,)):
         super().__init__()
@@ -331,7 +310,6 @@ class ExplicitSet(OmegaSet):
         self.tail = tuple(bool(b) for b in tail)
         if not self.tail:
             raise ValueError("tail pattern must be non-empty")
-        self._cum = None
 
     @classmethod
     def from_elements(cls, elements, horizon: int | None = None,
@@ -346,32 +324,16 @@ class ExplicitSet(OmegaSet):
                 bits[e] = True
         return cls(bits, tail)
 
-    def _cumulative(self):
-        if self._cum is None:
-            self._cum = np.cumsum(self.prefix, dtype=np.int64)
-        return self._cum
-
     def contains(self, k: int) -> bool:
         n = self.prefix.shape[0]
         if k < n:
             return bool(self.prefix[k])
         return self.tail[(k - n) % len(self.tail)]
 
-    def count_below(self, n: int) -> int:
-        if n <= 0:
-            return 0
-        plen = self.prefix.shape[0]
-        head = min(n, plen)
-        c = int(self._cumulative()[head - 1]) if head > 0 else 0
-        if n > plen:
-            span = n - plen
-            per = len(self.tail)
-            full, rest = divmod(span, per)
-            c += full * sum(self.tail) + sum(self.tail[:rest])
-        return c
-
     def counts_at(self, checkpoints):
-        return [self.count_below(n) for n in checkpoints]
+        # the closed form at any prefix length, so counting never falls
+        # back to enumerate_below, which counts first
+        return self.tail_pattern().counts_at(self.prefix, checkpoints)
 
     def tail_pattern(self):
         n, per = self.prefix.shape[0], len(self.tail)
@@ -429,35 +391,25 @@ class BernoulliSet(OmegaSet):
         return u < self._thr
 
     def _bits_range(self, lo: int, hi: int) -> np.ndarray:
+        x = np.arange(lo, hi, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            x = np.arange(lo, hi, dtype=np.uint64)
-            x = (x * np.uint64(_PRF_MULT)) ^ np.uint64(self._key)
-            x = x ^ (x >> np.uint64(30))
-            x = x * np.uint64(0xBF58476D1CE4E5B9)
-            x = x ^ (x >> np.uint64(27))
-            x = x * np.uint64(0x94D049BB133111EB)
-            x = x ^ (x >> np.uint64(31))
+            x *= np.uint64(_PRF_MULT)
+            x ^= np.uint64(self._key)
+            x ^= x >> np.uint64(30)
+            x *= np.uint64(0xBF58476D1CE4E5B9)
+            x ^= x >> np.uint64(27)
+            x *= np.uint64(0x94D049BB133111EB)
+            x ^= x >> np.uint64(31)
         return x < np.uint64(self._thr)
 
     def _materialize_impl(self, n):
-        return self._bits_range(0, n)
-
-    def count_below(self, n: int) -> int:
-        if n <= 0:
-            return 0
-        if n > explicit_cap():
-            raise HorizonOverflowError(
-                f"Bernoulli count at {n} exceeds cap {explicit_cap()}; "
-                "use a structured per-interval descriptor"
-            )
-        if n <= (1 << 24):
-            return int(self.materialize(n).sum())
-        total, lo = 0, 0
-        while lo < n:
+        # chunk by chunk, so the uint64 temporaries stay O(_CHUNK); the
+        # PRF is a function of the index alone, so the seams do not show
+        out = np.empty(n, dtype=bool)
+        for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
-            total += int(self._bits_range(lo, hi).sum())
-            lo = hi
-        return total
+            out[lo:hi] = self._bits_range(lo, hi)
+        return out
 
     def kth_element(self, k: int) -> int:
         if k < 0:
@@ -477,10 +429,6 @@ class BernoulliSet(OmegaSet):
     @property
     def provably_finite(self) -> bool:
         return False
-
-    @property
-    def provably_coinfinite(self) -> bool:
-        return True
 
     def descriptor(self) -> str:
         return f"bern({self.p},{self.seed})"
@@ -564,11 +512,12 @@ class CombineNode(OmegaSet):
         return merged if len(merged) <= limit else None
 
     def _materialize_impl(self, n):
+        # the horizon already passed the cap check of this node
         ch = self.children
         if self.op == "compl":
-            return ~ch[0].materialize(n)
-        a = ch[0].materialize(n)
-        b = ch[1].materialize(n)
+            return ~ch[0].materialize(n, cap=n)
+        a = ch[0].materialize(n, cap=n)
+        b = ch[1].materialize(n, cap=n)
         if self.op == "inter":
             return a & b
         if self.op == "union":
@@ -601,15 +550,9 @@ class PowersSet(OmegaSet):
             k //= self.base
         return k == 1
 
-    def count_below(self, n: int) -> int:
-        c, v = 0, 1
-        while v < n:
-            c += 1
-            v *= self.base
-        return c
-
     def counts_at(self, checkpoints):
-        return [self.count_below(n) for n in checkpoints]
+        powers = self.enumerate_below(max(checkpoints, default=0), _ENUM_LIMIT)
+        return [bisect_left(powers, n) for n in checkpoints]
 
     def kth_element(self, k: int) -> int:
         if k < 0:
@@ -627,10 +570,6 @@ class PowersSet(OmegaSet):
     def provably_finite(self) -> bool:
         return False
 
-    @property
-    def provably_coinfinite(self) -> bool:
-        return True
-
     def _materialize_impl(self, n):
         out = np.zeros(n, dtype=bool)
         for e in self.enumerate_below(n, n):
@@ -647,18 +586,16 @@ class PowersSet(OmegaSet):
 class SequenceSet(OmegaSet):
     """Range of a strictly increasing integer sequence given by a function.
 
-    Intended for sparse sequences (the constructor contract asserts
-    co-infinitude); increases are validated as values are demanded.
+    Intended for sparse sequences; increases are validated as values are
+    demanded.
     """
 
-    __slots__ = ("fn", "name", "_vals", "coinfinite")
+    __slots__ = ("fn", "name", "_vals")
 
-    def __init__(self, fn: Callable[[int], int], name: str = "seq",
-                 coinfinite: bool = True):
+    def __init__(self, fn: Callable[[int], int], name: str = "seq"):
         super().__init__()
         self.fn = fn
         self.name = name
-        self.coinfinite = coinfinite
         self._vals: list[int] = []
 
     def _ensure(self, idx: int):
@@ -683,14 +620,9 @@ class SequenceSet(OmegaSet):
         i = bisect_left(self._vals, k)
         return i < len(self._vals) and self._vals[i] == k
 
-    def count_below(self, n: int) -> int:
-        if n <= 0:
-            return 0
-        self._extend_past(n)
-        return bisect_left(self._vals, n)
-
     def counts_at(self, checkpoints):
-        return [self.count_below(n) for n in checkpoints]
+        self._extend_past(max(checkpoints, default=0))
+        return [bisect_left(self._vals, n) for n in checkpoints]
 
     def kth_element(self, k: int) -> int:
         if k < 0:
@@ -707,10 +639,6 @@ class SequenceSet(OmegaSet):
     @property
     def provably_finite(self) -> bool:
         return False
-
-    @property
-    def provably_coinfinite(self) -> bool:
-        return self.coinfinite
 
     def _materialize_impl(self, n):
         out = np.zeros(n, dtype=bool)
@@ -741,21 +669,9 @@ class StrideSelection(OmegaSet):
         j = self.source.count_below(k)
         return j % self.stride == self.offset
 
-    def count_below(self, n: int) -> int:
-        j = self.source.count_below(n)
-        if j <= self.offset:
-            return 0
-        return (j - self.offset + self.stride - 1) // self.stride
-
     def counts_at(self, checkpoints):
-        src = self.source.counts_at(checkpoints)
-        out = []
-        for j in src:
-            if j <= self.offset:
-                out.append(0)
-            else:
-                out.append((j - self.offset + self.stride - 1) // self.stride)
-        return out
+        return [max(0, (j - self.offset + self.stride - 1) // self.stride)
+                for j in self.source.counts_at(checkpoints)]
 
     def kth_element(self, k: int) -> int:
         if k < 0:
@@ -765,10 +681,6 @@ class StrideSelection(OmegaSet):
     @property
     def provably_finite(self) -> bool:
         return self.source.provably_finite
-
-    @property
-    def provably_coinfinite(self) -> bool:
-        return self.stride > 1 or self.source.provably_coinfinite
 
     def _materialize_impl(self, n):
         base = self.source.materialize(n)
@@ -858,22 +770,6 @@ def materialize_prefix(s: OmegaSet, n: int, cap: int | None = None) -> Prefix:
     return Prefix(n, s.materialize(n, cap=cap))
 
 
-def count_below(s: OmegaSet, n: int) -> int:
-    if n < 0:
-        raise ValueError("horizon must be non-negative")
-    return s.count_below(n)
-
-
-def combine(op: str, a: OmegaSet, b: OmegaSet | None = None) -> OmegaSet:
-    if op == "compl":
-        if b is not None:
-            raise ValueError("complement takes a single set")
-        return CombineNode("compl", [a])
-    if b is None:
-        raise ValueError(f"{op} takes two sets")
-    return CombineNode(op, [a, b])
-
-
 def intersect(a: OmegaSet, b: OmegaSet) -> OmegaSet:
     return CombineNode("inter", [a, b])
 
@@ -888,10 +784,6 @@ def difference(a: OmegaSet, b: OmegaSet) -> OmegaSet:
 
 def complement(a: OmegaSet) -> OmegaSet:
     return CombineNode("compl", [a])
-
-
-def kth_element(s: OmegaSet, k: int) -> int:
-    return s.kth_element(k)
 
 
 # -- descriptor grammar -----------------------------------------------------

@@ -32,8 +32,6 @@ __all__ = [
     "IntervalSubset",
     "IntervalSymbolicSet",
     "build_partition",
-    "interval_of",
-    "verify_growth",
 ]
 
 _EXPLICIT_SUBSET_LIMIT = 1 << 20
@@ -165,13 +163,13 @@ class IntervalPartition:
     def trace(self, k: int, base: OmegaSet) -> "IntervalSubset":
         lo, hi = self.boundary(k), self.boundary(k + 1)
         try:
-            cnt = base.count_below(hi) - base.count_below(lo)
+            below_lo, below_hi = base.counts_at([lo, hi])
         except HorizonOverflowError as exc:
             raise ExactCountError(
                 f"trace cardinality on interval {k} needs counts beyond the "
                 f"explicit cap; use a structured descriptor ({exc})"
             ) from exc
-        return IntervalSubset(self, k, "trace", cnt, base=base)
+        return IntervalSubset(self, k, "trace", below_hi - below_lo, base=base)
 
     def cotrace(self, k: int, base: OmegaSet) -> "IntervalSubset":
         inner = self.trace(k, base)
@@ -259,14 +257,6 @@ def build_partition(min_growth="minimal", count: int = 16,
     return part
 
 
-def interval_of(partition: IntervalPartition, x: int) -> int:
-    return partition.interval_of(x)
-
-
-def verify_growth(partition: IntervalPartition) -> int | None:
-    return partition.verify_growth()
-
-
 @dataclass(frozen=True)
 class IntervalSubset:
     """A subset of one interval I_k with an exact cardinality.
@@ -342,11 +332,10 @@ class IntervalSubset:
             return min(self.s, x - self.lo)
         if k == "last":
             return max(0, x - (self.hi - self.s))
-        if k == "trace":
-            return self.base.count_below(x) - self.base.count_below(self.lo)
-        if k == "cotrace":
-            inside = self.base.count_below(x) - self.base.count_below(self.lo)
-            return (x - self.lo) - inside
+        if k in ("trace", "cotrace"):
+            below_lo, below_x = self.base.counts_at([self.lo, x])
+            inside = below_x - below_lo
+            return inside if k == "trace" else (x - self.lo) - inside
         lo_i = 0
         while lo_i < len(self.elements) and self.elements[lo_i] < x:
             lo_i += 1
@@ -460,7 +449,8 @@ class IntervalSubset:
 
 def _range_count(s: OmegaSet, lo: int, hi: int) -> int:
     try:
-        return s.count_below(hi) - s.count_below(lo)
+        below_lo, below_hi = s.counts_at([lo, hi])
+        return below_hi - below_lo
     except HorizonOverflowError as exc:
         raise ExactCountError(
             f"exact count over [{lo},{hi}) is beyond the explicit cap; "
@@ -533,15 +523,24 @@ class IntervalSymbolicSet(OmegaSet):
         return self.value_at(self.part.interval_of(k)).membership(k)
 
     def count_below(self, n: int) -> int:
-        if n <= 0:
-            return 0
-        last = self.part.interval_of(n - 1)
-        total = sum(self.value_at(j).count for j in range(last))
-        total += self.value_at(last).count_strictly_below(n)
-        return total
+        # restated from OmegaSet: perfbench/tracer.py times symbolic
+        # counting through this class's own attributes
+        return self.counts_at([n])[0]
 
     def counts_at(self, checkpoints):
-        return [self.count_below(n) for n in checkpoints]
+        """Counts below each checkpoint, in one forward pass over the
+        intervals."""
+        at, total, j = {}, 0, 0
+        for n in sorted(set(checkpoints)):
+            if n <= 0:
+                at[n] = 0
+                continue
+            last = self.part.interval_of(n - 1)
+            while j < last:
+                total += self.value_at(j).count
+                j += 1
+            at[n] = total + self.value_at(last).count_strictly_below(n)
+        return [at[n] for n in checkpoints]
 
     def prefix_count(self, k: int) -> int:
         """|self ∩ I_{<=k}| = count below b_{k+1}."""
@@ -568,10 +567,6 @@ class IntervalSymbolicSet(OmegaSet):
     @property
     def provably_finite(self) -> bool:
         return self.default == "empty"
-
-    @property
-    def provably_coinfinite(self) -> bool:
-        return self.default in ("singleton", "empty")
 
     def enumerate_below(self, n, limit):
         if self.count_below(n) > limit:

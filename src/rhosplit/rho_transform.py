@@ -13,14 +13,13 @@ against every current family member.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import HALF, as_fraction, derive_seed, frac_str
+from ._util import HALF, as_fraction, derive_seed
 from .density import DensityReport, density_report, split_verdict
 from .omega_sets import (
     OMEGA,
@@ -215,7 +214,7 @@ class BernoulliOracle(SplitterOracle):
         return BernoulliSet(self.p, derive_seed(self.seed, stage, attempt))
 
     def describe(self):
-        return {"kind": "bernoulli", "p": frac_str(self.p), "seed": self.seed}
+        return {"kind": "bernoulli", "p": str(self.p), "seed": self.seed}
 
 
 class RoundRobinOracle(SplitterOracle):
@@ -265,7 +264,7 @@ class ComposedOracle(SplitterOracle):
 
     def describe(self):
         return {"kind": "composed", "ops": list(self.ops),
-                "p": frac_str(self.p), "inner": self.inner.describe()}
+                "p": str(self.p), "inner": self.inner.describe()}
 
 
 def make_oracle(kind: str, *, p=None, seed: int = 0) -> SplitterOracle:
@@ -286,13 +285,19 @@ def _stage_report(S: OmegaSet, R: OmegaSet, p: Fraction,
 
 
 def _band_ok(report: DensityReport, p: Fraction, cfg: ChainConfig) -> bool:
-    """Count-aware acceptance: the allowed deviation at a checkpoint with
-    denominator d widens to sqrt(6.1/d), covering binomial fluctuation of
-    thinned members with a union-bound-safe margin."""
-    base = float(cfg.stage_tolerance)
+    """Count-aware acceptance, decided in exact arithmetic.
+
+    The allowed deviation at a checkpoint with denominator d is the larger
+    of the stage tolerance and sqrt(6.1/d).  By Hoeffding's inequality
+    (W. Hoeffding, "Probability inequalities for sums of bounded random
+    variables", JASA 58, 1963) a ratio of d thinned members strays that
+    far with probability at most 2*exp(-12.2), a margin that survives a
+    union bound over the tail rows.  The rule is squared and scaled by d
+    so that no square root is taken.
+    """
+    tol = cfg.stage_tolerance
     for _, _, den, ratio in report.tail_rows():
-        tol = max(base, math.sqrt(6.1 / den))
-        if abs(float(ratio - p)) > tol:
+        if (ratio - p) ** 2 * den > max(tol ** 2 * den, Fraction(61, 10)):
             return False
     return True
 
@@ -352,22 +357,11 @@ class SplitChain:
                               tail_window=self.cfg.tail_window,
                               target=self.level_target(m, kind))
 
-    def max_band_deviation(self, tolerance=None) -> Fraction:
-        """Largest tail deviation of any nested/difference level from its
-        target across the family."""
-        worst = Fraction(0)
-        for member in self.family:
-            for m in range(1, self.depth + 1):
-                for kind in ("nested", "differences"):
-                    rep = self.level_report(m, kind, member)
-                    worst = max(worst, rep.max_tail_deviation)
-        return worst
-
     def summary(self) -> dict:
         return {
             "depth": self.depth,
             "mode": self.mode,
-            "p": frac_str(self.p),
+            "p": str(self.p),
             "horizon": self.cfg.horizon,
         }
 
@@ -437,12 +431,12 @@ class TransformResult:
         return {
             "path": self.path,
             "selection": self.selection,
-            "residual": frac_str(self.residual),
+            "residual": str(self.residual),
             "ops": self.ops,
-            "effective_p": frac_str(self.effective_p),
-            "advertised_tolerance": frac_str(self.advertised_tolerance),
+            "effective_p": str(self.effective_p),
+            "advertised_tolerance": str(self.advertised_tolerance),
             "residual_trace": [
-                [frac_str(p), frac_str(r)] for p, r in self.residual_trace
+                [str(p), str(r)] for p, r in self.residual_trace
             ],
             "chain": self.chain.summary(),
             "verdicts": [v.to_json() for v in self.verdicts],

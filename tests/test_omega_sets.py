@@ -1,11 +1,15 @@
+import tracemalloc
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rhosplit import (
     OMEGA,
     BernoulliSet,
+    CombineNode,
     ExplicitSet,
     FiniteSetError,
     HorizonOverflowError,
@@ -14,16 +18,14 @@ from rhosplit import (
     Progression,
     SequenceSet,
     StrideSelection,
-    combine,
     complement,
-    count_below,
     difference,
     intersect,
-    kth_element,
     materialize_prefix,
     parse_set,
     union,
 )
+from rhosplit import omega_sets
 from rhosplit.omega_sets import parse_family, require_infinite
 
 from conftest import brute_count
@@ -47,7 +49,7 @@ def combos():
     base = small_sets()
     unary = st.builds(lambda a: complement(a), base)
     binary = st.builds(
-        lambda op, a, b: combine(op, a, b),
+        lambda op, a, b: CombineNode(op, [a, b]),
         st.sampled_from(["inter", "union", "diff"]),
         base,
         base,
@@ -70,14 +72,14 @@ def test_materialize_is_idempotent_and_deterministic():
 
 def test_bernoulli_count_chernoff_band_and_regression():
     s = BernoulliSet(Fraction(1, 2), 7)
-    c = count_below(s, 10 ** 6)
+    c = s.count_below(10 ** 6)
     assert 490_000 <= c <= 510_000  # Chernoff band, 20 sigma
     assert c == 499_780  # frozen regression value of the seeded stream
 
 
 def test_bernoulli_first_element_regression():
     s = BernoulliSet(Fraction(1, 2), 7)
-    assert kth_element(s, 0) == 0  # frozen from the seeded generator
+    assert s.kth_element(0) == 0  # frozen from the seeded generator
     assert s.contains(0)
 
 
@@ -96,13 +98,13 @@ def test_bernoulli_two_instances_agree_bit_for_bit():
 
 def test_count_below_examples():
     evens = Progression(0, 2)
-    assert count_below(evens, 10) == 5
+    assert evens.count_below(10) == 5
     m3 = Progression(0, 3)
     joint = intersect(evens, m3)
-    assert count_below(joint, 36) == brute_count(
+    assert joint.count_below(36) == brute_count(
         lambda k: k % 6 == 0, 36
     ) == 6
-    assert count_below(joint, 0) == 0
+    assert joint.count_below(0) == 0
 
 
 def test_combinations_pointwise_and_flags():
@@ -119,18 +121,18 @@ def test_combinations_pointwise_and_flags():
 
 def test_combine_arity_checks():
     with pytest.raises(ValueError):
-        combine("compl", OMEGA, OMEGA)
+        CombineNode("compl", [OMEGA, OMEGA])
     with pytest.raises(ValueError):
-        combine("inter", OMEGA)
+        CombineNode("inter", [OMEGA])
 
 
 def test_kth_element_examples():
-    assert kth_element(Progression(0, 2), 3) == 6
-    assert kth_element(PowersSet(2), 5) == 32
+    assert Progression(0, 2).kth_element(3) == 6
+    assert PowersSet(2).kth_element(5) == 32
     finite = ExplicitSet(np.array([1, 0, 1], dtype=bool), tail=(False,))
-    assert kth_element(finite, 1) == 2
+    assert finite.kth_element(1) == 2
     with pytest.raises(IndexError):
-        kth_element(finite, 2)
+        finite.kth_element(2)
 
 
 def test_horizon_overflow():
@@ -164,6 +166,85 @@ def test_next_element_at_or_beyond_prefix(s, n):
 @given(combos(), st.integers(1, 256))
 def test_count_matches_materialization(s, n):
     assert s.count_below(n) == int(s.materialize(n).sum())
+
+
+# Recipes rather than sets, so that every counting path below gets a fresh
+# tree with empty materialisation caches.
+_leaf_recipes = st.one_of(
+    st.tuples(st.just("prog"), st.integers(0, 60), st.integers(1, 9)),
+    st.tuples(st.just("bern"), st.sampled_from(["1/3", "1/2", "3/4"]),
+              st.integers(0, 99)),
+    st.tuples(st.just("pow"), st.integers(2, 5)),
+    st.tuples(st.just("explicit"), st.lists(st.booleans(), max_size=80),
+              st.lists(st.booleans(), min_size=1, max_size=5)),
+)
+_recipes = st.recursive(_leaf_recipes, lambda inner: st.one_of(
+    st.tuples(st.just("compl"), inner),
+    st.tuples(st.sampled_from(["inter", "union", "diff"]), inner, inner),
+    st.tuples(st.just("every"), inner, st.integers(1, 4), st.integers(0, 3)),
+), max_leaves=4)
+
+
+def _build(recipe):
+    kind = recipe[0]
+    if kind == "prog":
+        return Progression(recipe[1], recipe[2])
+    if kind == "bern":
+        return BernoulliSet(Fraction(recipe[1]), recipe[2])
+    if kind == "pow":
+        return PowersSet(recipe[1])
+    if kind == "explicit":
+        return ExplicitSet(np.array(recipe[1], dtype=bool), tuple(recipe[2]))
+    if kind == "compl":
+        return CombineNode("compl", [_build(recipe[1])])
+    if kind == "every":
+        _, src, stride, offset = recipe
+        return StrideSelection(_build(src), stride, offset % stride)
+    return CombineNode(kind, [_build(recipe[1]), _build(recipe[2])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_recipes, st.lists(st.integers(0, 400), min_size=1, max_size=8),
+       st.sampled_from([1, 7, 64]), st.integers(1, 400))
+def test_counts_at_agrees_with_every_other_count(recipe, checkpoints, chunk, cap):
+    checkpoints = sorted(checkpoints)
+    horizon = checkpoints[-1]
+    members = [k for k in range(horizon) if _build(recipe).contains(k)]
+    expected = [bisect_left(members, n) for n in checkpoints]
+    with pytest.MonkeyPatch.context() as mp:
+        # small chunks put Bernoulli fill seams inside the horizon
+        mp.setattr(omega_sets, "_CHUNK", chunk)
+        s = _build(recipe)
+        assert s.counts_at(checkpoints) == expected
+        assert [s.count_below(n) for n in checkpoints] == expected
+        bits = _build(recipe).materialize(horizon)
+        assert [int(bits[:n].sum()) for n in checkpoints] == expected
+        elems = _build(recipe).enumerate_below(horizon, 1 << 18)
+        assert elems is None or elems == members
+
+        # below the horizon the cap forces sparse enumeration; closed
+        # forms never depend on it
+        mp.setenv("RHOSPLIT_HORIZON_CAP", str(cap))
+        s = _build(recipe)
+        try:
+            assert s.counts_at(checkpoints) == expected
+        except HorizonOverflowError:
+            assert horizon > cap and s.tail_pattern() is None
+
+
+def test_bit_vector_count_memory_is_bounded_by_the_chunk():
+    s = parse_set("inter(prog(5,3),bern(1/3,9))")
+    tracemalloc.start()
+    try:
+        counts = s.counts_at([2 ** 23, 2 ** 24])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the cached bit vectors stay held; only what the count built and
+    # freed again is bounded by the chunk
+    assert peak - held < 5 * 8 * omega_sets._CHUNK
+    bits = s.materialize(2 ** 24)
+    assert counts == [int(np.count_nonzero(bits[:n])) for n in (2 ** 23, 2 ** 24)]
 
 
 def test_stride_selection_counts():

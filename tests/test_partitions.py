@@ -8,8 +8,6 @@ from rhosplit import (
     IntervalSymbolicSet,
     Progression,
     build_partition,
-    interval_of,
-    verify_growth,
 )
 
 from conftest import brute_count
@@ -47,7 +45,7 @@ def test_minimal_sizes_are_minimal_at_depth():
 def test_minimal_even_sizes():
     P = build_partition("minimal", 3, even_sizes=True)
     assert [P.size(n) for n in range(3)] == [2, 6, 34]
-    assert verify_growth(P) is None
+    assert P.verify_growth() is None
 
 
 def test_single_interval_floor():
@@ -61,7 +59,7 @@ def test_factor_mode_dominates_minimal():
     Pf = build_partition(Fraction(3, 2), 6)
     for n in range(6):
         assert Pf.size(n) >= Pm.size(n)
-    assert verify_growth(Pf) is None
+    assert Pf.verify_growth() is None
     # the "factor:p/q" string form
     Pf2 = build_partition("factor:3/2", 6)
     assert [Pf2.size(n) for n in range(6)] == [Pf.size(n) for n in range(6)]
@@ -69,25 +67,25 @@ def test_factor_mode_dominates_minimal():
 
 def test_interval_of_examples():
     P = build_partition("minimal", 4)
-    assert interval_of(P, 0) == 0
-    assert interval_of(P, 6) == 1   # I_1 = [2, 7)
-    assert interval_of(P, 7) == 2   # I_2 = [7, 36)
+    assert P.interval_of(0) == 0
+    assert P.interval_of(6) == 1   # I_1 = [2, 7)
+    assert P.interval_of(7) == 2   # I_2 = [7, 36)
     # inverse of boundary lookup
     for x in (0, 1, 5, 7, 35, 36, 300):
-        n = interval_of(P, x)
+        n = P.interval_of(x)
         assert P.boundary(n) <= x < P.boundary(n + 1)
 
 
 def test_interval_of_extends_lazily():
     P = build_partition("minimal", 2)
-    n = interval_of(P, 10 ** 12)
+    n = P.interval_of(10 ** 12)
     assert P.boundary(n) <= 10 ** 12 < P.boundary(n + 1)
 
 
 def test_verify_growth_violations():
-    assert verify_growth(IntervalPartition.from_boundaries([0, 2, 6])) == 1
-    assert verify_growth(IntervalPartition.from_boundaries([0, 1])) == 0
-    assert verify_growth(IntervalPartition.from_boundaries([0, 2, 7, 36])) is None
+    assert IntervalPartition.from_boundaries([0, 2, 6]).verify_growth() == 1
+    assert IntervalPartition.from_boundaries([0, 1]).verify_growth() == 0
+    assert IntervalPartition.from_boundaries([0, 2, 7, 36]).verify_growth() is None
 
 
 def test_raw_partition_refuses_extension():
@@ -95,7 +93,7 @@ def test_raw_partition_refuses_extension():
     with pytest.raises(ValueError):
         P.boundary(5)
     with pytest.raises(ValueError):
-        interval_of(P, 100)
+        P.interval_of(100)
 
 
 def test_growth_ratio_strictly_below_power():
@@ -229,7 +227,7 @@ def test_symbolic_set_counting_and_membership():
     for n in (0, 1, 2, 5, 7, 36, 100, b4):
         assert s.count_below(n) == int(arr[:n].sum())
     assert [s.kth_element(i) for i in range(5)] == [0, 1, 2, 3, 36]
-    assert s.provably_coinfinite and not s.provably_finite
+    assert not s.provably_finite
 
 
 def test_symbolic_counts_beyond_cap():
