@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ._util import HALF, as_fraction
-from .certificates import Certificate, Step
+from .certificates import Certificate, emit_certificate
 from .omega_sets import OmegaSet, require_infinite
 from .partitions import IntervalPartition, IntervalSubset, IntervalSymbolicSet
 
@@ -83,13 +83,6 @@ def min_index_for_eps(eps) -> int:
     return n
 
 
-def _per_interval_count(S: OmegaSet, partition: IntervalPartition, n: int) -> IntervalSubset:
-    """Exact descriptor for S ∩ I_n (reusing symbolic values when aligned)."""
-    if isinstance(S, IntervalSymbolicSet) and S.part is partition:
-        return S.value_at(n)
-    return partition.trace(n, S)
-
-
 @dataclass
 class DefeatResult:
     x_set: IntervalSymbolicSet
@@ -125,7 +118,7 @@ def defeat_bisector(S: OmegaSet, eps, partition: IntervalPartition,
         while n in used:
             n += 1
         used.add(n)
-        sub = _per_interval_count(S, partition, n)
+        sub = partition.restrict(n, S)
         case = "case1" if 2 * sub.count > partition.size(n) else "case2"
         chosen.append((n, case, sub))
 
@@ -151,48 +144,18 @@ def defeat_bisector(S: OmegaSet, eps, partition: IntervalPartition,
     for n, case, sub in chosen:
         num = sum(sx_counts[: n + 1])
         den = sum(x_counts[: n + 1])
-        cert = _game_certificate(case, n, eps, partition, sub.count, num, den)
-        certificates.append(cert)
+        cards = {
+            "prefix_count": partition.prefix_size(n),
+            "interval_size": partition.size(n),
+            "s_in_interval": sub.count,
+            "ratio_num": num,
+            "ratio_den": den,
+        }
+        certificates.append(emit_certificate(
+            f"game-{case}", n, eps, None, cards, partition.boundaries(n + 1)))
         realized.append((n, Fraction(num, den)))
         cases.append(case)
     return DefeatResult(x_set, certificates, realized, cases)
-
-
-def _game_certificate(case: str, n: int, eps: Fraction,
-                      partition: IntervalPartition, c: int,
-                      num: int, den: int) -> Certificate:
-    b = partition.prefix_size(n)
-    size = partition.size(n)
-    realized = Fraction(num, den)
-    cards = {
-        "prefix_count": b,
-        "interval_size": size,
-        "s_in_interval": c,
-        "ratio_num": num,
-        "ratio_den": den,
-    }
-    boundaries = tuple(partition.boundaries(n + 1))
-    if case == "case1":
-        steps = (
-            Step(realized, ">=", Fraction(c, b + c)),
-            Step(Fraction(c, b + c), ">", Fraction(size, 2 * b + size)),
-            Step(Fraction(size, 2 * b + size), ">", Fraction(2 ** n, 2 ** n + 2)),
-            Step(Fraction(2 ** n, 2 ** n + 2), ">=", HALF + eps),
-        )
-        cert = Certificate("game-case1", n, eps, None, cards, steps,
-                           ">=", HALF + eps, boundaries)
-    else:
-        steps = (
-            Step(realized, "<=", Fraction(b, size - c)),
-            Step(Fraction(b, size - c), "<=", Fraction(2 * b, size)),
-            Step(Fraction(2 * b, size), "<", Fraction(2, 2 ** n)),
-            Step(Fraction(2, 2 ** n), "<=", HALF - eps),
-        )
-        cert = Certificate("game-case2", n, eps, None, cards, steps,
-                           "<=", HALF - eps, boundaries)
-    for step in cert.steps:
-        assert step.holds(), f"emitted step fails: {step}"
-    return cert
 
 
 def centred_thresholds(eps, eps_prime) -> tuple[int, int]:
@@ -244,27 +207,14 @@ def centred_escape(guards: Mapping[int, IntervalSubset], eps, eps_prime,
             raise ValueError(
                 f"band violated at interval {k}: |E_k|/|I_k| = {r}"
             )
-    b = partition.prefix_size(n)
-    size = partition.size(n)
-    e = guards[n].count
-    xc = sum(guards[k].count for k in range(n + 1))
-    t = lo_band * size
-    c3 = 1 / (Fraction(1, 2 ** n) / lo_band + 1)
-    steps = (
-        Step(Fraction(e, xc), ">=", Fraction(e, b + e)),
-        Step(Fraction(e, b + e), ">", t / (b + t)),
-        Step(t / (b + t), ">", c3),
-        Step(c3, ">=", HALF + eps),
-    )
-    cert = Certificate(
-        "centred-chain", n, eps, eps_prime,
-        {"prefix_count": b, "interval_size": size, "escape_count": e,
-         "x_count": xc},
-        steps, ">=", HALF + eps, tuple(partition.boundaries(n + 1)),
-    )
-    for step in cert.steps:
-        assert step.holds(), f"emitted step fails: {step}"
-    return cert
+    cards = {
+        "prefix_count": partition.prefix_size(n),
+        "interval_size": partition.size(n),
+        "escape_count": guards[n].count,
+        "x_count": sum(guards[k].count for k in range(n + 1)),
+    }
+    return emit_certificate("centred-chain", n, eps, eps_prime, cards,
+                            partition.boundaries(n + 1))
 
 
 def laver_blocks(partition: IntervalPartition, m: int) -> tuple[int, int]:
@@ -366,27 +316,12 @@ def laver_escape(slalom: Slalom, eps, eps_prime,
     x_set = IntervalSymbolicSet(partition, values, default="singleton")
 
     k = 2 ** m + slalom.branch[m]
-    sub = slalom.diagonal(m, slalom.branch[m])
-    e = sub.count
-    b = partition.prefix_size(k)
-    size = partition.size(k)
-    xc = x_set.prefix_count(k)
-    t = lo_band * size
-    c3 = 1 / (Fraction(1, 2 ** k) / lo_band + 1)
-    c4 = 1 / (Fraction(1, 2 ** (2 ** m)) / lo_band + 1)
-    steps = (
-        Step(Fraction(e, xc), ">=", Fraction(e, b + e)),
-        Step(Fraction(e, b + e), ">", t / (b + t)),
-        Step(t / (b + t), ">", c3),
-        Step(c3, ">=", c4),
-        Step(c4, ">=", HALF + eps),
-    )
-    cert = Certificate(
-        "slalom-chain", k, eps, eps_prime,
-        {"prefix_count": b, "interval_size": size, "escape_count": e,
-         "x_count": xc, "block": m},
-        steps, ">=", HALF + eps, tuple(partition.boundaries(k + 1)),
-    )
-    for step in cert.steps:
-        assert step.holds(), f"emitted step fails: {step}"
-    return x_set, cert
+    cards = {
+        "prefix_count": partition.prefix_size(k),
+        "interval_size": partition.size(k),
+        "escape_count": slalom.diagonal(m, slalom.branch[m]).count,
+        "x_count": x_set.prefix_count(k),
+        "block": m,
+    }
+    return x_set, emit_certificate("slalom-chain", k, eps, eps_prime, cards,
+                                   partition.boundaries(k + 1))

@@ -1,11 +1,15 @@
 """Exact-rational inequality-chain certificates and their re-checker.
 
 A certificate records the raw cardinalities entering one of the interval
-escape arguments together with every inequality step.  The verifier
-reconstructs each step from the raw cardinalities alone and compares it
-with what was recorded, so any tampering with a single number is caught
-by exact arithmetic.  It deliberately re-derives the chains rather than
-sharing code with the emitters.
+escape arguments together with every inequality step.  Each chain is
+written once, as a rule in ``_RULES``: the emitters assemble their
+certificates with ``emit_certificate`` and the verifier re-derives every
+step from the raw cardinalities with the same rule, so any tampering with
+a single number is caught by exact arithmetic.  The verifier also checks
+the recorded chain on its own terms: it starts at the certified ratio,
+each step's right side is the next step's left side, every relation
+points the way of the conclusion, and it ends at a bound outside the
+band, so a wrong rule cannot make it accept an unsound chain.
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ __all__ = [
     "Step",
     "Certificate",
     "VerifyResult",
+    "emit_certificate",
     "verify_certificate",
     "CERT_KINDS",
 ]
-
-CERT_KINDS = ("game-case1", "game-case2", "centred-chain", "slalom-chain")
 
 _REL = {
     "<": lambda a, b: a < b,
@@ -125,91 +128,107 @@ def _need(cards: Mapping[str, int], *keys: str):
     return [cards[k] for k in keys]
 
 
-def _expected_game(cert: Certificate):
+def _chain(terms, rels) -> tuple[Step, ...]:
+    """Steps terms[0] rels[0] terms[1], terms[1] rels[1] terms[2], ..."""
+    return tuple(Step(a, rel, b) for a, rel, b in zip(terms, rels, terms[1:]))
+
+
+def _game_rule(kind, n, eps, eps_prime, cards):
     b, size, c, num, den = _need(
-        cert.cardinalities,
-        "prefix_count", "interval_size", "s_in_interval", "ratio_num", "ratio_den",
+        cards, "prefix_count", "interval_size", "s_in_interval", "ratio_num", "ratio_den",
     )
-    n, eps = cert.index, cert.eps
     realized = Fraction(num, den)
-    if cert.kind == "game-case1":
+    if kind == "game-case1":
         if 2 * c <= size:
             raise ValueError("case-1 certificate without |S∩I_n| > |I_n|/2")
-        steps = (
-            Step(realized, ">=", Fraction(c, b + c)),
-            Step(Fraction(c, b + c), ">", Fraction(size, 2 * b + size)),
-            Step(Fraction(size, 2 * b + size), ">", Fraction(2 ** n, 2 ** n + 2)),
-            Step(Fraction(2 ** n, 2 ** n + 2), ">=", HALF + eps),
-        )
-        return steps, ">=", HALF + eps
+        terms = (realized, Fraction(c, b + c), Fraction(size, 2 * b + size),
+                 Fraction(2 ** n, 2 ** n + 2), HALF + eps)
+        return _chain(terms, (">=", ">", ">", ">=")), ">=", HALF + eps
     if 2 * c > size:
         raise ValueError("case-2 certificate without |S∩I_n| <= |I_n|/2")
-    steps = (
-        Step(realized, "<=", Fraction(b, size - c)),
-        Step(Fraction(b, size - c), "<=", Fraction(2 * b, size)),
-        Step(Fraction(2 * b, size), "<", Fraction(2, 2 ** n)),
-        Step(Fraction(2, 2 ** n), "<=", HALF - eps),
-    )
-    return steps, "<=", HALF - eps
+    terms = (realized, Fraction(b, size - c), Fraction(2 * b, size),
+             Fraction(2, 2 ** n), HALF - eps)
+    return _chain(terms, ("<=", "<=", "<", "<=")), "<=", HALF - eps
 
 
-def _expected_centred(cert: Certificate):
-    b, size, e, xc = _need(
-        cert.cardinalities,
-        "prefix_count", "interval_size", "escape_count", "x_count",
-    )
-    n, eps, epsp = cert.index, cert.eps, cert.eps_prime
-    if epsp is None:
-        raise ValueError("centred chain needs eps_prime")
-    if not ((HALF - epsp) * size < e < (HALF + epsp) * size):
+def _escape_rule(kind, k, eps, eps_prime, cards):
+    """Centred chain; the slalom chain adds the block step c3 >= c4."""
+    keys = ("prefix_count", "interval_size", "escape_count", "x_count")
+    slalom = kind == "slalom-chain"
+    b, size, e, xc, *block = _need(cards, *keys, *(("block",) if slalom else ()))
+    if eps_prime is None:
+        raise ValueError(f"{kind} needs eps_prime")
+    lo_band = HALF - eps_prime
+    if not (lo_band * size < e < (HALF + eps_prime) * size):
         raise ValueError("escape count violates the per-interval band")
-    t = (HALF - epsp) * size
-    c3_denom = Fraction(1, 2 ** n) / (HALF - epsp) + 1
-    steps = (
-        Step(Fraction(e, xc), ">=", Fraction(e, b + e)),
-        Step(Fraction(e, b + e), ">", t / (b + t)),
-        Step(t / (b + t), ">", 1 / c3_denom),
-        Step(1 / c3_denom, ">=", HALF + eps),
-    )
-    return steps, ">=", HALF + eps
+    t = lo_band * size
+
+    def c(j):
+        return 1 / (Fraction(1, 2 ** j) / lo_band + 1)
+
+    terms = [Fraction(e, xc), Fraction(e, b + e), t / (b + t), c(k)]
+    rels = [">=", ">", ">", ">="]
+    if slalom:
+        m = block[0]
+        if k < 2 ** m or k >= 2 ** (m + 1):
+            raise ValueError("interval index does not belong to the stated block")
+        terms.append(c(2 ** m))
+        rels.append(">=")
+    terms.append(HALF + eps)
+    return _chain(terms, rels), ">=", HALF + eps
 
 
-def _expected_slalom(cert: Certificate):
-    b, size, e, xc, block = _need(
-        cert.cardinalities,
-        "prefix_count", "interval_size", "escape_count", "x_count", "block",
-    )
-    k, eps, epsp = cert.index, cert.eps, cert.eps_prime
-    if epsp is None:
-        raise ValueError("slalom chain needs eps_prime")
-    if k < 2 ** block or k >= 2 ** (block + 1):
-        raise ValueError("interval index does not belong to the stated block")
-    if not ((HALF - epsp) * size < e < (HALF + epsp) * size):
-        raise ValueError("escape count violates the per-interval band")
-    t = (HALF - epsp) * size
-    c3_denom = Fraction(1, 2 ** k) / (HALF - epsp) + 1
-    c4_denom = Fraction(1, 2 ** (2 ** block)) / (HALF - epsp) + 1
-    steps = (
-        Step(Fraction(e, xc), ">=", Fraction(e, b + e)),
-        Step(Fraction(e, b + e), ">", t / (b + t)),
-        Step(t / (b + t), ">", 1 / c3_denom),
-        Step(1 / c3_denom, ">=", 1 / c4_denom),
-        Step(1 / c4_denom, ">=", HALF + eps),
-    )
-    return steps, ">=", HALF + eps
-
-
-_EXPECTED = {
-    "game-case1": _expected_game,
-    "game-case2": _expected_game,
-    "centred-chain": _expected_centred,
-    "slalom-chain": _expected_slalom,
+# the one definition of each chain: kind -> rule from (kind, index, eps,
+# eps_prime, cardinalities) to (steps, conclusion_rel, conclusion_bound)
+_RULES = {
+    "game-case1": _game_rule,
+    "game-case2": _game_rule,
+    "centred-chain": _escape_rule,
+    "slalom-chain": _escape_rule,
 }
+CERT_KINDS = tuple(_RULES)
+
+_DIRECTION = {">": ">", ">=": ">", "<": "<", "<=": "<"}
+
+
+def emit_certificate(kind: str, index: int, eps: Fraction,
+                     eps_prime: Fraction | None, cardinalities: Mapping[str, int],
+                     boundaries) -> Certificate:
+    """Assemble the certificate of ``kind`` from its rule; every step must hold."""
+    steps, rel, bound = _RULES[kind](kind, index, eps, eps_prime, cardinalities)
+    cert = Certificate(kind, index, eps, eps_prime, cardinalities, steps, rel,
+                       bound, tuple(boundaries))
+    for step in steps:
+        assert step.holds(), f"emitted step fails: {step}"
+    return cert
+
+
+def _unsound(cert: Certificate, ratio: Fraction) -> str | None:
+    """Why the recorded chain fails to carry ratio to an escape, if it does."""
+    steps = cert.steps
+    if not steps or steps[0].lhs != ratio:
+        return "chain does not start at the certified ratio"
+    for i, (a, b) in enumerate(zip(steps, steps[1:])):
+        if a.rhs != b.lhs:
+            return f"chain breaks between steps {i} and {i + 1}"
+    if steps[-1].rhs != cert.conclusion_bound:
+        return "chain does not end at the conclusion bound"
+    way = _DIRECTION.get(cert.conclusion_rel)
+    if way is None or any(_DIRECTION.get(s.rel) != way for s in steps):
+        return "a step points against the conclusion"
+    if cert.conclusion_rel == way and all(s.rel != way for s in steps):
+        return "strict conclusion from a chain of non-strict steps"
+    if (cert.conclusion_bound < HALF + cert.eps if way == ">"
+            else cert.conclusion_bound > HALF - cert.eps):
+        return "conclusion bound lies inside the band"
+    return None
 
 
 def verify_certificate(cert: Certificate) -> VerifyResult:
-    """Re-derive the whole chain from raw cardinalities and compare."""
-    if cert.kind not in _EXPECTED:
+    """Re-derive the whole chain from raw cardinalities and compare, then
+    check that the recorded chain runs from the certified ratio to the
+    conclusion bound."""
+    if cert.kind not in _RULES:
         return _fail(f"unknown certificate kind {cert.kind!r}")
     if not (0 < cert.eps < HALF):
         return _fail("eps outside (0, 1/2)")
@@ -236,7 +255,13 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
         if cards.get("interval_size") != bs[n + 1] - bs[n]:
             return _fail("interval_size disagrees with the boundaries")
     try:
-        steps, rel, bound = _EXPECTED[cert.kind](cert)
+        steps, rel, bound = _RULES[cert.kind](
+            cert.kind, cert.index, cert.eps, cert.eps_prime, cards)
+        # the certified ratio, read apart from the rules so that the
+        # chain's endpoints are checked on their own
+        num, den = (("ratio_num", "ratio_den") if cert.kind.startswith("game-")
+                    else ("escape_count", "x_count"))
+        ratio = Fraction(cards[num], cards[den])
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         return _fail(f"cannot reconstruct chain: {exc}")
     if len(steps) != len(cert.steps):
@@ -254,4 +279,5 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     for key in ("s_in_interval", "escape_count"):
         if key in cards and size is not None and cards[key] > size:
             return _fail(f"{key} exceeds the interval size")
-    return VerifyResult(True)
+    reason = _unsound(cert, ratio)
+    return _fail(reason) if reason else VerifyResult(True)

@@ -26,6 +26,7 @@ from .adversary import (
 from .certificates import Certificate, verify_certificate
 from .density import density_report, split_verdict
 from .omega_sets import (
+    ExplicitSet,
     FiniteSetError,
     HorizonOverflowError,
     parse_family,
@@ -288,15 +289,9 @@ def _cmd_escape(args) -> tuple[int, dict]:
 def _load_pair(path: str, part: IntervalPartition) -> GoodPair:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    from .omega_sets import ExplicitSet
-    import numpy as np
-
     ks = obj["H"]
-    horizon = max(ks) + 1 if ks else 1
-    bits = np.zeros(horizon, dtype=bool)
-    for k in ks:
-        bits[k] = True
-    H = ExplicitSet(bits, tail=(True,))
+    # an empty H keeps horizon 1, so the all-true tail starts at 1, not 0
+    H = ExplicitSet.from_elements(ks, max(ks) + 1 if ks else 1, tail=(True,))
     guards = {int(k): part.subset_from_json(v)
               for k, v in obj.get("guards", {}).items()}
     return GoodPair(part, H, guards, Fraction(obj["eps"]))

@@ -11,7 +11,7 @@ beyond the explicit bit-vector cap.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -171,10 +171,14 @@ class IntervalPartition:
             ) from exc
         return IntervalSubset(self, k, "trace", below_hi - below_lo, base=base)
 
+    def restrict(self, k: int, X: OmegaSet) -> "IntervalSubset":
+        """X ∩ I_k, reusing X's own value when X is symbolic on this partition."""
+        if isinstance(X, IntervalSymbolicSet) and X.part is self:
+            return X.value_at(k)
+        return self.trace(k, X)
+
     def cotrace(self, k: int, base: OmegaSet) -> "IntervalSubset":
-        inner = self.trace(k, base)
-        return IntervalSubset(self, k, "cotrace", self.size(k) - inner.count,
-                              base=base)
+        return self.trace(k, base).complement()
 
     def explicit(self, k: int, elements) -> "IntervalSubset":
         lo, hi = self.boundary(k), self.boundary(k + 1)
@@ -197,10 +201,9 @@ class IntervalPartition:
             return self.last(k, size - sub.s)
         if sub.kind == "last":
             return self.first(k, size - sub.s)
-        if sub.kind == "trace":
-            return self.cotrace(k, sub.base)
-        if sub.kind == "cotrace":
-            return self.trace(k, sub.base)
+        if sub.kind in ("trace", "cotrace"):
+            flipped = "cotrace" if sub.kind == "trace" else "trace"
+            return IntervalSubset(self, k, flipped, size - sub.count, base=sub.base)
         lo, hi = self.boundary(k), self.boundary(k + 1)
         present = set(sub.elements)
         return self.explicit(k, [x for x in range(lo, hi) if x not in present])
@@ -336,10 +339,7 @@ class IntervalSubset:
             below_lo, below_x = self.base.counts_at([self.lo, x])
             inside = below_x - below_lo
             return inside if k == "trace" else (x - self.lo) - inside
-        lo_i = 0
-        while lo_i < len(self.elements) and self.elements[lo_i] < x:
-            lo_i += 1
-        return lo_i
+        return bisect_left(self.elements, x)
 
     def select(self, j: int) -> int:
         """j-th element (0-indexed) of the subset."""

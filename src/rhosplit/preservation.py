@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
 from ._util import HALF, as_fraction
 from .omega_sets import ExplicitSet, OmegaSet, complement, require_infinite
 from .partitions import IntervalPartition, IntervalSubset, IntervalSymbolicSet
@@ -83,12 +81,6 @@ class RelVerdict:
         return self.holds
 
 
-def _x_interval_count(X: OmegaSet, partition: IntervalPartition, k: int) -> int:
-    if isinstance(X, IntervalSymbolicSet) and X.part is partition:
-        return X.value_at(k).count
-    return partition.trace(k, X).count
-
-
 def rel_holds(X: OmegaSet, pair: GoodPair, n: int, horizon_k: int) -> RelVerdict:
     """Check the guarded relation for every k in H with n <= k < horizon_k.
 
@@ -105,17 +97,10 @@ def rel_holds(X: OmegaSet, pair: GoodPair, n: int, horizon_k: int) -> RelVerdict
             continue
         guard = pair.guard_at(k)
         lhs = guard.intersect_set_count(X)
-        rhs = bound * (_x_interval_count(X, part, k) + part.prefix_size(k))
+        rhs = bound * (part.restrict(k, X).count + part.prefix_size(k))
         if not lhs < rhs:
             return RelVerdict(False, k, lhs, rhs)
     return RelVerdict(True)
-
-
-def _indices_set(members: set[int], horizon_k: int) -> OmegaSet:
-    bits = np.zeros(horizon_k, dtype=bool)
-    for k in members:
-        bits[k] = True
-    return ExplicitSet(bits, tail=(True,))
 
 
 def _banded_guard(partition: IntervalPartition, k: int) -> IntervalSubset:
@@ -144,19 +129,13 @@ def witness_above(X: OmegaSet, eps, partition: IntervalPartition,
     require_infinite(X, "X")
     if partition.verify_growth() is not None:
         raise ValueError("partition violates the growth condition")
-    ratios = [
-        Fraction(_x_interval_count(X, partition, k), partition.size(k))
-        for k in range(horizon_k)
-    ]
+    traces = [partition.restrict(k, X) for k in range(horizon_k)]
+    ratios = [sub.ratio() for sub in traces]
     low = {k for k, r in enumerate(ratios) if r < Fraction(3, 4)}
     if 2 * len(low) >= horizon_k:
-        guards = {}
-        for k in low:
-            if isinstance(X, IntervalSymbolicSet) and X.part is partition:
-                guards[k] = X.value_at(k).complement()
-            else:
-                guards[k] = partition.cotrace(k, X)
-        return GoodPair(partition, _indices_set(low, horizon_k), guards, eps)
+        guards = {k: traces[k].complement() for k in low}
+        H = ExplicitSet.from_elements(low, horizon_k, tail=(True,))
+        return GoodPair(partition, H, guards, eps)
     high_cut = max((k + 1 for k, r in enumerate(ratios) if r < Fraction(3, 4)),
                    default=0)
     K = max(2, high_cut)
@@ -235,20 +214,14 @@ def reap_tukey_map(S: OmegaSet, eps, partition: IntervalPartition,
     """
     eps = as_fraction(eps)
     require_infinite(S, "S")
-    ratios = [
-        Fraction(_x_interval_count(S, partition, k), partition.size(k))
-        for k in range(horizon_k)
-    ]
+    ratios = [partition.restrict(k, S).ratio() for k in range(horizon_k)]
     above = {k for k, r in enumerate(ratios) if r > QUARTER}
     if 2 * len(above) >= horizon_k:
         s_prime: OmegaSet = S
         chosen = above
     else:
         s_prime = complement(S)
-        chosen = {
-            k for k in range(horizon_k)
-            if Fraction(partition.size(k) - _x_interval_count(S, partition, k),
-                        partition.size(k)) > QUARTER
-        }
+        chosen = {k for k, r in enumerate(ratios) if 1 - r > QUARTER}
     guards = {k: partition.trace(k, s_prime) for k in chosen}
-    return GoodPair(partition, _indices_set(chosen, horizon_k), guards, eps)
+    H = ExplicitSet.from_elements(chosen, horizon_k, tail=(True,))
+    return GoodPair(partition, H, guards, eps)

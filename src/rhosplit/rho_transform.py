@@ -195,9 +195,6 @@ class SplitterOracle:
                 targets: Sequence[OmegaSet]) -> OmegaSet:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 class BernoulliOracle(SplitterOracle):
     """Proposes Bernoulli(p) sets with seeds derived from (seed, stage,
@@ -213,9 +210,6 @@ class BernoulliOracle(SplitterOracle):
     def propose(self, stage, attempt, targets):
         return BernoulliSet(self.p, derive_seed(self.seed, stage, attempt))
 
-    def describe(self):
-        return {"kind": "bernoulli", "p": str(self.p), "seed": self.seed}
-
 
 class RoundRobinOracle(SplitterOracle):
     """Deterministic exact 1/2-splitter of a single target: every second
@@ -228,9 +222,6 @@ class RoundRobinOracle(SplitterOracle):
         if len(targets) != 1:
             raise ValueError("round-robin needs a single-target family")
         return StrideSelection(targets[0], 2, 0)
-
-    def describe(self):
-        return {"kind": "round-robin"}
 
 
 class ComposedOracle(SplitterOracle):
@@ -261,10 +252,6 @@ class ComposedOracle(SplitterOracle):
         b = self._build(level - 1, stage, salt * 3 + 2,
                         [intersect(a, t) for t in targets])
         return intersect(a, b)
-
-    def describe(self):
-        return {"kind": "composed", "ops": list(self.ops),
-                "p": str(self.p), "inner": self.inner.describe()}
 
 
 def make_oracle(kind: str, *, p=None, seed: int = 0) -> SplitterOracle:

@@ -8,6 +8,7 @@ from rhosplit import (
     Progression,
     centred_escape,
     centred_thresholds,
+    complement,
     defeat_bisector,
     half_slalom,
     laver_blocks,
@@ -16,7 +17,7 @@ from rhosplit import (
     verify_certificate,
 )
 from rhosplit.adversary import Condition, Slalom
-from rhosplit.certificates import Certificate
+from rhosplit.certificates import CERT_KINDS, Certificate, Step
 from rhosplit.omega_sets import FiniteSetError
 
 HALF = Fraction(1, 2)
@@ -277,3 +278,97 @@ def test_tampering_boundaries_is_detected(minimal16):
     payload = json.loads(res.certificates[0].dumps())
     payload["boundaries"][2] = str(int(payload["boundaries"][2]) + 1)
     assert not verify_certificate(Certificate.from_json(payload))
+
+
+def assert_sound(cert):
+    # checked here without the verifier: the chain runs from the certified
+    # ratio to a bound outside the band, every step holding in one direction
+    cards = cert.cardinalities
+    if cert.kind.startswith("game-"):
+        ratio = Fraction(cards["ratio_num"], cards["ratio_den"])
+    else:
+        ratio = Fraction(cards["escape_count"], cards["x_count"])
+    steps = cert.steps
+    assert steps[0].lhs == ratio
+    assert all(a.rhs == b.lhs for a, b in zip(steps, steps[1:]))
+    assert steps[-1].rhs == cert.conclusion_bound
+    way = cert.conclusion_rel[0]
+    assert all(s.rel[0] == way and s.holds() for s in steps)
+    if way == ">":
+        assert ratio >= cert.conclusion_bound >= HALF + cert.eps
+    else:
+        assert ratio <= cert.conclusion_bound <= HALF - cert.eps
+
+
+def test_every_emitted_chain_is_sound(minimal16):
+    # game chains on structured splitters for eps up to 49/100, centred
+    # chains at k0..11 and slalom chains on blocks 2-4
+    P, certs = minimal16, []
+    splitters = [Progression(0, 2), Progression(1, 2), Progression(0, 3),
+                 complement(Progression(0, 3)), complement(Progression(2, 5))]
+    for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5),
+                Fraction(49, 100)):
+        for S in splitters:
+            certs += defeat_bisector(S, eps, P, rounds=3).certificates
+    eps, epsp = Fraction(1, 10), Fraction(1, 5)
+    _, k0 = centred_thresholds(eps, epsp)
+    guards = first_half_guards(P, 11)
+    certs += [centred_escape(guards, eps, epsp, n) for n in range(k0, 12)]
+    for m in (2, 3, 4):
+        for j in (0, 2 ** m - 1):
+            slalom = half_slalom(P, 4, branch={b: j % 2 ** b for b in range(5)})
+            certs.append(laver_escape(slalom, eps, epsp, m)[1])
+    assert {c.kind for c in certs} == set(CERT_KINDS)
+    for cert in certs:
+        assert_sound(cert)
+        assert verify_certificate(cert), cert.kind
+
+
+def _drop(i):
+    # steps without steps[i], for negative i too
+    return lambda steps, rel, bound: (steps[:i] + steps[i:][1:], rel, bound)
+
+
+def _backwards(steps, rel, bound):
+    # a true step that points against the conclusion
+    back = "<=" if rel[0] == ">" else ">="
+    return steps + (Step(bound, back, bound),), rel, bound
+
+
+def _into_band(steps, rel, bound):
+    return steps + (Step(bound, rel, HALF),), rel, HALF
+
+
+def _strict_from_weak(steps, rel, bound):
+    r = steps[0].lhs
+    return (Step(r, rel, r),), rel[0], r
+
+
+@pytest.mark.parametrize("forge,reason", [
+    (_drop(1), "breaks between steps 0 and 1"),
+    (_drop(0), "does not start at the certified ratio"),
+    (_drop(-1), "does not end at the conclusion bound"),
+    (_backwards, "points against the conclusion"),
+    (_into_band, "inside the band"),
+    (_strict_from_weak, "strict conclusion"),
+])
+def test_verifier_rejects_an_unsound_rule(minimal16, monkeypatch, forge, reason):
+    # emitter and verifier share the forged rule, so only the check of the
+    # chain on its own terms can reject what it emits
+    from rhosplit import certificates
+
+    for kind, rule in list(certificates._RULES.items()):
+        monkeypatch.setitem(
+            certificates._RULES, kind,
+            lambda *args, rule=rule: forge(*rule(*args)))
+    res = defeat_bisector(Progression(0, 2), Fraction(1, 4), minimal16,
+                          rounds=2)
+    certs = list(res.certificates)
+    certs.append(centred_escape(first_half_guards(minimal16, 4),
+                                Fraction(1, 10), Fraction(1, 5), 4))
+    slalom = half_slalom(minimal16, 3)
+    certs.append(laver_escape(slalom, Fraction(1, 10), Fraction(1, 5), 3)[1])
+    assert {c.kind for c in certs} == set(CERT_KINDS)
+    for cert in certs:
+        result = verify_certificate(cert)
+        assert not result and reason in result.reason, (cert.kind, result)

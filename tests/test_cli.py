@@ -116,6 +116,20 @@ def test_preserve_roundtrip(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("ks,expected", [
+    ([], list(range(1, 10))),  # an empty H still means {1, 2, ...}
+    ([0, 3], [0] + list(range(3, 10))),
+])
+def test_loaded_pair_H_is_listed_indices_then_all(tmp_path, ks, expected):
+    from rhosplit import build_partition
+    from rhosplit.cli import _load_pair
+
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"eps": "1/4", "H": ks}))
+    pair = _load_pair(str(path), build_partition("minimal", 4))
+    assert [k for k in range(10) if pair.H.contains(k)] == expected
+
+
 def test_preserve_witness_above():
     code, rep = invoke_json([
         "preserve", "--op", "witness-above", "--X", "prog(0,2)",
