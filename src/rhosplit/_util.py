@@ -6,8 +6,9 @@ from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
-_M1 = 0xBF58476D1CE4E5B9
-_M2 = 0x94D049BB133111EB
+# splitmix64 finaliser multipliers
+MIX_M1 = 0xBF58476D1CE4E5B9
+MIX_M2 = 0x94D049BB133111EB
 
 HALF = Fraction(1, 2)
 
@@ -16,9 +17,9 @@ def mix64(x: int) -> int:
     """64-bit avalanche (splitmix64 finaliser); pure function of x mod 2^64."""
     x &= MASK64
     x ^= x >> 30
-    x = (x * _M1) & MASK64
+    x = (x * MIX_M1) & MASK64
     x ^= x >> 27
-    x = (x * _M2) & MASK64
+    x = (x * MIX_M2) & MASK64
     x ^= x >> 31
     return x
 
@@ -27,7 +28,7 @@ def derive_seed(*parts: int) -> int:
     """Fold integers into one 64-bit seed, order-sensitive."""
     acc = GOLDEN64
     for p in parts:
-        acc = mix64(acc ^ ((p * _M1) & MASK64))
+        acc = mix64(acc ^ ((p * MIX_M1) & MASK64))
     return acc
 
 

@@ -134,12 +134,21 @@ def density_report(S: OmegaSet, X: OmegaSet, horizon: int,
     dens = tuple(d for _, _, d in rows)
     ratios = tuple(Fraction(n, d) for n, d in zip(nums, dens))
     tail_from = ceil_frac(tail_window * horizon)
-    tail = [r for cp, r in zip(checkpoints, ratios) if cp >= tail_from]
+    tail = [(n, d) for cp, n, d in rows if cp >= tail_from]
     if not tail:
-        tail = [ratios[-1]]
+        tail = [rows[-1][1:]]
         tail_from = checkpoints[-1]
+    # the tail extremes, compared by cross-multiplying the counts
+    (hi_n, hi_d), (lo_n, lo_d) = tail[0], tail[0]
+    for n, d in tail:
+        if n * hi_d > hi_n * d:
+            hi_n, hi_d = n, d
+        elif n * lo_d < lo_n * d:
+            lo_n, lo_d = n, d
+    upper, lower = Fraction(hi_n, hi_d), Fraction(lo_n, lo_d)
     tgt = as_fraction(target) if target is not None else None
-    max_dev = max(abs(r - tgt) for r in tail) if tgt is not None else None
+    # max |r - tgt| over the tail is attained at one of its extremes
+    max_dev = max(upper - tgt, tgt - lower) if tgt is not None else None
     return DensityReport(
         checkpoints=checkpoints,
         numerators=nums,
@@ -147,8 +156,8 @@ def density_report(S: OmegaSet, X: OmegaSet, horizon: int,
         ratios=ratios,
         tail_window=tail_window,
         tail_from=tail_from,
-        upper_est=max(tail),
-        lower_est=min(tail),
+        upper_est=upper,
+        lower_est=lower,
         target=tgt,
         max_tail_deviation=max_dev,
     )

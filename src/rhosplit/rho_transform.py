@@ -280,11 +280,23 @@ def _band_ok(report: DensityReport, p: Fraction, cfg: ChainConfig) -> bool:
     variables", JASA 58, 1963) a ratio of d thinned members strays that
     far with probability at most 2*exp(-12.2), a margin that survives a
     union bound over the tail rows.  The rule is squared and scaled by d
-    so that no square root is taken.
+    so that no square root is taken: a row num/den fails when
+    (num/den - p)^2 * den > max(tol^2 * den, 61/10).
+
+    It is decided on integers.  With p = a/b and tol = t/u, multiplying
+    through by 10 * b^2 * u^2 * den > 0 gives the same rule as
+        10 * (num*b - a*den)^2 * u^2 > max(10 * t^2 * b^2 * den^2,
+                                           61 * b^2 * u^2 * den),
+    so no Fraction is built per row.
     """
-    tol = cfg.stage_tolerance
-    for _, _, den, ratio in report.tail_rows():
-        if (ratio - p) ** 2 * den > max(tol ** 2 * den, Fraction(61, 10)):
+    a, b = p.numerator, p.denominator
+    t, u = cfg.stage_tolerance.numerator, cfg.stage_tolerance.denominator
+    dev_scale = 10 * u * u
+    tol_scale = 10 * (t * b) ** 2
+    floor_scale = 61 * (b * u) ** 2
+    for _, num, den, _ in report.tail_rows():
+        dev = num * b - a * den
+        if dev_scale * dev * dev > max(tol_scale * den * den, floor_scale * den):
             return False
     return True
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rhosplit import (
     OMEGA,
@@ -19,6 +19,7 @@ from rhosplit import (
     union,
     upper_lower_density,
 )
+from rhosplit import density
 from rhosplit.density import build_checkpoints
 
 HALF = Fraction(1, 2)
@@ -195,3 +196,34 @@ def test_build_checkpoints():
     assert cps == [300, 600, 900, 1000]
     geo = build_checkpoints(100, geometric=True)
     assert geo == [1, 2, 4, 8, 16, 32, 64, 100]
+
+
+@st.composite
+def _count_rows(draw):
+    cps = sorted(draw(st.sets(st.integers(1, 10 ** 6), min_size=1, max_size=12)))
+    dens = [draw(st.integers(0, 10 ** 6)) for _ in cps]
+    dens[-1] = max(dens[-1], 10)
+    nums = [draw(st.integers(0, d)) for d in dens]
+    target = draw(st.none() | st.builds(Fraction, st.integers(0, 40),
+                                        st.integers(1, 40)))
+    return cps, nums, dens, Fraction(draw(st.integers(1, 15)), 16), target
+
+
+@settings(max_examples=300)
+@given(_count_rows())
+def test_tail_statistics_are_the_fraction_extremes(case):
+    cps, nums, dens, window, target = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_pair_counts", lambda S, X, c: (nums, dens))
+        rep = density_report(OMEGA, OMEGA, cps[-1], checkpoints=cps,
+                             tail_window=window, target=target)
+    rows = [(cp, Fraction(n, d)) for cp, n, d in zip(cps, nums, dens) if d > 0]
+    tail_from = -((-window.numerator * cps[-1]) // window.denominator)
+    tail = [r for cp, r in rows if cp >= tail_from] or [rows[-1][1]]
+    assert rep.ratios == tuple(r for _, r in rows)
+    assert rep.upper_est == max(tail)
+    assert rep.lower_est == min(tail)
+    if target is None:
+        assert rep.max_tail_deviation is None
+    else:
+        assert rep.max_tail_deviation == max(abs(r - target) for r in tail)

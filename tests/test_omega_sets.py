@@ -247,6 +247,90 @@ def test_bit_vector_count_memory_is_bounded_by_the_chunk():
     assert counts == [int(np.count_nonzero(bits[:n])) for n in (2 ** 23, 2 ** 24)]
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+def test_bernoulli_fill_seams_match_the_scalar_prf(chunk):
+    s = BernoulliSet(Fraction(2, 5), 31)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(omega_sets, "_CHUNK", chunk)
+        c = omega_sets._CHUNK
+        # ranges that start and end off the block grid and cross seams
+        for lo, hi in [(0, 3 * c + 5), (max(0, c - 3), c + 4), (2 * c + 1, 4 * c - 1),
+                       (5, 6), (9, 9), (max(0, 3 * c - 40), 3 * c + 33)]:
+            bits = s._bits_range(lo, hi)
+            assert bits.shape == (hi - lo,)
+            assert bits.tolist() == [s.contains(k) for k in range(lo, hi)]
+        # the k-th member found block by block, around a seam
+        below = s.count_below(2 * c)
+        for k in range(max(0, below - 3), below + 3):
+            e = s.kth_element(k)
+            assert s.contains(e) and s.count_below(e) == k
+
+
+def test_materialize_cache_grows_geometrically_within_the_cap():
+    calls = []
+    impl = BernoulliSet._materialize_impl
+
+    def counted(self, n):
+        calls.append(n)
+        return impl(self, n)
+
+    n = 20_000
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BernoulliSet, "_materialize_impl", counted)
+        s = parse_set("every(bern(1/2,7),2)")
+        members = [k for k in range(n) if s.contains(k)]
+        assert len(calls) <= 2 * n.bit_length()
+        mp.setenv("RHOSPLIT_HORIZON_CAP", "1000")
+        t = BernoulliSet(Fraction(1, 2), 7)
+        t.materialize(600)
+        assert t.materialize(700).shape == (700,)
+        assert calls[-1] == 1000  # twice the cache, clipped to the cap
+    expect = parse_set("every(bern(1/2,7),2)").materialize(n)
+    assert members == np.flatnonzero(expect).tolist()
+
+
+def test_tail_pattern_is_derived_once_per_node():
+    calls = {}
+    derive = Progression.tail_pattern
+
+    def counted(self):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return derive(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Progression, "tail_pattern", counted)
+        # the ComposedOracle shape: 40 nested intersections of shared
+        # stages, their level differences, and a union of levels
+        leaves = [OMEGA, Progression(0, 2), Progression(1, 4), Progression(3, 8)]
+        nested, diffs = [OMEGA], []
+        for m in range(40):
+            nested.append(intersect(nested[-1], leaves[1 + m % 3]))
+            diffs.append(difference(nested[-2], nested[-1]))
+        unions = [diffs[0]]
+        for d in diffs[1:]:
+            unions.append(union(unions[-1], d))
+        top = unions[-1]
+        nodes = nested[1:] + diffs + unions[1:]
+        for node in nodes:
+            node.tail_pattern()
+            node.provably_finite
+        assert top.count_below(1000) == 1000 - nested[-1].count_below(1000)
+        # each leaf is asked once by each distinct parent, however many
+        # paths through the DAG reach it
+        for leaf in leaves:
+            parents = sum(any(c is leaf for c in node.children) for node in nodes)
+            assert calls[id(leaf)] == parents
+
+        # a node whose first child has no tail pattern does not ask its
+        # second child
+        calls.clear()
+        prog = Progression(0, 3)
+        node = intersect(BernoulliSet(Fraction(1, 2), 5), prog)
+        assert node.tail_pattern() is None
+        assert id(prog) not in calls
+
+
 def test_stride_selection_counts():
     evens = Progression(0, 2)
     quarters = StrideSelection(evens, 2, 0)

@@ -1,6 +1,6 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rhosplit import (
     OMEGA,
@@ -15,9 +15,11 @@ from rhosplit import (
     transform_splitter,
 )
 from rhosplit.omega_sets import parse_family
+from rhosplit.density import DensityReport
 from rhosplit.rho_transform import (
     ChainConfig,
     TransformError,
+    _band_ok,
     dyadic_weights,
     geometric_weights,
 )
@@ -144,6 +146,47 @@ def test_squaring_plan_terminates(rho):
     for op in ops:
         y = y * y if op == "square" else 1 - y
     assert y == x
+
+
+# -- band check -------------------------------------------------------------
+
+
+@st.composite
+def _band_cases(draw):
+    b = draw(st.integers(2, 64))
+    a = draw(st.integers(1, b - 1))
+    u = draw(st.integers(1, 1000))
+    t = draw(st.integers(1, u))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        den = draw(st.integers(1, 10 ** 6))
+        spread = draw(st.sampled_from([0, 3, 30, 300, 3000]))
+        num = a * den // b + draw(st.integers(-spread, spread))
+        rows.append((min(den, max(0, num)), den))
+    return a, b, t, u, rows
+
+
+# rows exactly on the floor (6.1 / den) and on the tolerance boundary,
+# where the strict inequality decides
+@example((1, 2, 1, 100, [(366, 610)]))
+@example((1, 2, 1, 100, [(367, 610)]))
+@example((1, 2, 1, 100, [(51_000, 100_000)]))
+@example((1, 2, 1, 100, [(51_001, 100_000)]))
+@given(_band_cases())
+def test_band_check_is_the_fraction_rule(case):
+    a, b, t, u, rows = case
+    p, tol = Fraction(a, b), Fraction(t, u)
+    ratios = tuple(Fraction(n, d) for n, d in rows)
+    report = DensityReport(
+        checkpoints=tuple(range(1, len(rows) + 1)),
+        numerators=tuple(n for n, _ in rows),
+        denominators=tuple(d for _, d in rows),
+        ratios=ratios, tail_window=HALF, tail_from=1,
+        upper_est=max(ratios), lower_est=min(ratios))
+    # the rule in rational arithmetic, as the docstring of _band_ok states it
+    oracle = all((r - p) ** 2 * d <= max(tol ** 2 * d, Fraction(61, 10))
+                 for r, (_, d) in zip(ratios, rows))
+    assert _band_ok(report, p, ChainConfig(stage_tolerance=tol)) == oracle
 
 
 # -- chains -------------------------------------------------------------------
