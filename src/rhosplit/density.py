@@ -8,6 +8,7 @@ rationals; floating point appears only in rendered output.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -42,7 +43,6 @@ class DensityReport:
     checkpoints: tuple[int, ...]
     numerators: tuple[int, ...]
     denominators: tuple[int, ...]
-    ratios: tuple[Fraction, ...]
     tail_window: Fraction
     tail_from: int
     upper_est: Fraction
@@ -50,13 +50,18 @@ class DensityReport:
     target: Fraction | None = None
     max_tail_deviation: Fraction | None = None
 
+    @property
+    def ratios(self) -> tuple[Fraction, ...]:
+        """The exact ratio at each checkpoint, built on request: the
+        verdicts read the integer counts."""
+        return tuple(Fraction(n, d) for n, d in zip(self.numerators, self.denominators))
+
     def tail_rows(self):
+        tail = bisect_left(self.checkpoints, self.tail_from)
         return [
-            (cp, num, den, r)
-            for cp, num, den, r in zip(
-                self.checkpoints, self.numerators, self.denominators, self.ratios
-            )
-            if cp >= self.tail_from
+            (cp, num, den, Fraction(num, den))
+            for cp, num, den in zip(self.checkpoints[tail:], self.numerators[tail:],
+                                    self.denominators[tail:])
         ]
 
     def to_json(self) -> dict:
@@ -126,21 +131,16 @@ def density_report(S: OmegaSet, X: OmegaSet, horizon: int,
             f"X has only {dens[-1]} points below horizon {horizon}; "
             "need at least 10"
         )
-    rows = [
-        (cp, n, d) for cp, n, d in zip(checkpoints, nums, dens) if d > 0
-    ]
-    checkpoints = tuple(cp for cp, _, _ in rows)
-    nums = tuple(n for _, n, _ in rows)
-    dens = tuple(d for _, _, d in rows)
-    ratios = tuple(Fraction(n, d) for n, d in zip(nums, dens))
+    rows = [(cp, n, d) for cp, n, d in zip(checkpoints, nums, dens) if d > 0]
+    checkpoints, nums, dens = zip(*rows)
     tail_from = ceil_frac(tail_window * horizon)
-    tail = [(n, d) for cp, n, d in rows if cp >= tail_from]
-    if not tail:
-        tail = [rows[-1][1:]]
-        tail_from = checkpoints[-1]
+    tail = bisect_left(checkpoints, tail_from)
+    if tail == len(checkpoints):
+        tail, tail_from = tail - 1, checkpoints[-1]
     # the tail extremes, compared by cross-multiplying the counts
-    (hi_n, hi_d), (lo_n, lo_d) = tail[0], tail[0]
-    for n, d in tail:
+    hi_n = lo_n = nums[tail]
+    hi_d = lo_d = dens[tail]
+    for n, d in zip(nums[tail:], dens[tail:]):
         if n * hi_d > hi_n * d:
             hi_n, hi_d = n, d
         elif n * lo_d < lo_n * d:
@@ -153,7 +153,6 @@ def density_report(S: OmegaSet, X: OmegaSet, horizon: int,
         checkpoints=checkpoints,
         numerators=nums,
         denominators=dens,
-        ratios=ratios,
         tail_window=tail_window,
         tail_from=tail_from,
         upper_est=upper,

@@ -4,10 +4,10 @@ A set is an immutable descriptor tree.  Membership of a single point is
 always computable.  Prefix counts go through one method, ``counts_at``:
 closed forms wherever the descriptor admits one (arithmetic
 progressions, eventually periodic boolean combinations), then
-materialised bit vectors below a configurable cap, then sparse
-enumerations.  Partition-scale work should use the interval-symbolic
-representation from :mod:`rhosplit.partitions`, which counts exactly at
-any magnitude.
+materialised membership words below a configurable cap (one bit per
+index, counted by popcount), then sparse enumerations.  Partition-scale
+work should use the interval-symbolic representation from
+:mod:`rhosplit.partitions`, which counts exactly at any magnitude.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "ODDS",
     "explicit_cap",
     "materialize_prefix",
+    "agree_below",
     "intersect",
     "union",
     "difference",
@@ -60,6 +61,10 @@ _PATTERN_LIMIT = 1 << 12
 _ENUM_LIMIT = 1 << 18
 # PRF fill block: its uint64 buffers stay in L2 (2^15 to 2^16 measured best)
 _CHUNK = 1 << 16
+# membership words: bit k % 64 of word k // 64 is index k
+_WORD = np.dtype("<u8")
+# _LOW_BITS[r]: the r lowest bits of a word set
+_LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 
 def explicit_cap() -> int:
@@ -90,8 +95,8 @@ class TailPattern:
     pattern: tuple[bool, ...]
 
     def counts_at(self, head: np.ndarray, checkpoints: Sequence[int]) -> list[int]:
-        """Members below each checkpoint, given the member bits of the head
-        [0, start); the bits may stop at the largest checkpoint."""
+        """Members below each checkpoint, given the packed member words of
+        the head [0, start); the words may stop at the largest checkpoint."""
         cum = [0, *accumulate(self.pattern)]
 
         def periodic(m: int) -> int:  # members of the periodic extension below m
@@ -104,16 +109,61 @@ class TailPattern:
                 for c, n in zip(heads, checkpoints)]
 
 
-def _prefix_counts(bits: np.ndarray, checkpoints: Sequence[int]) -> list[int]:
-    """bits[:n].sum() at each checkpoint n <= len(bits), counted one
-    segment between consecutive checkpoints at a time."""
-    at, total, prev = {}, 0, 0
-    for n in sorted(set(checkpoints)):
-        if n > prev:
-            total += int(np.count_nonzero(bits[prev:n]))
-            prev = n
-        at[n] = total
-    return [at[n] for n in checkpoints]
+def _nwords(n: int) -> int:
+    """Words for the bits of [0, n]: one past n, so that the word holding
+    index n exists even when n is a multiple of 64."""
+    return (n >> 6) + 1
+
+
+def _prefix_counts(words: np.ndarray, checkpoints: Sequence[int]) -> list[int]:
+    """Members below each checkpoint n, from packed words that cover every
+    checkpoint (bits at and above a checkpoint are masked off).
+
+    One popcount per word, a cumulative sum at word granularity, and one
+    masked popcount of the partial word at each checkpoint.
+    """
+    top = max(0, *checkpoints) >> 6
+    # every count is at most 64 * (top + 1)
+    dt = np.uint32 if top < 1 << 26 else np.uint64
+    cum = np.zeros(top + 1, dtype=dt)
+    np.bitwise_count(words[:top], out=cum[1:])
+    cum.cumsum(out=cum)
+    n = np.array(checkpoints, dtype=np.int64)
+    np.maximum(n, 0, out=n)
+    q = n >> 6
+    return (cum[q] + np.bitwise_count(words[q] & _LOW_BITS[n & 63])).tolist()
+
+
+def _unpack(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Membership bits of [lo, hi) as a bool vector, from packed words."""
+    octets = words.view(np.uint8)[lo >> 3:(hi + 7) >> 3]
+    skip = lo & 7
+    return np.unpackbits(octets, bitorder="little")[skip:skip + hi - lo].view(bool)
+
+
+def _pack(n: int, fill: Callable[[int, np.ndarray], None]) -> np.ndarray:
+    """Packed words of [0, n), built block by block: ``fill(lo, out)``
+    writes the membership bits of [lo, lo + len(out)) into the bool block
+    ``out``, for consecutive blocks in increasing order.  No bool vector
+    of length n is built."""
+    words = np.zeros(_nwords(n), dtype=_WORD)
+    octets = words.view(np.uint8)
+    # a multiple of the PRF block and of the word, so both grids line up
+    step = lcm(_CHUNK, 64)
+    block = np.empty(min(step, n), dtype=bool)
+    for lo in range(0, n, step):
+        out = block[:min(step, n - lo)]
+        fill(lo, out)
+        octets[lo >> 3:(lo + out.shape[0] + 7) >> 3] = np.packbits(out, bitorder="little")
+    return words
+
+
+def _from_elements(n: int, elements: Sequence[int]) -> np.ndarray:
+    """Packed words of [0, n) with exactly the given members, all below n."""
+    words = np.zeros(_nwords(n), dtype=_WORD)
+    e = np.asarray(elements, dtype=np.int64)
+    np.bitwise_or.at(words, e >> 6, np.left_shift(np.uint64(1), (e & 63).astype(np.uint64)))
+    return words
 
 
 class OmegaSet:
@@ -121,13 +171,15 @@ class OmegaSet:
 
     Values are immutable after construction; all operations are pure, so
     sharing across threads is safe.  The only internal mutation is a
-    grow-only materialisation cache.
+    grow-only materialisation cache: packed membership words (one bit per
+    index, see ``packed``) of the first ``_built`` indices.
     """
 
-    __slots__ = ("_mat",)
+    __slots__ = ("_mat", "_built")
 
     def __init__(self):
         self._mat: np.ndarray | None = None
+        self._built = 0
 
     # -- membership and structure ------------------------------------
 
@@ -160,8 +212,8 @@ class OmegaSet:
 
         Subclasses with a closed form override this; everything else
         counts here, by the first strategy that applies: the closed form
-        of an eventually periodic tail, its head read once from the bit
-        vector; the cached bit vector below the cap; sparse enumeration
+        of an eventually periodic tail, its head read once from the packed
+        words; the cached packed words below the cap; sparse enumeration
         (the rescue path for astronomically large horizons).
         """
         if not checkpoints:
@@ -171,9 +223,9 @@ class OmegaSet:
         if tp is not None and tp.start <= _PREFIX_SCAN_LIMIT:
             # the head is short, so it is read whatever the cap
             head = min(horizon, tp.start)
-            return tp.counts_at(self.materialize(head, cap=head), checkpoints)
+            return tp.counts_at(self.packed(head, cap=head), checkpoints)
         if horizon <= explicit_cap():
-            return _prefix_counts(self.materialize(horizon), checkpoints)
+            return _prefix_counts(self.packed(horizon), checkpoints)
         elems = self.enumerate_below(horizon, _ENUM_LIMIT)
         if elems is not None:
             return [bisect_left(elems, n) for n in checkpoints]
@@ -188,8 +240,14 @@ class OmegaSet:
 
     # -- materialisation -----------------------------------------------
 
-    def materialize(self, n: int, cap: int | None = None) -> np.ndarray:
-        """Membership bits over [0, n) as a read-only bool vector."""
+    def packed(self, n: int, cap: int | None = None) -> np.ndarray:
+        """Membership words of [0, n], read-only: n // 64 + 1 little-endian
+        uint64 words, bit k % 64 of word k // 64 for index k.
+
+        The cache may reach past n, so the last word can hold members at
+        and above n; readers mask at n.  Above the built length of the
+        cache every bit is zero.
+        """
         if n < 0:
             raise ValueError("horizon must be non-negative")
         cap = explicit_cap() if cap is None else cap
@@ -198,23 +256,27 @@ class OmegaSet:
                 f"explicit horizon {n} exceeds cap {cap}; "
                 "use the interval-symbolic form"
             )
-        cached = self._mat
-        if cached is not None and cached.shape[0] >= n:
-            return cached[:n]
-        # a longer horizon grows the cache geometrically within the cap,
-        # so a scan over increasing horizons rebuilds O(log n) times
-        size = n if cached is None else min(max(n, 2 * cached.shape[0]), cap)
-        arr = self._materialize_impl(size)
-        arr.flags.writeable = False
-        self._mat = arr
-        return arr if size == n else arr[:n]
+        if self._mat is None or self._built < n:
+            # a longer horizon grows the cache geometrically within the
+            # cap, so a scan over increasing horizons rebuilds O(log n) times
+            size = n if self._mat is None else min(max(n, 2 * self._built), cap)
+            words = self._materialize_impl(size)
+            words[-1] &= np.uint64((1 << (size & 63)) - 1)
+            words.flags.writeable = False
+            # words first: a reader that sees the new length sees them too
+            self._mat, self._built = words, size
+        return self._mat[:_nwords(n)]
+
+    def materialize(self, n: int, cap: int | None = None) -> np.ndarray:
+        """Membership bits over [0, n) as a read-only bool vector,
+        unpacked from the packed words."""
+        bits = _unpack(self.packed(n, cap), 0, n)
+        bits.flags.writeable = False
+        return bits
 
     def _materialize_impl(self, n: int) -> np.ndarray:
-        out = np.zeros(n, dtype=bool)
-        for k in range(n):
-            if self.contains(k):
-                out[k] = True
-        return out
+        """Packed words of [0, n); bits above n may be set."""
+        return _from_elements(n, [k for k in range(n) if self.contains(k)])
 
     # -- enumeration -----------------------------------------------------
 
@@ -225,9 +287,12 @@ class OmegaSet:
         total = self.size_if_finite()
         if total is not None and k >= total:
             raise IndexError(f"element {k} beyond finite set of size {total}")
-        lo, hi = 0, 256
+        cap = explicit_cap()
+        lo, hi = 0, max(1, min(256, cap))
         while self.count_below(hi) <= k:
-            lo, hi = hi, hi * 2
+            # stop once on the cap, so a member below it is found even
+            # where counting beyond it overflows
+            lo, hi = hi, (2 * hi if hi >= cap else min(2 * hi, cap))
         # invariant: count_below(lo) <= k < count_below(hi)
         while lo + 1 < hi:
             mid = (lo + hi) // 2
@@ -282,10 +347,11 @@ class Progression(OmegaSet):
         return [self.a + self.d * j for j in range(c)]
 
     def _materialize_impl(self, n):
-        out = np.zeros(n, dtype=bool)
-        if self.a < n:
-            out[self.a :: self.d] = True
-        return out
+        def fill(lo, out):
+            out[:] = False
+            first = max(self.a, lo + (self.a - lo) % self.d)
+            out[first - lo::self.d] = True
+        return _pack(n, fill)
 
     def descriptor(self) -> str:
         if self.a == 0 and self.d == 1:
@@ -335,7 +401,9 @@ class ExplicitSet(OmegaSet):
     def counts_at(self, checkpoints):
         # the closed form at any prefix length, so counting never falls
         # back to enumerate_below, which counts first
-        return self.tail_pattern().counts_at(self.prefix, checkpoints)
+        plen = self.prefix.shape[0]
+        head = min(max([0, *checkpoints]), plen)
+        return self.tail_pattern().counts_at(self.packed(head, cap=plen), checkpoints)
 
     def tail_pattern(self):
         n, per = self.prefix.shape[0], len(self.tail)
@@ -357,11 +425,15 @@ class ExplicitSet(OmegaSet):
 
     def _materialize_impl(self, n):
         plen = self.prefix.shape[0]
-        if n <= plen:
-            return self.prefix[:n].copy()
-        reps = -((-(n - plen)) // len(self.tail))
-        tail_arr = np.tile(np.asarray(self.tail, dtype=bool), reps)[: n - plen]
-        return np.concatenate([self.prefix, tail_arr])
+        tail = np.asarray(self.tail, dtype=bool)
+
+        def fill(lo, out):
+            k = min(max(plen - lo, 0), out.shape[0])
+            out[:k] = self.prefix[lo:lo + k]
+            # the tail from index lo + k on, repeated to the block's end
+            phase = (lo + k - plen) % tail.shape[0]
+            out[k:] = np.resize(np.roll(tail, -phase), out.shape[0] - k)
+        return _pack(n, fill)
 
     def __repr__(self):
         return f"ExplicitSet(<{self.prefix.shape[0]} bits>, tail={self.tail})"
@@ -392,57 +464,53 @@ class BernoulliSet(OmegaSet):
         u = mix64(self._key ^ ((k * MIX_M1) & MASK64))
         return u < self._thr
 
-    def _bits_range(self, lo: int, hi: int) -> np.ndarray:
-        """Membership bits of [lo, hi), the vectorised ``contains``.
+    def _prf(self, size: int) -> Callable[[int, np.ndarray], None]:
+        """The vectorised ``contains`` for ranges of up to size indices:
+        ``fill(lo, out)`` writes the membership bits of [lo, lo + len(out))
+        into the bool vector ``out``.
 
-        The PRF runs block by block (``_CHUNK`` indices), in place in
-        block-sized uint64 buffers, so its arithmetic stays in cache
-        whatever the range.  The PRF is a function of the index alone,
-        so the block seams do not show.
+        The PRF runs block by block (``_CHUNK`` indices from lo), in place
+        in block-sized uint64 buffers set up once here, so its arithmetic
+        stays in cache whatever the range.  The PRF is a function of the
+        index alone, so the block seams do not show.
         """
-        out = np.empty(hi - lo, dtype=bool)
-        block = min(_CHUNK, hi - lo)
+        block = min(_CHUNK, size)
         m1, m2 = np.uint64(MIX_M1), np.uint64(MIX_M2)
         s30, s27, s31 = np.uint64(30), np.uint64(27), np.uint64(31)
+        key, thr = np.uint64(self._key), np.uint64(self._thr)
         # k * M1 = start * M1 + (k - start) * M1 (mod 2^64) for k in a block
         ramp = np.arange(block, dtype=np.uint64)
         ramp *= m1
         x = np.empty(block, dtype=np.uint64)
         t = np.empty(block, dtype=np.uint64)
-        for start in range(lo, hi, _CHUNK):
-            m = min(block, hi - start)
-            xs, ts = x[:m], t[:m]
-            np.add(ramp[:m], np.uint64((start * MIX_M1) & MASK64), out=xs)
-            xs ^= np.uint64(self._key)
-            # mix64, with the shifted copies written to ts
-            np.right_shift(xs, s30, out=ts)
-            xs ^= ts
-            xs *= m1
-            np.right_shift(xs, s27, out=ts)
-            xs ^= ts
-            xs *= m2
-            np.right_shift(xs, s31, out=ts)
-            xs ^= ts
-            np.less(xs, np.uint64(self._thr), out=out[start - lo:start - lo + m])
+
+        def fill(lo, out):
+            hi = lo + out.shape[0]
+            for start in range(lo, hi, _CHUNK):
+                m = min(block, hi - start)
+                xs, ts = x[:m], t[:m]
+                np.add(ramp[:m], np.uint64((start * MIX_M1) & MASK64), out=xs)
+                xs ^= key
+                # mix64, with the shifted copies written to ts
+                np.right_shift(xs, s30, out=ts)
+                xs ^= ts
+                xs *= m1
+                np.right_shift(xs, s27, out=ts)
+                xs ^= ts
+                xs *= m2
+                np.right_shift(xs, s31, out=ts)
+                xs ^= ts
+                np.less(xs, thr, out=out[start - lo:start - lo + m])
+        return fill
+
+    def _bits_range(self, lo: int, hi: int) -> np.ndarray:
+        """Membership bits of [lo, hi) as a bool vector."""
+        out = np.empty(hi - lo, dtype=bool)
+        self._prf(hi - lo)(lo, out)
         return out
 
     def _materialize_impl(self, n):
-        return self._bits_range(0, n)
-
-    def kth_element(self, k: int) -> int:
-        if k < 0:
-            raise IndexError("negative index")
-        base, lo = 0, 0
-        cap = explicit_cap()
-        while lo < cap:
-            hi = min(lo + _CHUNK, cap)
-            bits = self._bits_range(lo, hi)
-            c = int(bits.sum())
-            if k < base + c:
-                return lo + int(np.flatnonzero(bits)[k - base])
-            base += c
-            lo = hi
-        raise HorizonOverflowError(f"element {k} not found below cap {cap}")
+        return _pack(n, self._prf(n))
 
     @property
     def provably_finite(self) -> bool:
@@ -539,17 +607,20 @@ class CombineNode(OmegaSet):
         return merged if len(merged) <= limit else None
 
     def _materialize_impl(self, n):
-        # the horizon already passed the cap check of this node
+        # the horizon already passed the cap check of this node; the
+        # children's words may hold bits above n, which packed() clears
         ch = self.children
+        a = ch[0].packed(n, cap=n)
         if self.op == "compl":
-            return ~ch[0].materialize(n, cap=n)
-        a = ch[0].materialize(n, cap=n)
-        b = ch[1].materialize(n, cap=n)
+            return ~a
+        b = ch[1].packed(n, cap=n)
         if self.op == "inter":
             return a & b
         if self.op == "union":
             return a | b
-        return a & ~b
+        out = ~b
+        out &= a
+        return out
 
     def descriptor(self) -> str:
         parts = ",".join(c.descriptor() for c in self.children)
@@ -598,10 +669,7 @@ class PowersSet(OmegaSet):
         return False
 
     def _materialize_impl(self, n):
-        out = np.zeros(n, dtype=bool)
-        for e in self.enumerate_below(n, n):
-            out[e] = True
-        return out
+        return _from_elements(n, self.enumerate_below(n, n))
 
     def descriptor(self) -> str:
         return f"pow({self.base})"
@@ -668,10 +736,7 @@ class SequenceSet(OmegaSet):
         return False
 
     def _materialize_impl(self, n):
-        out = np.zeros(n, dtype=bool)
-        for e in self.enumerate_below(n, n):
-            out[e] = True
-        return out
+        return _from_elements(n, self.enumerate_below(n, n))
 
     def __repr__(self):
         return f"SequenceSet({self.name})"
@@ -710,11 +775,16 @@ class StrideSelection(OmegaSet):
         return self.source.provably_finite
 
     def _materialize_impl(self, n):
-        base = self.source.materialize(n)
-        idx = np.flatnonzero(base)[self.offset :: self.stride]
-        out = np.zeros(n, dtype=bool)
-        out[idx] = True
-        return out
+        source = self.source.packed(n)
+        seen = 0  # source members below the block
+
+        def fill(lo, out):
+            nonlocal seen
+            idx = np.flatnonzero(_unpack(source, lo, lo + out.shape[0]))
+            out[:] = False
+            out[idx[(self.offset - seen) % self.stride::self.stride]] = True
+            seen += idx.shape[0]
+        return _pack(n, fill)
 
     def descriptor(self) -> str:
         return f"every({self.source.descriptor()},{self.stride},{self.offset})"
@@ -795,6 +865,15 @@ def materialize_prefix(s: OmegaSet, n: int, cap: int | None = None) -> Prefix:
     if n < 1:
         raise ValueError("prefix horizon must be at least 1")
     return Prefix(n, s.materialize(n, cap=cap))
+
+
+def agree_below(a: OmegaSet, b: OmegaSet, n: int) -> bool:
+    """Whether a and b have the same members below n, compared word by
+    word on their packed words."""
+    wa, wb = a.packed(n), b.packed(n)
+    q = n >> 6
+    return (bool(np.array_equal(wa[:q], wb[:q]))
+            and not int(wa[q] ^ wb[q]) & ((1 << (n & 63)) - 1))
 
 
 def intersect(a: OmegaSet, b: OmegaSet) -> OmegaSet:

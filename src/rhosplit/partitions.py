@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from ._util import as_fraction, ceil_frac
 from .omega_sets import (
     CombineNode,
     HorizonOverflowError,
     OmegaSet,
+    _pack,
+    _unpack,
     parse_set,
 )
 
@@ -581,33 +581,30 @@ class IntervalSymbolicSet(OmegaSet):
         return out
 
     def _materialize_impl(self, n):
-        out = np.zeros(n, dtype=bool)
-        if n == 0:
-            return out
-        last = self.part.interval_of(n - 1)
-        for j in range(last + 1):
-            sub = self.value_at(j)
-            lo, hi = sub.lo, min(sub.hi, n)
-            if lo >= n or sub.count == 0:
-                continue
-            kind = sub.kind
-            if kind == "full":
-                out[lo:hi] = True
-            elif kind == "first":
-                out[lo : min(lo + sub.s, n)] = True
-            elif kind == "last":
-                start = sub.hi - sub.s
-                if start < n:
-                    out[start:hi] = True
-            elif kind == "trace":
-                out[lo:hi] = sub.base.materialize(hi)[lo:hi]
-            elif kind == "cotrace":
-                out[lo:hi] = ~sub.base.materialize(hi)[lo:hi]
-            elif kind == "explicit":
-                for e in sub.elements:
-                    if e < n:
-                        out[e] = True
-        return out
+        def fill(lo, out):
+            hi = lo + out.shape[0]
+            out[:] = False
+            for j in range(self.part.interval_of(lo), self.part.interval_of(hi - 1) + 1):
+                sub = self.value_at(j)
+                a, b = max(sub.lo, lo), min(sub.hi, hi)
+                if sub.count == 0:
+                    continue
+                kind = sub.kind
+                if kind == "full":
+                    out[a - lo:b - lo] = True
+                elif kind == "first":
+                    out[a - lo:max(a, min(sub.lo + sub.s, b)) - lo] = True
+                elif kind == "last":
+                    out[max(a, sub.hi - sub.s) - lo:b - lo] = True
+                elif kind == "trace":
+                    out[a - lo:b - lo] = _unpack(sub.base.packed(b), a, b)
+                elif kind == "cotrace":
+                    out[a - lo:b - lo] = ~_unpack(sub.base.packed(b), a, b)
+                elif kind == "explicit":
+                    for e in sub.elements:
+                        if a <= e < b:
+                            out[e - lo] = True
+        return _pack(n, fill)
 
     def to_json(self, count: int | None = None) -> dict:
         upto = count if count is not None else self.part.materialized_count

@@ -13,11 +13,10 @@ against every current family member.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 from ._util import HALF, as_fraction, derive_seed
 from .density import DensityReport, density_report, split_verdict
@@ -26,6 +25,7 @@ from .omega_sets import (
     BernoulliSet,
     OmegaSet,
     StrideSelection,
+    agree_below,
     complement,
     difference,
     intersect,
@@ -294,7 +294,8 @@ def _band_ok(report: DensityReport, p: Fraction, cfg: ChainConfig) -> bool:
     dev_scale = 10 * u * u
     tol_scale = 10 * (t * b) ** 2
     floor_scale = 61 * (b * u) ** 2
-    for _, num, den, _ in report.tail_rows():
+    tail = bisect_left(report.checkpoints, report.tail_from)
+    for num, den in zip(report.numerators[tail:], report.denominators[tail:]):
         dev = num * b - a * den
         if dev_scale * dev * dev > max(tol_scale * den * den, floor_scale * den):
             return False
@@ -397,8 +398,7 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
         targets = [intersect(S, R) for R in targets]
         for R, member in zip(targets, family):
             expect = intersect(nested[-1], member)
-            if not np.array_equal(R.materialize(cfg.horizon),
-                                  expect.materialize(cfg.horizon)):
+            if not agree_below(R, expect, cfg.horizon):
                 raise AssertionError(
                     f"trace identity failed at stage {stage_idx}"
                 )

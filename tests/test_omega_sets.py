@@ -26,7 +26,7 @@ from rhosplit import (
     union,
 )
 from rhosplit import omega_sets
-from rhosplit.omega_sets import parse_family, require_infinite
+from rhosplit.omega_sets import agree_below, parse_family, require_infinite
 
 from conftest import brute_count
 
@@ -265,6 +265,83 @@ def test_bernoulli_fill_seams_match_the_scalar_prf(chunk):
         for k in range(max(0, below - 3), below + 3):
             e = s.kth_element(k)
             assert s.contains(e) and s.count_below(e) == k
+
+
+_WORD_EDGES = [0, 1, 63, 64, 65, 127, 128, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1]
+
+
+@pytest.mark.parametrize("text", ["bern(1/3,4)", "compl(bern(1/2,8))",
+                                  "inter(prog(5,3),bern(3/4,2))"])
+def test_packed_counts_at_word_edges(text):
+    ref = parse_set(text)
+    members = [k for k in range(_WORD_EDGES[-1]) if ref.contains(k)]
+    for n in _WORD_EDGES:
+        s = parse_set(text)  # a cache built at exactly n
+        cps = [c for c in _WORD_EDGES if c <= n]
+        assert s.counts_at(cps) == [bisect_left(members, c) for c in cps]
+        assert np.flatnonzero(s.materialize(n)).tolist() == members[:bisect_left(members, n)]
+        # above the built length every bit is zero, also where compl
+        # flipped the padding of a horizon that is no multiple of 64
+        words = s.packed(n)
+        assert words.shape == (n // 64 + 1,)
+        assert int(np.bitwise_count(words).sum()) == bisect_left(members, n)
+
+
+def test_cache_grown_past_the_horizon_is_masked_at_it():
+    s = parse_set("bern(1/2,11)")
+    members = [k for k in range(1000) if s.contains(k)]
+    s.packed(1000)  # the last word of every read below holds members above n
+    for n in (1, 63, 65, 100, 127, 999):
+        assert s.counts_at([n]) == [bisect_left(members, n)]
+        assert np.flatnonzero(s.materialize(n)).tolist() == members[:bisect_left(members, n)]
+    # t agrees with s below 100 and adds the non-members of [100, 128)
+    t = union(s, Progression(100, 1))
+    t.packed(1000)
+    assert not set(range(100, 128)) <= set(members)
+    assert agree_below(s, t, 100) and agree_below(t, s, 100)
+    assert not agree_below(s, t, 128)
+    assert agree_below(s, parse_set("bern(1/2,11)"), 1000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_recipes, st.sampled_from([7, 64, None]))
+def test_kth_element_agrees_with_contains(recipe, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(omega_sets, "_CHUNK", chunk)
+        ref = _build(recipe)
+        members = [k for k in range(700) if ref.contains(k)]
+        s = _build(recipe)
+        for i in range(min(len(members), 70)):
+            assert s.kth_element(i) == members[i]
+
+
+def test_bernoulli_kth_element_finds_members_up_to_the_cap():
+    s = BernoulliSet(Fraction(1, 3), 12)
+    members = np.flatnonzero(s.materialize(3000)).tolist()
+    assert [s.kth_element(k) for k in range(len(members))] == members
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("RHOSPLIT_HORIZON_CAP", "1000")
+        t = BernoulliSet(Fraction(1, 3), 12)
+        last = bisect_left(members, 1000) - 1
+        # the doubling search stops on the cap, not past it
+        assert t.kth_element(last) == members[last]
+        with pytest.raises(HorizonOverflowError):
+            t.kth_element(last + 1)
+
+
+def test_packed_cache_holds_one_bit_per_index():
+    s = parse_set("inter(prog(5,3),bern(1/3,9))")
+    tracemalloc.start()
+    try:
+        s.counts_at([2 ** 24])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three packed vectors of 2^24 bits (the leaves and their
+    # intersection), 2 MiB each, and the array objects around them;
+    # one byte per index would hold 48 MiB
+    assert held < 3 * 2 ** 21 + 2 ** 12
 
 
 def test_materialize_cache_grows_geometrically_within_the_cap():

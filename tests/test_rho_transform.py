@@ -181,7 +181,7 @@ def test_band_check_is_the_fraction_rule(case):
         checkpoints=tuple(range(1, len(rows) + 1)),
         numerators=tuple(n for n, _ in rows),
         denominators=tuple(d for _, d in rows),
-        ratios=ratios, tail_window=HALF, tail_from=1,
+        tail_window=HALF, tail_from=1,
         upper_est=max(ratios), lower_est=min(ratios))
     # the rule in rational arithmetic, as the docstring of _band_ok states it
     oracle = all((r - p) ** 2 * d <= max(tol ** 2 * d, Fraction(61, 10))
