@@ -3,11 +3,12 @@
 A set is an immutable descriptor tree.  Membership of a single point is
 always computable.  Prefix counts go through one method, ``counts_at``:
 closed forms wherever the descriptor admits one (arithmetic
-progressions, eventually periodic boolean combinations), then
-materialised membership words below a configurable cap (one bit per
-index, counted by popcount), then sparse enumerations.  Partition-scale
-work should use the interval-symbolic representation from
-:mod:`rhosplit.partitions`, which counts exactly at any magnitude.
+progressions, eventually periodic boolean combinations), then an
+intersection with a progression counted on the progression's own grid,
+then materialised membership words below a configurable cap (one bit
+per index, counted by popcount), then sparse enumerations.
+Partition-scale work should use the interval-symbolic representation
+from :mod:`rhosplit.partitions`, which counts exactly at any magnitude.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -170,9 +171,10 @@ class OmegaSet:
     """Base class for enumerable subsets of the naturals.
 
     Values are immutable after construction; all operations are pure, so
-    sharing across threads is safe.  The only internal mutation is a
-    grow-only materialisation cache: packed membership words (one bit per
-    index, see ``packed``) of the first ``_built`` indices.
+    sharing across threads is safe.  The only internal mutation is
+    caching: packed membership words (one bit per index, see ``packed``)
+    of the first ``_built`` indices, grown on demand, and an
+    intersection's grid (``CombineNode._grid``), derived on first count.
     """
 
     __slots__ = ("_mat", "_built")
@@ -200,6 +202,18 @@ class OmegaSet:
             return self.count_below(tp.start)
         return None
 
+    def along(self, a: int, d: int) -> OmegaSet | None:
+        """S_(a,d) = {j : a + d*j in self}, or None when it has no form
+        cheaper to count than self.
+
+        |self ∩ prog(a,d) ∩ [0,n)| = |S_(a,d) ∩ [0,J)|, where J is the
+        number of members of prog(a,d) below n.
+        """
+        return self if (a, d) == (0, 1) else self._along(a, d)
+
+    def _along(self, a: int, d: int) -> OmegaSet | None:
+        return None
+
     # -- exact counting ------------------------------------------------
 
     def count_below(self, n: int) -> int:
@@ -213,8 +227,10 @@ class OmegaSet:
         Subclasses with a closed form override this; everything else
         counts here, by the first strategy that applies: the closed form
         of an eventually periodic tail, its head read once from the packed
-        words; the cached packed words below the cap; sparse enumeration
-        (the rescue path for astronomically large horizons).
+        words; a grid, the set counted along a progression (see
+        ``CombineNode._grid``); the cached packed words below the cap;
+        sparse enumeration (the rescue path for astronomically large
+        horizons).
         """
         if not checkpoints:
             return []
@@ -224,6 +240,13 @@ class OmegaSet:
             # the head is short, so it is read whatever the cap
             head = min(horizon, tp.start)
             return tp.counts_at(self.packed(head, cap=head), checkpoints)
+        grid = self._grid(checkpoints, horizon)
+        if grid is not None:
+            g, js = grid
+            try:
+                return g.counts_at(js)
+            except HorizonOverflowError:
+                pass  # J beyond the cap; sparse enumeration may still reach
         if horizon <= explicit_cap():
             return _prefix_counts(self.packed(horizon), checkpoints)
         elems = self.enumerate_below(horizon, _ENUM_LIMIT)
@@ -233,6 +256,12 @@ class OmegaSet:
             f"cannot count at horizon {horizon}: beyond the cap and not "
             "sparsely enumerable"
         )
+
+    def _grid(self, checkpoints: Sequence[int],
+              horizon: int) -> tuple[OmegaSet, Sequence[int]] | None:
+        """(G, J) such that this set's counts at the checkpoints are G's
+        counts at J, when that is cheaper at this horizon."""
+        return None
 
     def enumerate_below(self, n: int, limit: int) -> list[int] | None:
         """Sorted members below n, or None when not cheaply enumerable."""
@@ -330,6 +359,17 @@ class Progression(OmegaSet):
             raise IndexError("negative index")
         return self.a + self.d * k
 
+    def _along(self, a, d):
+        # a + d*j = self.a + self.d*i: d*j = self.a - a (mod self.d), and
+        # j >= (self.a - a) / d
+        g = gcd(d, self.d)
+        if (self.a - a) % g:
+            return ExplicitSet((), (False,))
+        m = self.d // g
+        j0 = (self.a - a) // g * pow(d // g, -1, m) % m
+        lo = max(0, -((a - self.a) // d))
+        return Progression(lo + (j0 - lo) % m, m)
+
     def tail_pattern(self):
         if self.a > _PREFIX_SCAN_LIMIT or self.d > _PATTERN_LIMIT:
             return None
@@ -410,17 +450,22 @@ class ExplicitSet(OmegaSet):
         pattern = tuple(self.tail[(r - n) % per] for r in range(per))
         return TailPattern(n, per, pattern)
 
+    def _along(self, a, d):
+        plen, per = self.prefix.shape[0], len(self.tail)
+        bits = self.prefix[a:plen:d]  # j with a + d*j in the prefix
+        k = bits.shape[0]
+        return ExplicitSet(bits, tuple(self.contains(a + d * (k + r)) for r in range(per)))
+
     def enumerate_below(self, n, limit):
         if self.count_below(n) > limit:
             return None
-        head = [int(i) for i in np.flatnonzero(self.prefix) if i < n]
-        plen = self.prefix.shape[0]
-        out = head
-        k = plen
-        while k < n:
-            if self.tail[(k - plen) % len(self.tail)]:
-                out.append(k)
-            k += 1
+        plen, per = self.prefix.shape[0], len(self.tail)
+        out = np.flatnonzero(self.prefix[:max(n, 0)]).tolist()
+        # the tail by its member residues, in O(count + period)
+        offsets = [r for r, b in enumerate(self.tail) if b]
+        if offsets:
+            out += [base + r for base in range(plen, n, per)
+                    for r in offsets if base + r < n]
         return out
 
     def _materialize_impl(self, n):
@@ -444,10 +489,11 @@ class BernoulliSet(OmegaSet):
 
     The PRF is counter-mode (a pure function of (seed, k)), so membership
     of any index is computable without streaming and two materialisations
-    agree bit for bit.
+    agree bit for bit.  ``along`` maps the index, k -> a + d*k, and the
+    mapped set evaluates the PRF only at those indices.
     """
 
-    __slots__ = ("p", "seed", "_key", "_thr")
+    __slots__ = ("p", "seed", "_key", "_thr", "_a", "_d")
 
     def __init__(self, p, seed: int):
         super().__init__()
@@ -459,10 +505,16 @@ class BernoulliSet(OmegaSet):
         self._key = mix64((self.seed + GOLDEN64) & MASK64)
         thr = -((-(p.numerator << 64)) // p.denominator)  # ceil(p * 2^64)
         self._thr = min(thr, MASK64)
+        self._a, self._d = 0, 1  # member k is PRF index a + d*k
 
     def contains(self, k: int) -> bool:
-        u = mix64(self._key ^ ((k * MIX_M1) & MASK64))
+        u = mix64(self._key ^ (((self._a + self._d * k) * MIX_M1) & MASK64))
         return u < self._thr
+
+    def _along(self, a, d):
+        g = BernoulliSet(self.p, self.seed)
+        g._a, g._d = self._a + self._d * a, self._d * d
+        return g
 
     def _prf(self, size: int) -> Callable[[int, np.ndarray], None]:
         """The vectorised ``contains`` for ranges of up to size indices:
@@ -475,12 +527,14 @@ class BernoulliSet(OmegaSet):
         index alone, so the block seams do not show.
         """
         block = min(_CHUNK, size)
+        a, d = self._a, self._d
         m1, m2 = np.uint64(MIX_M1), np.uint64(MIX_M2)
         s30, s27, s31 = np.uint64(30), np.uint64(27), np.uint64(31)
         key, thr = np.uint64(self._key), np.uint64(self._thr)
-        # k * M1 = start * M1 + (k - start) * M1 (mod 2^64) for k in a block
+        # the PRF index of member k is a + d*k, and for k in a block
+        # (a + d*k) * M1 = (a + d*start) * M1 + (k - start) * d*M1 (mod 2^64)
         ramp = np.arange(block, dtype=np.uint64)
-        ramp *= m1
+        ramp *= np.uint64((d * MIX_M1) & MASK64)
         x = np.empty(block, dtype=np.uint64)
         t = np.empty(block, dtype=np.uint64)
 
@@ -489,7 +543,7 @@ class BernoulliSet(OmegaSet):
             for start in range(lo, hi, _CHUNK):
                 m = min(block, hi - start)
                 xs, ts = x[:m], t[:m]
-                np.add(ramp[:m], np.uint64((start * MIX_M1) & MASK64), out=xs)
+                np.add(ramp[:m], np.uint64(((a + d * start) * MIX_M1) & MASK64), out=xs)
                 xs ^= key
                 # mix64, with the shifted copies written to ts
                 np.right_shift(xs, s30, out=ts)
@@ -517,10 +571,13 @@ class BernoulliSet(OmegaSet):
         return False
 
     def descriptor(self) -> str:
+        if (self._a, self._d) != (0, 1):
+            raise NotImplementedError("a mapped BernoulliSet has no grammar form")
         return f"bern({self.p},{self.seed})"
 
     def __repr__(self):
-        return f"BernoulliSet({self.p}, seed={self.seed})"
+        mapped = "" if (self._a, self._d) == (0, 1) else f", along=({self._a}, {self._d})"
+        return f"BernoulliSet({self.p}, seed={self.seed}{mapped})"
 
 
 _BINARY_OPS = ("inter", "union", "diff")
@@ -529,7 +586,7 @@ _BINARY_OPS = ("inter", "union", "diff")
 class CombineNode(OmegaSet):
     """Pointwise boolean combination of child sets."""
 
-    __slots__ = ("op", "children", "_tail")
+    __slots__ = ("op", "children", "_tail", "_x", "_g")
 
     def __init__(self, op: str, children: Sequence[OmegaSet]):
         super().__init__()
@@ -546,6 +603,15 @@ class CombineNode(OmegaSet):
         # derived once, here: set trees are shared DAGs, and a node never
         # changes after construction
         self._tail = self._derive_tail()
+        # an intersection counts on its sparsest progression child's grid
+        # (see _grid); the grid itself is derived on first use, because
+        # along() builds a parallel tree whose own grids would nest
+        self._x: Progression | None = None
+        self._g: OmegaSet | None = None
+        if op == "inter":
+            for c in self.children:
+                if isinstance(c, Progression) and (self._x is None or c.d > self._x.d):
+                    self._x = c
 
     def contains(self, k: int) -> bool:
         ch = self.children
@@ -560,6 +626,32 @@ class CombineNode(OmegaSet):
 
     def tail_pattern(self):
         return self._tail
+
+    def _along(self, a, d):
+        ch = [c.along(a, d) for c in self.children]
+        return None if any(c is None for c in ch) else CombineNode(self.op, ch)
+
+    def _grid(self, checkpoints, horizon):
+        """inter(other, x) with x = prog(a, d) counts as
+        other.along(a, d) below J(n) = |x ∩ [0, n)|, so only J bits are
+        built.  The grid of omega is the other child itself, with
+        J(n) = n, always taken; any other grid is passed over when the
+        other child's words already reach the horizon, which the packed
+        path reuses where the grid would evaluate that child again."""
+        x = self._x
+        if x is None:
+            return None
+        a, b = self.children
+        other = b if a is x else a
+        omega = (x.a, x.d) == (0, 1)
+        if not omega and other._mat is not None and other._built >= horizon:
+            return None
+        if self._g is None:
+            self._g = other.along(x.a, x.d)
+            if self._g is None:
+                self._x = None  # no cheaper form: never ask again
+                return None
+        return self._g, checkpoints if omega else x.counts_at(checkpoints)
 
     def _derive_tail(self) -> TailPattern | None:
         tps = []

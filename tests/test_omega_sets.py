@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_left
 
@@ -232,6 +235,104 @@ def test_counts_at_agrees_with_every_other_count(recipe, checkpoints, chunk, cap
             assert horizon > cap and s.tail_pattern() is None
 
 
+# Trees whose along() never gives up, so that the grid tests below see
+# many grids and few Nones.
+_grid_recipes = st.recursive(st.one_of(
+    st.tuples(st.just("prog"), st.integers(0, 60), st.integers(1, 9)),
+    st.tuples(st.just("bern"), st.sampled_from(["1/3", "1/2", "3/4"]),
+              st.integers(0, 99)),
+), lambda inner: st.one_of(
+    st.tuples(st.just("compl"), inner),
+    st.tuples(st.sampled_from(["inter", "union", "diff"]), inner, inner),
+), max_leaves=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_recipes, _grid_recipes), st.integers(0, 40), st.integers(1, 9),
+       st.integers(0, 40), st.integers(1, 9), st.sampled_from([1, 7, 64]),
+       st.integers(1, 300))
+def test_along_is_the_set_on_the_progression_grid(recipe, a, d, a2, d2, chunk, h):
+    ref = _build(recipe)
+    expected = [j for j in range(h) if ref.contains(a + d * j)]
+    with pytest.MonkeyPatch.context() as mp:
+        # small chunks put strided Bernoulli fill seams inside the range
+        mp.setattr(omega_sets, "_CHUNK", chunk)
+        g = _build(recipe).along(a, d)
+        if g is None:
+            return
+        assert [j for j in range(h) if g.contains(j)] == expected
+        assert np.flatnonzero(g.materialize(h)).tolist() == expected
+        cps = [0, h // 3, h]
+        fresh = _build(recipe).along(a, d)
+        assert fresh.counts_at(cps) == [bisect_left(expected, n) for n in cps]
+        # along of along composes the index maps
+        gg = _build(recipe).along(a, d).along(a2, d2)
+        assert gg is None or np.flatnonzero(gg.materialize(h)).tolist() == [
+            j for j in range(h) if ref.contains(a + d * (a2 + d2 * j))]
+
+
+def test_along_of_a_progression_is_a_closed_form():
+    for pa in range(13):
+        for pd in range(1, 7):
+            p = Progression(pa, pd)
+            for a in range(13):
+                for d in range(1, 7):
+                    g = p.along(a, d)
+                    members = [j for j in range(40) if p.contains(a + d * j)]
+                    assert [j for j in range(40) if g.contains(j)] == members
+                    assert g.count_below(40) == len(members)
+                    assert g.provably_finite == (not members)
+    assert Progression(5, 3).along(0, 2).descriptor() == "prog(4,3)"
+    # no even index is odd: the empty finite set
+    empty = Progression(1, 2).along(0, 4)
+    assert empty.size_if_finite() == 0
+    assert intersect(BernoulliSet(Fraction(1, 2), 3), Progression(1, 2)).along(0, 4) \
+        .count_below(10 ** 9) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_recipes, _grid_recipes), st.integers(0, 40), st.integers(1, 9),
+       st.lists(st.integers(0, 400), min_size=1, max_size=6),
+       st.sampled_from([1, 7, 64]), st.booleans())
+def test_grid_count_agrees_with_the_packed_count(recipe, a, d, checkpoints, chunk, first):
+    checkpoints = sorted(checkpoints)
+    horizon = checkpoints[-1]
+    ref = _build(recipe)
+    members = [k for k in range(horizon) if ref.contains(k) and k >= a and (k - a) % d == 0]
+    expected = [bisect_left(members, n) for n in checkpoints]
+
+    def node(t):
+        x = Progression(a, d)
+        return intersect(x, t) if first else intersect(t, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(omega_sets, "_CHUNK", chunk)
+        # T fresh: the grid, wherever T has an along form
+        t = _build(recipe)
+        grid = node(t)
+        assert grid.counts_at(checkpoints) == expected
+        if t.along(a, d) is not None and grid.tail_pattern() is None:
+            assert grid._g is not None
+        # T packed to the horizon: the packed words (the grid of omega
+        # is T itself, so it is taken whatever T holds)
+        t = _build(recipe)
+        t.packed(horizon)
+        words = node(t)
+        assert words.counts_at(checkpoints) == expected
+        assert words._g is None or d == 1 and a == 0
+
+
+def test_grid_beyond_the_cap_falls_back_to_sparse_enumeration():
+    s = BernoulliSet(Fraction(1, 2), 6)
+    members = [k for k in range(0, 300, 2) if s.contains(k)]
+    with pytest.MonkeyPatch.context() as mp:
+        # the grid needs 150 bits; the progression enumerates its 150
+        # members and the intersection filters them
+        mp.setenv("RHOSPLIT_HORIZON_CAP", "100")
+        node = intersect(BernoulliSet(Fraction(1, 2), 6), Progression(0, 2))
+        assert node.counts_at([120, 300]) == [bisect_left(members, 120), len(members)]
+
+
 def test_bit_vector_count_memory_is_bounded_by_the_chunk():
     s = parse_set("inter(prog(5,3),bern(1/3,9))")
     tracemalloc.start()
@@ -344,6 +445,65 @@ def test_packed_cache_holds_one_bit_per_index():
     assert held < 3 * 2 ** 21 + 2 ** 12
 
 
+def test_grid_count_holds_one_bit_per_grid_index():
+    s = parse_set("inter(prog(5,3),bern(1/3,9))")
+    tracemalloc.start()
+    try:
+        s.counts_at([2 ** 24])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the Bernoulli set is evaluated on the progression's grid alone: one
+    # packed vector of 2^24 / 3 bits, and no words of its own or of the
+    # intersection
+    assert held <= 8 * (2 ** 24 // 3 // 64 + 1) + 2 ** 12
+
+
+def test_packed_count_without_a_grid_holds_one_bit_per_index():
+    s = parse_set("inter(bern(1/3,9),bern(1/2,4))")
+    tracemalloc.start()
+    try:
+        s.counts_at([2 ** 24])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # no progression child: three packed vectors of 2^24 bits, 2 MiB each
+    assert held < 3 * 2 ** 21 + 2 ** 12
+
+
+_LARGE_GRID_COUNT = """
+import resource
+from rhosplit import parse_set
+s = parse_set("inter(prog(5,3),bern(1/3,9))")
+print(s.counts_at([k << 20 for k in range(1, 129)]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_grid_count_at_2_27_runs_in_bounded_memory():
+    # ru_maxrss survives exec, so a child of this process would start from
+    # this process's peak: the count runs in a grandchild of a bare
+    # interpreter instead
+    src = os.path.dirname(os.path.dirname(omega_sets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(omega_sets._ENV_CAP, None)
+    launch = f"import subprocess, sys; subprocess.run([sys.executable, '-c', {_LARGE_GRID_COUNT!r}], check=True)"
+    out = subprocess.run([sys.executable, "-c", launch], env=env,
+                         capture_output=True, text=True, check=True).stdout.split("\n")
+    counts, maxrss_kib = eval(out[0]), int(out[1])
+    # the same counts from the plain PRF, in slices of 2^20 indices
+    bern, total, expected = BernoulliSet(Fraction(1, 3), 9), 0, []
+    for lo in range(0, 2 ** 27, 2 ** 20):
+        bits = bern._bits_range(lo, lo + 2 ** 20)
+        first = max(5, lo + (5 - lo) % 3)
+        total += int(np.count_nonzero(bits[first - lo::3]))
+        expected.append(total)
+    assert counts == expected
+    # 2^27 / 3 bits are 5.3 MiB of words; the interpreter and numpy take
+    # the rest.  Packed words of the whole range would add 3 x 16 MiB.
+    assert maxrss_kib < 50 * 1024
+
+
 def test_materialize_cache_grows_geometrically_within_the_cap():
     calls = []
     impl = BernoulliSet._materialize_impl
@@ -406,6 +566,18 @@ def test_tail_pattern_is_derived_once_per_node():
         node = intersect(BernoulliSet(Fraction(1, 2), 5), prog)
         assert node.tail_pattern() is None
         assert id(prog) not in calls
+
+
+def test_explicit_enumeration_walks_members_not_indices():
+    # beyond the cap the intersection enumerates the explicit set, whose
+    # three members are all in its prefix
+    s = intersect(ExplicitSet([1, 0, 1, 1]), BernoulliSet(Fraction(1, 2), 3))
+    assert s.counts_at([10 ** 6, 10 ** 12]) == [2, 2]
+    t = ExplicitSet([1, 0, 1, 1, 0], tail=(False, True, True))
+    members = [k for k in range(50) if t.contains(k)]
+    for n in (0, 3, 5, 6, 7, 8, 50):
+        assert t.enumerate_below(n, 100) == members[:bisect_left(members, n)]
+    assert t.enumerate_below(10 ** 12, 100) is None
 
 
 def test_stride_selection_counts():
