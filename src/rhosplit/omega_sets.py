@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import re
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,8 +61,10 @@ _ENV_CAP = "RHOSPLIT_HORIZON_CAP"
 _PREFIX_SCAN_LIMIT = 1 << 16
 _PATTERN_LIMIT = 1 << 12
 _ENUM_LIMIT = 1 << 18
-# PRF fill block: its uint64 buffers stay in L2 (2^15 to 2^16 measured best)
-_CHUNK = 1 << 16
+# PRF fill block: the resident scratch, three uint64 buffers of this
+# length made at import (768 KB), stays in L2 (2^15 and 2^16 tie, in
+# isolation and in the transform workload)
+_CHUNK = 1 << 15
 # membership words: bit k % 64 of word k // 64 is index k
 _WORD = np.dtype("<u8")
 # _LOW_BITS[r]: the r lowest bits of a word set
@@ -484,6 +487,50 @@ class ExplicitSet(OmegaSet):
         return f"ExplicitSet(<{self.prefix.shape[0]} bits>, tail={self.tail})"
 
 
+class _BlockScratch:
+    """The PRF's block buffers, made once per process and reused by every
+    fill: buffers made per fill are fresh pages, over a hundred minor
+    faults for a 2e5-bit fill.  ``np.empty`` touches no page before the
+    first fill.  One lock serialises the fills that use them."""
+
+    __slots__ = ("ramp", "x", "t", "step", "lock")
+
+    def __init__(self, size: int):
+        self.ramp, self.x, self.t = np.empty((3, size), dtype=np.uint64)
+        self.step: int | None = None  # the stride ramp holds
+        self.lock = threading.Lock()
+
+    def ramp_of(self, step: int) -> np.ndarray:
+        """ramp[k] = k * step mod 2^64, rebuilt in place (a cumulative sum
+        of the step) only when the step changes; called under the lock."""
+        if step != self.step:
+            r = self.ramp
+            r.fill(step)
+            r[0] = 0
+            np.cumsum(r, out=r)
+            self.step = step
+        return self.ramp
+
+
+_SCRATCH = _BlockScratch(_CHUNK)
+# below a threshold with these bits zero, mix64's last step need not run
+_LOW33 = (1 << 33) - 1
+
+
+def _below(x: np.ndarray, thr: int, t: np.ndarray, out: np.ndarray) -> None:
+    """out = (u < thr) for u = x ^ (x >> 31), mix64's last step, from the
+    states x before it; x and t are scratch.
+
+    When the low 33 bits of thr are zero (p = k / 2^j with j <= 31) the
+    step is skipped: it keeps the top 31 bits, so u < thr iff
+    u >> 33 < thr >> 33 iff x >> 33 < thr >> 33 iff x < thr.
+    """
+    if thr & _LOW33:
+        np.right_shift(x, np.uint64(31), out=t)
+        x ^= t
+    np.less(x, np.uint64(thr), out=out)
+
+
 class BernoulliSet(OmegaSet):
     """Pseudo-random set: k is a member iff PRF(seed, k) < p * 2^64.
 
@@ -516,55 +563,45 @@ class BernoulliSet(OmegaSet):
         g._a, g._d = self._a + self._d * a, self._d * d
         return g
 
-    def _prf(self, size: int) -> Callable[[int, np.ndarray], None]:
-        """The vectorised ``contains`` for ranges of up to size indices:
-        ``fill(lo, out)`` writes the membership bits of [lo, lo + len(out))
-        into the bool vector ``out``.
+    def _fill(self, lo: int, out: np.ndarray) -> None:
+        """The vectorised ``contains``: writes the membership bits of
+        [lo, lo + len(out)) into the bool vector ``out``.
 
         The PRF runs block by block (``_CHUNK`` indices from lo), in place
-        in block-sized uint64 buffers set up once here, so its arithmetic
-        stays in cache whatever the range.  The PRF is a function of the
-        index alone, so the block seams do not show.
+        in the resident block scratch, so its arithmetic stays in cache
+        whatever the range.  The PRF is a function of the index alone, so
+        the block seams do not show.
         """
-        block = min(_CHUNK, size)
-        a, d = self._a, self._d
+        a, d, key = self._a, self._d, np.uint64(self._key)
         m1, m2 = np.uint64(MIX_M1), np.uint64(MIX_M2)
-        s30, s27, s31 = np.uint64(30), np.uint64(27), np.uint64(31)
-        key, thr = np.uint64(self._key), np.uint64(self._thr)
-        # the PRF index of member k is a + d*k, and for k in a block
-        # (a + d*k) * M1 = (a + d*start) * M1 + (k - start) * d*M1 (mod 2^64)
-        ramp = np.arange(block, dtype=np.uint64)
-        ramp *= np.uint64((d * MIX_M1) & MASK64)
-        x = np.empty(block, dtype=np.uint64)
-        t = np.empty(block, dtype=np.uint64)
-
-        def fill(lo, out):
-            hi = lo + out.shape[0]
+        s30, s27 = np.uint64(30), np.uint64(27)
+        hi = lo + out.shape[0]
+        with _SCRATCH.lock:
+            # the PRF index of member k is a + d*k, and for k in a block
+            # (a + d*k) * M1 = (a + d*start) * M1 + (k - start) * d*M1 (mod 2^64)
+            ramp = _SCRATCH.ramp_of((d * MIX_M1) & MASK64)
             for start in range(lo, hi, _CHUNK):
-                m = min(block, hi - start)
-                xs, ts = x[:m], t[:m]
-                np.add(ramp[:m], np.uint64(((a + d * start) * MIX_M1) & MASK64), out=xs)
-                xs ^= key
-                # mix64, with the shifted copies written to ts
-                np.right_shift(xs, s30, out=ts)
-                xs ^= ts
-                xs *= m1
-                np.right_shift(xs, s27, out=ts)
-                xs ^= ts
-                xs *= m2
-                np.right_shift(xs, s31, out=ts)
-                xs ^= ts
-                np.less(xs, thr, out=out[start - lo:start - lo + m])
-        return fill
+                m = min(_CHUNK, hi - start)
+                x, t = _SCRATCH.x[:m], _SCRATCH.t[:m]
+                np.add(ramp[:m], np.uint64(((a + d * start) * MIX_M1) & MASK64), out=x)
+                x ^= key
+                # mix64 up to its last step, with the shifted copies in t
+                np.right_shift(x, s30, out=t)
+                x ^= t
+                x *= m1
+                np.right_shift(x, s27, out=t)
+                x ^= t
+                x *= m2
+                _below(x, self._thr, t, out[start - lo:start - lo + m])
 
     def _bits_range(self, lo: int, hi: int) -> np.ndarray:
         """Membership bits of [lo, hi) as a bool vector."""
         out = np.empty(hi - lo, dtype=bool)
-        self._prf(hi - lo)(lo, out)
+        self._fill(lo, out)
         return out
 
     def _materialize_impl(self, n):
-        return _pack(n, self._prf(n))
+        return _pack(n, self._fill)
 
     @property
     def provably_finite(self) -> bool:
@@ -658,7 +695,15 @@ class CombineNode(OmegaSet):
         for c in self.children:
             tp = c.tail_pattern()
             if tp is None:
-                return None
+                # a child empty from its start on empties an intersection
+                # from there, and so does a difference's first child,
+                # whatever the other child is (provably_finite asks no
+                # progression for its pattern)
+                absorbing = {"inter": self.children, "diff": self.children[:1]}
+                ends = [e.tail_pattern() for e in absorbing.get(self.op, ())
+                        if e.provably_finite]
+                starts = [e.start for e in ends if e is not None]
+                return TailPattern(min(starts), 1, (False,)) if starts else None
             tps.append(tp)
         if self.op == "compl":
             tp = tps[0]

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from bisect import bisect_left
 
@@ -29,7 +30,8 @@ from rhosplit import (
     union,
 )
 from rhosplit import omega_sets
-from rhosplit.omega_sets import agree_below, parse_family, require_infinite
+from rhosplit._util import MASK64
+from rhosplit.omega_sets import TailPattern, agree_below, parse_family, require_infinite
 
 from conftest import brute_count
 
@@ -368,6 +370,89 @@ def test_bernoulli_fill_seams_match_the_scalar_prf(chunk):
             assert s.contains(e) and s.count_below(e) == k
 
 
+def test_a_second_fill_makes_no_block_sized_temporaries():
+    n = 200_000
+    BernoulliSet(Fraction(1, 2), 5).packed(n)  # a first fill
+    for p in (Fraction(3, 7), Fraction(5, 32)):  # the full and the dyadic compare
+        s = BernoulliSet(p, 6)
+        tracemalloc.start()
+        try:
+            level, _ = tracemalloc.get_traced_memory()
+            words = s.packed(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the words, the bool block that is packed, and small change; one
+        # uint64 buffer of a block alone is 8 * _CHUNK bytes
+        assert peak - level < 8 * omega_sets._nwords(n) + omega_sets._CHUNK + 2 ** 14
+        members = np.flatnonzero(omega_sets._unpack(words, n - 500, n)) + n - 500
+        assert members.tolist() == [k for k in range(n - 500, n) if s.contains(k)]
+
+
+def test_interleaved_fills_of_different_maps_match_the_scalar_prf():
+    base = BernoulliSet(Fraction(1, 3), 17)
+    # each stride d differs from the one before, so the ramp must follow
+    for a, d in [(0, 1), (5, 3), (0, 1), (2, 7), (5, 3), (1, 2), (1, 2)]:
+        g = base.along(a, d)
+        assert g._bits_range(900, 3100).tolist() == [g.contains(k) for k in range(900, 3100)]
+
+
+def test_fills_in_threads_match_the_scalar_prf():
+    n = 200_000
+    # more threads than cores, each with its own set and index map
+    sets = [BernoulliSet(Fraction(1, 3), 21), BernoulliSet(Fraction(1, 2), 22).along(3, 5),
+            BernoulliSet(Fraction(5, 32), 23).along(0, 2)]
+    want = [s._bits_range(0, n) for s in sets]
+    for s, bits in zip(sets, want):
+        assert bits[::97].tolist() == [s.contains(k) for k in range(0, n, 97)]
+    start, errors, rounds = threading.Barrier(len(sets)), [], []
+
+    def fill(s, bits):
+        start.wait()
+        for _ in range(20):
+            if not np.array_equal(s._bits_range(0, n), bits):
+                errors.append(s)
+            rounds.append(s)
+
+    threads = [threading.Thread(target=fill, args=pair) for pair in zip(sets, want)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(rounds) == 20 * len(sets) and not errors
+
+
+def _dyadic_thresholds(j):
+    # odd k, so that k * 2^(64 - j) has exactly 64 - j low zero bits
+    ks = {1, (1 << j) - 1, (1 << (j - 1)) | 1, 0x5BD1E995 % (1 << j) | 1}
+    return [k << (64 - j) for k in sorted(ks)]
+
+
+_SHORTCUT_THRESHOLDS = [t for j in (1, 5, 31) for t in _dyadic_thresholds(j)]
+_FULL_THRESHOLDS = [t for j in (32, 33, 40) for t in _dyadic_thresholds(j)] + [
+    -(-(1 << 64) // 3), MASK64]
+
+
+@pytest.mark.parametrize("thr", _SHORTCUT_THRESHOLDS + _FULL_THRESHOLDS)
+def test_below_compares_as_after_the_last_mix_step(thr):
+    rng = np.random.default_rng(thr % (1 << 32))
+    states = [v for v in (thr - 1, thr, thr + 1, 0, MASK64) if v <= MASK64]
+    # states whose top 31 bits tie with thr's, with random low bits
+    states += [thr >> 33 << 33 | int(r) for r in rng.integers(0, 1 << 33, 300)]
+    x = np.array(states, dtype=np.uint64)
+    out = np.empty(x.shape, dtype=bool)
+    omega_sets._below(x, thr, np.empty_like(x), out)
+    assert out.tolist() == [v ^ v >> 31 < thr for v in states]
+    # the last step is skipped exactly for the shortcut thresholds
+    assert (x.tolist() == states) == (thr in _SHORTCUT_THRESHOLDS)
+
+
 _WORD_EDGES = [0, 1, 63, 64, 65, 127, 128, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1]
 
 
@@ -471,6 +556,30 @@ def test_packed_count_without_a_grid_holds_one_bit_per_index():
     assert held < 3 * 2 ** 21 + 2 ** 12
 
 
+_MEMORY_TESTS = [
+    "test_bit_vector_count_memory_is_bounded_by_the_chunk",
+    "test_packed_cache_holds_one_bit_per_index",
+    "test_grid_count_holds_one_bit_per_grid_index",
+    "test_packed_count_without_a_grid_holds_one_bit_per_index",
+]
+
+
+def test_memory_bounds_hold_in_a_fresh_interpreter():
+    # each alone in a new interpreter, so that a buffer made lazily inside
+    # a measured count cannot pass because an earlier test made it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env.pop(omega_sets._ENV_CAP, None)
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"tests/test_omega_sets.py::{name}"],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        for name in _MEMORY_TESTS]
+    for proc in procs:
+        out, _ = proc.communicate()
+        assert proc.returncode == 0, out[-2000:]
+
+
 _LARGE_GRID_COUNT = """
 import resource
 from rhosplit import parse_set
@@ -566,6 +675,22 @@ def test_tail_pattern_is_derived_once_per_node():
         node = intersect(BernoulliSet(Fraction(1, 2), 5), prog)
         assert node.tail_pattern() is None
         assert id(prog) not in calls
+
+
+@pytest.mark.parametrize("text", [
+    "inter(bern(1/2,3),inter(prog(0,2),prog(1,2)))",
+    "inter(inter(prog(0,2),prog(1,2)),bern(1/2,3))",
+    "diff(inter(prog(0,2),prog(1,2)),bern(1/2,3))",
+])
+def test_an_empty_child_fixes_the_tail_whatever_the_other_child(text):
+    s = parse_set(text)
+    bern, empty = sorted(s.children, key=lambda c: not isinstance(c, BernoulliSet))
+    start = empty.tail_pattern().start
+    assert s.tail_pattern() == TailPattern(start, 1, (False,))
+    assert s.counts_at([2 ** 26]) == [0]
+    assert s.provably_finite and s.size_if_finite() == 0
+    # the Bernoulli set is never filled past the empty child's start
+    assert bern._built <= start
 
 
 def test_explicit_enumeration_walks_members_not_indices():
