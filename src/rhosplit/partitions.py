@@ -13,11 +13,13 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ._util import as_fraction, ceil_frac
 from .omega_sets import (
+    OMEGA,
     CombineNode,
     HorizonOverflowError,
     OmegaSet,
@@ -36,6 +38,8 @@ __all__ = [
 
 _EXPLICIT_SUBSET_LIMIT = 1 << 20
 SUBSET_KINDS = ("full", "empty", "first", "last", "trace", "cotrace", "explicit")
+_COMPLEMENT_KIND = {"full": "empty", "empty": "full", "first": "last",
+                    "last": "first", "trace": "cotrace", "cotrace": "trace"}
 
 
 class ExactCountError(ValueError):
@@ -193,35 +197,21 @@ class IntervalPartition:
 
     def complement_subset(self, sub: "IntervalSubset") -> "IntervalSubset":
         k, size = sub.index, self.size(sub.index)
-        if sub.kind == "full":
-            return self.empty(k)
-        if sub.kind == "empty":
-            return self.full(k)
-        if sub.kind == "first":
-            return self.last(k, size - sub.s)
-        if sub.kind == "last":
-            return self.first(k, size - sub.s)
-        if sub.kind in ("trace", "cotrace"):
-            flipped = "cotrace" if sub.kind == "trace" else "trace"
-            return IntervalSubset(self, k, flipped, size - sub.count, base=sub.base)
-        lo, hi = self.boundary(k), self.boundary(k + 1)
-        present = set(sub.elements)
-        return self.explicit(k, [x for x in range(lo, hi) if x not in present])
+        if sub.kind == "explicit":
+            present = set(sub.elements)
+            return self.explicit(k, [x for x in range(sub.lo, sub.hi) if x not in present])
+        s = None if sub.s is None else size - sub.s
+        return IntervalSubset(self, k, _COMPLEMENT_KIND[sub.kind], size - sub.count,
+                              s=s, base=sub.base)
 
     def subset_from_json(self, obj: Mapping) -> "IntervalSubset":
-        k = int(obj["index"])
-        kind = obj["kind"]
-        if kind == "full":
-            return self.full(k)
-        if kind == "empty":
-            return self.empty(k)
-        if kind == "first":
-            return self.first(k, int(obj["s"]))
-        if kind == "last":
-            return self.last(k, int(obj["s"]))
+        k, kind = int(obj["index"]), obj["kind"]
+        if kind in ("full", "empty"):
+            return getattr(self, kind)(k)
+        if kind in ("first", "last"):
+            return getattr(self, kind)(k, int(obj["s"]))
         if kind in ("trace", "cotrace"):
-            base = parse_set(obj["base"])
-            return self.trace(k, base) if kind == "trace" else self.cotrace(k, base)
+            return getattr(self, kind)(k, parse_set(obj["base"]))
         if kind == "explicit":
             return self.explicit(k, obj["elements"])
         raise ValueError(f"unknown subset kind {kind!r}")
@@ -264,8 +254,11 @@ def build_partition(min_growth="minimal", count: int = 16,
 class IntervalSubset:
     """A subset of one interval I_k with an exact cardinality.
 
-    Structured kinds (first/last/full/empty) stay exact at any interval
-    size; trace kinds are exact whenever the base set counts exactly over
+    Every kind but explicit counts through one form, its signed span
+    (``span``): [a, b) ∩ M or [a, b) \\ M, with M omega for the
+    structured kinds (first/last/full/empty) and the base set for trace
+    and cotrace.  Structured kinds stay exact at any interval size; trace
+    kinds are exact whenever the base set counts exactly over
     [b_k, b_{k+1}), which excludes Bernoulli sets beyond the explicit cap.
     """
 
@@ -300,138 +293,97 @@ class IntervalSubset:
     def ratio(self) -> Fraction:
         return Fraction(self.count, self.size)
 
+    @cached_property
+    def span(self) -> tuple[int, int, OmegaSet | None, bool]:
+        """(a, b, M, minus): the subset is [a, b) ∩ M, or [a, b) \\ M when
+        minus is set.  M is omega for the structured kinds and None for an
+        explicit subset, which keeps its sorted elements instead."""
+        lo, hi, k = self.lo, self.hi, self.kind
+        if k == "explicit":
+            return lo, hi, None, False
+        if k in ("trace", "cotrace"):
+            return lo, hi, self.base, k == "cotrace"
+        if k == "first":
+            return lo, lo + self.s, OMEGA, False
+        if k == "last":
+            return hi - self.s, hi, OMEGA, False
+        return lo, (lo if k == "empty" else hi), OMEGA, False
+
+    def _count_in(self, other: OmegaSet, lo: int, hi: int) -> int:
+        """|subset ∩ other ∩ [lo, hi)|, exactly."""
+        a, b, M, minus = self.span
+        if other is OMEGA and lo <= a and b <= hi:
+            return self.count
+        a, b = max(a, lo), min(b, hi)
+        if a >= b:
+            return 0
+        if M is None:
+            elems = self.elements
+            inside = elems[bisect_left(elems, a):bisect_left(elems, b)]
+            if other is OMEGA:
+                return len(inside)
+            return sum(1 for e in inside if other.contains(e))
+        n = _range_count(_meet(M, other), a, b)
+        return _range_count(other, a, b) - n if minus else n
+
     # -- pointwise and range queries ------------------------------------
 
     def membership(self, x: int) -> bool:
-        if not (self.lo <= x < self.hi):
+        a, b, M, minus = self.span
+        if not a <= x < b:
             return False
-        k = self.kind
-        if k == "full":
-            return True
-        if k == "empty":
-            return False
-        if k == "first":
-            return x < self.lo + self.s
-        if k == "last":
-            return x >= self.hi - self.s
-        if k == "trace":
-            return self.base.contains(x)
-        if k == "cotrace":
-            return not self.base.contains(x)
-        return x in self.elements
+        if M is None:
+            return x in self.elements
+        return M.contains(x) != minus
 
     def count_strictly_below(self, x: int) -> int:
         """|subset ∩ [lo, x)| with x clamped into [lo, hi]."""
-        if x <= self.lo:
-            return 0
-        if x >= self.hi:
-            return self.count
-        k = self.kind
-        if k == "full":
-            return x - self.lo
-        if k == "empty":
-            return 0
-        if k == "first":
-            return min(self.s, x - self.lo)
-        if k == "last":
-            return max(0, x - (self.hi - self.s))
-        if k in ("trace", "cotrace"):
-            below_lo, below_x = self.base.counts_at([self.lo, x])
-            inside = below_x - below_lo
-            return inside if k == "trace" else (x - self.lo) - inside
-        return bisect_left(self.elements, x)
+        return self._count_in(OMEGA, self.lo, x)
 
     def select(self, j: int) -> int:
         """j-th element (0-indexed) of the subset."""
         if not 0 <= j < self.count:
             raise IndexError(f"subset of interval {self.index} has {self.count} points")
-        k = self.kind
-        if k in ("full", "first"):
-            return self.lo + j
-        if k == "last":
-            return self.hi - self.s + j
-        if k == "explicit":
+        a, b, M, minus = self.span
+        if M is None:
             return self.elements[j]
-        if k == "trace":
-            return self.base.kth_element(self.base.count_below(self.lo) + j)
-        lo, hi = self.lo, self.hi
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
+        if M is OMEGA:
+            return a + j
+        if not minus:
+            return M.kth_element(M.count_below(a) + j)
+        while a + 1 < b:
+            mid = (a + b) // 2
             if self.count_strictly_below(mid) <= j:
-                lo = mid
+                a = mid
             else:
-                hi = mid
-        return lo
-
-    def iter_points(self):
-        for j in range(self.count):
-            yield self.select(j)
+                b = mid
+        return a
 
     # -- exact intersections ---------------------------------------------
 
     def intersect_set_count(self, other: OmegaSet) -> int:
         """|subset ∩ other|, exactly."""
-        k = self.kind
-        if k == "empty" or self.count == 0:
+        if self.count == 0:
             return 0
         if self.base is other:
-            return self.count if k == "trace" else 0
-        if k == "full":
-            return _range_count(other, self.lo, self.hi)
-        if k == "first":
-            return _range_count(other, self.lo, self.lo + self.s)
-        if k == "last":
-            return _range_count(other, self.hi - self.s, self.hi)
-        if k == "explicit":
-            return sum(1 for e in self.elements if other.contains(e))
-        if k == "trace":
-            node = CombineNode("inter", [self.base, other])
-            return _range_count(node, self.lo, self.hi)
-        whole = _range_count(other, self.lo, self.hi)
-        node = CombineNode("inter", [self.base, other])
-        return whole - _range_count(node, self.lo, self.hi)
+            return self.count if self.kind == "trace" else 0
+        return self._count_in(other, self.lo, self.hi)
 
     def intersect_subset_count(self, other: "IntervalSubset") -> int:
-        """|self ∩ other| for subsets of the same interval, exactly."""
+        """|self ∩ other| for subsets of the same interval, exactly: self
+        counted through other's span, by inclusion-exclusion when that
+        span subtracts."""
         if other.index != self.index:
             raise ValueError("subsets live on different intervals")
-        a, b = self, other
-        if a.count == 0 or b.count == 0:
+        if self.count == 0 or other.count == 0:
             return 0
-        if a.kind == "full":
-            return b.count
-        if b.kind == "full":
-            return a.count
-        if a.kind == "explicit":
-            return sum(1 for e in a.elements if b.membership(e))
-        if b.kind == "explicit":
-            return sum(1 for e in b.elements if a.membership(e))
-        if a.kind == "first" or a.kind == "last":
-            a, b = b, a
-        # now b.kind in (first, last); a in (first, last, trace, cotrace)
-        if b.kind == "first":
-            return a.count_strictly_below(b.lo + b.s)
-        if b.kind == "last":
-            return a.count - a.count_strictly_below(b.hi - b.s)
-        # both trace-like
-        if a.base is b.base:
-            same = a.kind == b.kind
-            if same:
-                return a.count
-            return 0
-        if a.kind == "cotrace" and b.kind == "cotrace":
-            both = self.partition.trace(
-                self.index, CombineNode("union", [a.base, b.base])
-            )
-            return self.size - both.count
-        if a.kind == "cotrace":
-            a, b = b, a
-        # a is trace
-        node = CombineNode("inter", [a.base, b.base])
-        inter = _range_count(node, a.lo, a.hi)
-        if b.kind == "trace":
-            return inter
-        return a.count - inter
+        if self.base is not None and self.base is other.base:
+            return self.count if self.kind == other.kind else 0
+        a, b, M, minus = other.span
+        if M is None:
+            return sum(1 for e in other.elements if self.membership(e))
+        n = self._count_in(M, a, b)
+        return self._count_in(OMEGA, a, b) - n if minus else n
 
     def complement(self) -> "IntervalSubset":
         return self.partition.complement_subset(self)
@@ -447,7 +399,16 @@ class IntervalSubset:
         return out
 
 
+def _meet(a: OmegaSet, b: OmegaSet) -> OmegaSet:
+    """a ∩ b, with omega dropped from either side."""
+    if a is OMEGA:
+        return b
+    return a if b is OMEGA else CombineNode("inter", [a, b])
+
+
 def _range_count(s: OmegaSet, lo: int, hi: int) -> int:
+    if s is OMEGA:
+        return hi - lo
     try:
         below_lo, below_hi = s.counts_at([lo, hi])
         return below_hi - below_lo
@@ -575,9 +536,7 @@ class IntervalSymbolicSet(OmegaSet):
         last = self.part.interval_of(n - 1) if n > 0 else 0
         for j in range(last + 1):
             sub = self.value_at(j)
-            for x in sub.iter_points():
-                if x < n:
-                    out.append(x)
+            out.extend(map(sub.select, range(sub.count_strictly_below(n))))
         return out
 
     def _materialize_impl(self, n):
@@ -586,24 +545,19 @@ class IntervalSymbolicSet(OmegaSet):
             out[:] = False
             for j in range(self.part.interval_of(lo), self.part.interval_of(hi - 1) + 1):
                 sub = self.value_at(j)
-                a, b = max(sub.lo, lo), min(sub.hi, hi)
-                if sub.count == 0:
+                a, b, M, minus = sub.span
+                a, b = max(a, lo), min(b, hi)
+                if sub.count == 0 or a >= b:
                     continue
-                kind = sub.kind
-                if kind == "full":
-                    out[a - lo:b - lo] = True
-                elif kind == "first":
-                    out[a - lo:max(a, min(sub.lo + sub.s, b)) - lo] = True
-                elif kind == "last":
-                    out[max(a, sub.hi - sub.s) - lo:b - lo] = True
-                elif kind == "trace":
-                    out[a - lo:b - lo] = _unpack(sub.base.packed(b), a, b)
-                elif kind == "cotrace":
-                    out[a - lo:b - lo] = ~_unpack(sub.base.packed(b), a, b)
-                elif kind == "explicit":
+                if M is None:
                     for e in sub.elements:
                         if a <= e < b:
                             out[e - lo] = True
+                elif M is OMEGA:
+                    out[a - lo:b - lo] = not minus
+                else:
+                    bits = _unpack(M.packed(b), a, b)
+                    out[a - lo:b - lo] = ~bits if minus else bits
         return _pack(n, fill)
 
     def to_json(self, count: int | None = None) -> dict:

@@ -494,10 +494,8 @@ def transform_splitter(family: Sequence[OmegaSet], direction: str, rho,
         raise ValueError("rho-to-half needs an oracle with p = rho")
     levels, residual = select_levels(geometric_weights(rho), HALF, cfg.depth)
     trace = [(rho, residual)]
-    if rho < Fraction(2, 3) and residual <= cfg.residual_tolerance:
-        chain = build_chain(family, oracle, cfg.depth, "rho", cfg)
-        path, ops, eff = "direct", [], rho
-    else:
+    ops, eff = [], rho
+    if rho >= Fraction(2, 3) or residual > cfg.residual_tolerance:
         ops, eff = squaring_plan(rho)
         levels, residual = select_levels(geometric_weights(eff), HALF, cfg.depth)
         trace.append((eff, residual))
@@ -506,9 +504,11 @@ def transform_splitter(family: Sequence[OmegaSet], direction: str, rho,
                 f"residual {residual} above tolerance after fallback",
                 trace,
             )
-        composed = ComposedOracle(oracle, ops, cfg)
-        chain = build_chain(family, composed, cfg.depth, "rho", cfg)
-        path = "fallback"
+    # a fallback that gets here has squared at least once: a parameter
+    # already in (1/3, 2/3) gets no new residual from an empty plan
+    chain = build_chain(family, ComposedOracle(oracle, ops, cfg) if ops else oracle,
+                        cfg.depth, "rho", cfg)
+    path = "fallback" if ops else "direct"
     splitter = _union_of_levels(chain, levels)
     advertised = cfg.band_tolerance + residual
     verdicts = [

@@ -566,14 +566,15 @@ _MEMORY_TESTS = [
 
 def test_memory_bounds_hold_in_a_fresh_interpreter():
     # each alone in a new interpreter, so that a buffer made lazily inside
-    # a measured count cannot pass because an earlier test made it
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
+    # a measured count cannot pass because an earlier test made it; each
+    # is called bare, as starting pytest would take longer than the test
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(omega_sets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
     env.pop(omega_sets._ENV_CAP, None)
     procs = [subprocess.Popen(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"tests/test_omega_sets.py::{name}"],
-        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        [sys.executable, "-c", f"import test_omega_sets; test_omega_sets.{name}()"],
+        cwd=here, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         for name in _MEMORY_TESTS]
     for proc in procs:
         out, _ = proc.communicate()

@@ -1,11 +1,14 @@
-import pytest
 from fractions import Fraction
+from itertools import combinations
+
+import pytest
 
 from rhosplit import (
     BernoulliSet,
     ExactCountError,
     IntervalPartition,
     IntervalSymbolicSet,
+    PowersSet,
     Progression,
     build_partition,
 )
@@ -165,7 +168,7 @@ def test_trace_of_bernoulli_beyond_cap_is_refused():
 def test_intersect_subset_counts_against_brute_force():
     P = build_partition("minimal", 5)
     k = 3
-    evens, m3 = Progression(0, 2), Progression(0, 3)
+    evens, m3, p2 = Progression(0, 2), Progression(0, 3), PowersSet(2)
     subs = {
         "full": P.full(k),
         "first": P.first(k, 100),
@@ -174,6 +177,9 @@ def test_intersect_subset_counts_against_brute_force():
         "cot-e": P.cotrace(k, evens),
         "trace-3": P.trace(k, m3),
         "cot-3": P.cotrace(k, m3),
+        # I_3 = [36, 325) holds 64, 128 and 256: a base with no period
+        "trace-p2": P.trace(k, p2),
+        "cot-p2": P.cotrace(k, p2),
         "expl": P.explicit(k, range(40, 60)),
         "empty": P.empty(k),
     }
@@ -255,3 +261,86 @@ def test_subset_json_roundtrip():
         again = P.subset_from_json(sub.to_json())
         assert again.to_json() == sub.to_json()
         assert again.count == sub.count
+
+
+_PREDICATES = {
+    "p13": lambda x: x % 3 == 1,
+    "pow2": lambda x: x > 0 and x & (x - 1) == 0,
+    "even": lambda x: x % 2 == 0,
+}
+
+
+def _closed_count(a, b, preds):
+    """|{x in [a, b) : every named predicate holds}| in closed form: the
+    powers of two in [a, b) are listed by exponent, and otherwise the
+    residues mod 6 decide."""
+    if b <= a:
+        return 0
+    if "pow2" in preds:
+        powers = [1 << e for e in range(b.bit_length()) if a <= 1 << e < b]
+        return sum(1 for x in powers if all(_PREDICATES[p](x) for p in preds))
+    residues = [r for r in range(6) if all(_PREDICATES[p](r) for p in preds)]
+    # members of r + 6Z in [a, b): ceil((b - r) / 6) - ceil((a - r) / 6)
+    return sum((r - a) // 6 - (r - b) // 6 for r in residues)
+
+
+def _model_count(models, lo=0, hi=None, extra=()):
+    """|the intersection of the modelled subsets ∩ [lo, hi)|, where a model
+    (a, b, pred, minus) is [a, b) cut to pred (or to its complement when
+    minus is set; pred None keeps all of [a, b)), by inclusion-exclusion
+    over the complemented predicates."""
+    a = max([lo] + [m[0] for m in models])
+    b = min([m[1] for m in models] + ([] if hi is None else [hi]))
+    pos = [m[2] for m in models if m[2] and not m[3]] + list(extra)
+    neg = [m[2] for m in models if m[2] and m[3]]
+    return sum((-1) ** r * _closed_count(a, b, set(pos) | set(t))
+               for r in range(len(neg) + 1) for t in combinations(neg, r))
+
+
+@pytest.mark.parametrize("k", [9, 12])
+def test_subsets_beyond_the_cap_match_closed_forms(minimal16, k):
+    # intervals 9 and 12 start near 2^38 and 2^68, far beyond the 2^27
+    # explicit cap: every count below is exact or the test fails
+    P = minimal16
+    lo, hi = P.boundary(k), P.boundary(k + 1)
+    assert lo > 1 << 27
+    p13, p2 = Progression(1, 3), PowersSet(2)
+    subs = {
+        "full": (P.full(k), (lo, hi, None, False)),
+        "empty": (P.empty(k), (lo, lo, None, False)),
+        "first": (P.first(k, 5), (lo, lo + 5, None, False)),
+        "last": (P.last(k, 7), (hi - 7, hi, None, False)),
+        "trace-p13": (P.trace(k, p13), (lo, hi, "p13", False)),
+        "cot-p13": (P.cotrace(k, p13), (lo, hi, "p13", True)),
+        "trace-p2": (P.trace(k, p2), (lo, hi, "pow2", False)),
+        "cot-p2": (P.cotrace(k, p2), (lo, hi, "pow2", True)),
+    }
+    first5 = subs["first"]
+    for name, (sub, model) in subs.items():
+        assert sub.count == _model_count([model]), name
+        for x in (lo, (lo + hi) // 2, hi):
+            assert sub.count_strictly_below(x) == _model_count([model], hi=x), (name, x)
+        for j in sorted({0, 1, sub.count // 2, sub.count - 1}):
+            if 0 <= j < sub.count:
+                x = sub.select(j)
+                assert sub.membership(x), (name, j)
+                assert sub.count_strictly_below(x) == j, (name, j)
+                assert sub.count_strictly_below(x + 1) == j + 1, (name, j)
+        assert sub.intersect_set_count(Progression(0, 2)) == _model_count(
+            [model], extra=["even"]), name
+        assert sub.intersect_subset_count(first5[0]) == _model_count(
+            [model, first5[1]]), name
+        for other_name, (other, other_model) in subs.items():
+            assert sub.intersect_subset_count(other) == _model_count(
+                [model, other_model]), (name, other_name)
+
+
+def test_symbolic_enumeration_stops_at_the_bound():
+    # the subset of interval 11 holds about 2^68 points; only the three
+    # below n are selected
+    P = build_partition("minimal", 12)
+    lo = P.boundary(11)
+    s = IntervalSymbolicSet(P, {11: P.first(11, P.size(11) // 2)},
+                            default="singleton")
+    expected = [P.boundary(j) for j in range(11)] + [lo, lo + 1, lo + 2]
+    assert s.enumerate_below(lo + 3, 100) == expected
