@@ -70,7 +70,6 @@ from .rho_transform import (
     binary_digits,
     build_chain,
     greedy_base_digits,
-    make_oracle,
     select_levels,
     squaring_plan,
     transform_splitter,

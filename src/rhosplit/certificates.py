@@ -234,6 +234,8 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
         return _fail("eps outside (0, 1/2)")
     if cert.eps_prime is not None and not (0 < cert.eps_prime < HALF):
         return _fail("eps_prime outside (0, 1/2)")
+    if cert.index < 0:
+        return _fail("negative interval index")
     cards = cert.cardinalities
     if any(v < 0 for v in cards.values()):
         return _fail("negative cardinality")

@@ -29,6 +29,9 @@ from .omega_sets import (
     ExplicitSet,
     FiniteSetError,
     HorizonOverflowError,
+    PowersSet,
+    SequenceSet,
+    materialize_prefix,
     parse_family,
     parse_set,
 )
@@ -49,13 +52,14 @@ from .relsys import (
     gallery_dom,
     gallery_reap,
     gallery_reap_rho,
+    random_system,
     zero_split_check,
 )
 from .rho_transform import (
     ChainConfig,
     OracleExhaustedError,
+    RoundRobinOracle,
     TransformError,
-    make_oracle,
     transform_splitter,
 )
 
@@ -209,8 +213,6 @@ def _cmd_density(args) -> tuple[int, dict]:
     S, X = parse_set(args.S), parse_set(args.X)
     extra = {}
     if args.prefix is not None:
-        from .omega_sets import materialize_prefix
-
         pref = materialize_prefix(S, args.prefix)
         extra["prefix"] = {"horizon": pref.horizon, "rle": pref.to_rle()}
     if args.kind == "report":
@@ -340,9 +342,7 @@ def _cmd_transform(args) -> tuple[int, dict]:
     family = parse_family(args.family)
     cfg = ChainConfig(depth=args.depth, horizon=args.horizon, seed=args.seed,
                       band_tolerance=args.tolerance)
-    p = Fraction(1, 2) if args.direction == "half-to-rho" else args.rho
-    oracle = (make_oracle("round-robin") if args.oracle == "round-robin"
-              else make_oracle("bernoulli", p=p, seed=args.seed))
+    oracle = RoundRobinOracle() if args.oracle == "round-robin" else None
     result = transform_splitter(family, args.direction, args.rho, oracle, cfg)
     report = {
         "command": "transform",
@@ -356,8 +356,6 @@ def _cmd_transform(args) -> tuple[int, dict]:
 
 def _cmd_relsys(args) -> tuple[int, dict]:
     if args.fact54:
-        from .omega_sets import PowersSet, SequenceSet
-
         R = PowersSet(2)
         x = SequenceSet(lambda n: 2 ** (2 ** n), name="doubling")
         rep = zero_split_check(R, x, 1, args.max_window)
@@ -366,8 +364,6 @@ def _cmd_relsys(args) -> tuple[int, dict]:
         }
     if args.random is not None:
         rng = random.Random(args.seed)
-        from .relsys import random_system
-
         rows = []
         ok = True
         for i in range(args.random):

@@ -308,7 +308,7 @@ class OmegaSet:
 
     def _materialize_impl(self, n: int) -> np.ndarray:
         """Packed words of [0, n); bits above n may be set."""
-        return _from_elements(n, [k for k in range(n) if self.contains(k)])
+        return _from_elements(n, self.enumerate_below(n, n))
 
     # -- enumeration -----------------------------------------------------
 
@@ -603,10 +603,6 @@ class BernoulliSet(OmegaSet):
     def _materialize_impl(self, n):
         return _pack(n, self._fill)
 
-    @property
-    def provably_finite(self) -> bool:
-        return False
-
     def descriptor(self) -> str:
         if (self._a, self._d) != (0, 1):
             raise NotImplementedError("a mapped BernoulliSet has no grammar form")
@@ -801,13 +797,6 @@ class PowersSet(OmegaSet):
             v *= self.base
         return out
 
-    @property
-    def provably_finite(self) -> bool:
-        return False
-
-    def _materialize_impl(self, n):
-        return _from_elements(n, self.enumerate_below(n, n))
-
     def descriptor(self) -> str:
         return f"pow({self.base})"
 
@@ -867,13 +856,6 @@ class SequenceSet(OmegaSet):
         if c > limit:
             return None
         return self._vals[:c]
-
-    @property
-    def provably_finite(self) -> bool:
-        return False
-
-    def _materialize_impl(self, n):
-        return _from_elements(n, self.enumerate_below(n, n))
 
     def __repr__(self):
         return f"SequenceSet({self.name})"

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from ._util import HALF, as_fraction
-from .omega_sets import ExplicitSet, OmegaSet, complement, require_infinite
+from .omega_sets import (ExplicitSet, OmegaSet, Progression, complement,
+                         require_infinite)
 from .partitions import IntervalPartition, IntervalSubset, IntervalSymbolicSet
 
 __all__ = [
@@ -140,8 +141,6 @@ def witness_above(X: OmegaSet, eps, partition: IntervalPartition,
                    default=0)
     K = max(2, high_cut)
     guards = {k: _banded_guard(partition, k) for k in range(K, horizon_k)}
-    from .omega_sets import Progression
-
     return GoodPair(partition, Progression(K, 1), guards, eps)
 
 

@@ -1,10 +1,12 @@
 """Splitting chains, base expansions, and density-parameter transforms.
 
-The forward transform turns a source of 1/2-splitters into a
-rho-splitter by selecting difference levels along the binary expansion
-of rho; the converse turns rho-splitters into a 1/2-splitter via the
-geometric-weight expansion, squaring the parameter down into (1/3, 2/3)
-first when the direct expansion cannot reach 1/2.
+Both transforms are one algorithm over a pair (chain density p, target):
+build a chain of p-splitters, select difference levels greedily by their
+geometric weights p^(m-1) (1-p) toward the target, and return the union
+of the selected levels.  half-to-rho is (1/2, rho), where the weights
+are 2^-m and the selection is the binary expansion of rho; rho-to-half
+is (rho, 1/2), squaring the parameter into (1/3, 2/3) first when the
+direct expansion cannot reach 1/2.
 
 Oracles are validated and resampled rather than trusted: a proposal
 enters a chain only after its tail ratios pass a count-aware band check
@@ -39,7 +41,6 @@ __all__ = [
     "BernoulliOracle",
     "RoundRobinOracle",
     "ComposedOracle",
-    "make_oracle",
     "OracleExhaustedError",
     "TransformError",
     "SplitChain",
@@ -47,7 +48,6 @@ __all__ = [
     "greedy_base_digits",
     "select_levels",
     "geometric_weights",
-    "dyadic_weights",
     "squaring_plan",
     "build_chain",
     "transform_splitter",
@@ -133,10 +133,6 @@ def greedy_base_digits(x, b, K: int) -> list[tuple[int, int]]:
             out.append((n, c))
             r -= c * power
     return out
-
-
-def dyadic_weights() -> Callable[[int], Fraction]:
-    return lambda m: Fraction(1, 2 ** m)
 
 
 def geometric_weights(rho) -> Callable[[int], Fraction]:
@@ -254,14 +250,6 @@ class ComposedOracle(SplitterOracle):
         return intersect(a, b)
 
 
-def make_oracle(kind: str, *, p=None, seed: int = 0) -> SplitterOracle:
-    if kind == "bernoulli":
-        return BernoulliOracle(p, seed)
-    if kind == "round-robin":
-        return RoundRobinOracle()
-    raise ValueError(f"unknown oracle kind {kind!r}")
-
-
 # -- validation --------------------------------------------------------------
 
 
@@ -367,9 +355,10 @@ class SplitChain:
 
 
 def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
-                depth: int, mode: str, cfg: ChainConfig) -> SplitChain:
+                mode: str, cfg: ChainConfig) -> SplitChain:
     """Build the stage recursion S_0 = omega, S_{n+1} splitting every
-    member of the current family, replacing the family by its traces.
+    member of the current family, replacing the family by its traces,
+    for cfg.depth stages.
 
     Each accepted stage is oracle output that passed the band check
     against every live member; the exact identity "stage-m family =
@@ -379,7 +368,7 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
         raise ValueError("family must be non-empty")
     for member in family:
         require_infinite(member, "family member")
-    if depth < 1:
+    if cfg.depth < 1:
         raise ValueError("depth must be at least 1")
     if mode not in ("half", "rho"):
         raise ValueError("mode must be 'half' or 'rho'")
@@ -390,7 +379,7 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     stages: list[OmegaSet] = [OMEGA]
     nested: list[OmegaSet] = [OMEGA]
     differences: list[OmegaSet | None] = [None]
-    for stage_idx in range(1, depth + 1):
+    for stage_idx in range(1, cfg.depth + 1):
         S = _accepted_proposal(oracle, stage_idx, 0, targets, cfg)
         stages.append(S)
         nested.append(intersect(nested[-1], S))
@@ -412,7 +401,6 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
 @dataclass
 class TransformResult:
     splitter: OmegaSet
-    path: str                       # "direct" | "fallback"
     selection: list[int]
     residual: Fraction
     ops: list[str]
@@ -421,6 +409,10 @@ class TransformResult:
     verdicts: list
     chain: SplitChain
     residual_trace: list = field(default_factory=list)
+
+    @property
+    def path(self) -> str:
+        return "fallback" if self.ops else "direct"
 
     @property
     def all_hold(self) -> bool:
@@ -454,68 +446,54 @@ def _union_of_levels(chain: SplitChain, levels: Sequence[int]) -> OmegaSet:
 def transform_splitter(family: Sequence[OmegaSet], direction: str, rho,
                        oracle: SplitterOracle | None = None,
                        cfg: ChainConfig | None = None) -> TransformResult:
-    """Transform between bisecting and rho-splitting behaviour.
+    """Transform between bisecting and rho-splitting behaviour: one path
+    over (chain density p, target), (1/2, rho) for half-to-rho and
+    (rho, 1/2) for rho-to-half, as the module docstring describes, with
+    the oracle defaulting to Bernoulli(p, cfg.seed).
 
-    half-to-rho: build a half chain, pick difference levels along the
-    binary expansion of rho, return their union with per-member verdicts
-    at tolerance band + 2^-depth.
-
-    rho-to-half: attempt the direct geometric-weight expansion of 1/2;
-    when rho >= 2/3 or the residual exceeds tolerance, square (and
-    complement) the parameter into (1/3, 2/3) via composed oracles, then
-    reselect.  Which path ran is recorded.
+    By direction: half-to-rho advertises band + 2^-depth and keeps its
+    selection whatever the residual; rho-to-half advertises band + the
+    exact residual, records the residual trace, and squares (and
+    complements) p into (1/3, 2/3) when p >= 2/3 or the residual exceeds
+    tolerance; the chain's mode label is "half" or "rho".
     """
     cfg = cfg or ChainConfig()
     rho = as_fraction(rho)
     if not (0 < rho < 1):
         raise ValueError("rho must lie in (0, 1)")
-    if direction == "half-to-rho":
-        oracle = oracle or BernoulliOracle(HALF, cfg.seed)
-        if oracle.p != HALF:
-            raise ValueError("half-to-rho needs a 1/2 oracle")
-        chain = build_chain(family, oracle, cfg.depth, "half", cfg)
-        levels = binary_digits(rho, cfg.depth)
-        residual = rho - sum(Fraction(1, 2 ** m) for m in levels)
-        splitter = _union_of_levels(chain, levels)
-        advertised = cfg.band_tolerance + Fraction(1, 2 ** cfg.depth)
-        verdicts = [
-            split_verdict("rho", splitter, member, cfg.horizon, rho=rho,
-                          tolerance=advertised, stride=cfg.stride,
-                          tail_window=cfg.tail_window)
-            for member in family
-        ]
-        return TransformResult(splitter, "direct", levels, residual, [],
-                               HALF, advertised, verdicts, chain)
-
-    if direction != "rho-to-half":
+    if direction not in ("half-to-rho", "rho-to-half"):
         raise ValueError(f"unknown direction {direction!r}")
-    oracle = oracle or BernoulliOracle(rho, cfg.seed)
-    if oracle.p != rho:
-        raise ValueError("rho-to-half needs an oracle with p = rho")
-    levels, residual = select_levels(geometric_weights(rho), HALF, cfg.depth)
-    trace = [(rho, residual)]
-    ops, eff = [], rho
-    if rho >= Fraction(2, 3) or residual > cfg.residual_tolerance:
-        ops, eff = squaring_plan(rho)
-        levels, residual = select_levels(geometric_weights(eff), HALF, cfg.depth)
-        trace.append((eff, residual))
-        if residual > cfg.residual_tolerance:
-            raise TransformError(
-                f"residual {residual} above tolerance after fallback",
-                trace,
-            )
+    forward = direction == "half-to-rho"
+    p, target = (HALF, rho) if forward else (rho, HALF)
+    oracle = oracle or BernoulliOracle(p, cfg.seed)
+    if oracle.p != p:
+        raise ValueError(f"{direction} needs an oracle with p = {p}")
+    levels, residual = select_levels(geometric_weights(p), target, cfg.depth)
+    trace, ops, eff = [], [], p
+    if not forward:
+        trace.append((p, residual))
+        if p >= Fraction(2, 3) or residual > cfg.residual_tolerance:
+            ops, eff = squaring_plan(p)
+            levels, residual = select_levels(geometric_weights(eff), target,
+                                             cfg.depth)
+            trace.append((eff, residual))
+            if residual > cfg.residual_tolerance:
+                raise TransformError(
+                    f"residual {residual} above tolerance after fallback",
+                    trace,
+                )
     # a fallback that gets here has squared at least once: a parameter
     # already in (1/3, 2/3) gets no new residual from an empty plan
     chain = build_chain(family, ComposedOracle(oracle, ops, cfg) if ops else oracle,
-                        cfg.depth, "rho", cfg)
-    path = "fallback" if ops else "direct"
+                        "half" if forward else "rho", cfg)
     splitter = _union_of_levels(chain, levels)
-    advertised = cfg.band_tolerance + residual
+    advertised = cfg.band_tolerance + (Fraction(1, 2 ** cfg.depth) if forward
+                                       else residual)
     verdicts = [
-        split_verdict("rho", splitter, member, cfg.horizon, rho=HALF,
+        split_verdict("rho", splitter, member, cfg.horizon, rho=target,
                       tolerance=advertised, stride=cfg.stride,
                       tail_window=cfg.tail_window)
         for member in family
     ]
-    return TransformResult(splitter, path, levels, residual, ops, eff,
-                           advertised, verdicts, chain, trace)
+    return TransformResult(splitter, levels, residual, ops, eff, advertised,
+                           verdicts, chain, trace)

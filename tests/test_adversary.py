@@ -280,6 +280,24 @@ def test_tampering_boundaries_is_detected(minimal16):
     assert not verify_certificate(Certificate.from_json(payload))
 
 
+@pytest.mark.parametrize("kind", ["game", "escape"])
+def test_negative_index_is_rejected(minimal16, kind):
+    # certificates are untrusted input: a negative index must be a
+    # rejection, not an exception out of the rule's 2 ** index
+    if kind == "game":
+        cert = defeat_bisector(Progression(0, 2), Fraction(1, 4), minimal16,
+                               rounds=1).certificates[0]
+    else:
+        cert = centred_escape(first_half_guards(minimal16, 4), Fraction(1, 10),
+                              Fraction(1, 5), 4)
+    payload = json.loads(cert.dumps())
+    payload["index"] = -1
+    payload["boundaries"] = []
+    result = verify_certificate(Certificate.from_json(payload))
+    assert not result
+    assert result.reason == "negative interval index"
+
+
 def assert_sound(cert):
     # checked here without the verifier: the chain runs from the certified
     # ratio to a bound outside the band, every step holding in one direction

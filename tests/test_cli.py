@@ -82,6 +82,21 @@ def test_verify_cert_rejects_tampered(tmp_path):
     assert not rep2["results"][0]["ok"]
 
 
+def test_verify_cert_rejects_negative_index(tmp_path):
+    _, rep = invoke_json([
+        "adversary", "--S", "prog(0,2)", "--epsilon", "1/4", "--rounds", "1",
+    ])
+    cert = rep["certificates"][0]
+    cert["index"] = -1
+    cert["boundaries"] = []
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps([cert]))
+    code, rep2 = invoke_json(["verify-cert", "--input", str(path)])
+    assert code == 1
+    assert rep2["results"] == [{"kind": cert["kind"], "index": -1, "ok": False,
+                                "reason": "negative interval index"}]
+
+
 def test_escape_commands():
     code, rep = invoke_json([
         "escape", "--chain", "centred", "--eps", "1/10",

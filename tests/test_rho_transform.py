@@ -9,7 +9,6 @@ from rhosplit import (
     build_chain,
     greedy_base_digits,
     intersect,
-    make_oracle,
     select_levels,
     squaring_plan,
     transform_splitter,
@@ -17,10 +16,11 @@ from rhosplit import (
 from rhosplit.omega_sets import parse_family
 from rhosplit.density import DensityReport
 from rhosplit.rho_transform import (
+    BernoulliOracle,
     ChainConfig,
+    RoundRobinOracle,
     TransformError,
     _band_ok,
-    dyadic_weights,
     geometric_weights,
 )
 
@@ -94,7 +94,7 @@ def test_greedy_base_digits_properties(x, b, K):
 def test_select_levels_examples():
     # consistency with the binary expansion for dyadic weights
     rho = Fraction(11, 16)
-    sel, res = select_levels(dyadic_weights(), rho, 10)
+    sel, res = select_levels(geometric_weights(HALF), rho, 10)
     assert sel == binary_digits(rho, 10)
     # geometric weights at rho = 3/5: take w1 (residual 1/10), skip
     # w2 = 6/25 and w3 = 18/125, take w4 = 54/625 (residual 17/1250)
@@ -201,7 +201,7 @@ def small_cfg(**kw):
 def test_round_robin_chain_exact():
     evens = Progression(0, 2)
     cfg = small_cfg(depth=3, horizon=100_000)
-    chain = build_chain([evens], make_oracle("round-robin"), 3, "half", cfg)
+    chain = build_chain([evens], RoundRobinOracle(), "half", cfg)
     assert [chain.stages[1].kth_element(i) for i in range(4)] == [0, 4, 8, 12]
     # d_X(I_m) = 2^-m exactly whenever |X ∩ n| is a multiple of 2^m
     for m in (1, 2, 3):
@@ -216,8 +216,7 @@ def test_round_robin_chain_exact():
 
 def test_chain_partition_law_and_telescoping():
     cfg = small_cfg()
-    chain = build_chain([OMEGA], make_oracle("bernoulli", p=HALF, seed=3),
-                        4, "half", cfg)
+    chain = build_chain([OMEGA], BernoulliOracle(HALF, 3), "half", cfg)
     N = cfg.horizon
     # D_1..D_M and I_M partition [0, N) exactly
     total = chain.nested[4].count_below(N)
@@ -234,8 +233,7 @@ def test_chain_partition_law_and_telescoping():
 
 def test_chain_band_for_omega():
     cfg = small_cfg(horizon=10 ** 6, stride=10 ** 4)
-    chain = build_chain([OMEGA], make_oracle("bernoulli", p=HALF, seed=7),
-                        4, "half", cfg)
+    chain = build_chain([OMEGA], BernoulliOracle(HALF, 7), "half", cfg)
     for m in range(1, 5):
         rep = chain.level_report(m, "nested", OMEGA)
         assert rep.max_tail_deviation <= Fraction(1, 50)
@@ -246,9 +244,8 @@ def test_chain_band_for_omega():
 def test_rho_mode_chain_difference_densities():
     # difference levels of a rho chain carry density rho^(m-1) * (1-rho)
     rho = Fraction(3, 5)
-    cfg = small_cfg(horizon=10 ** 6, stride=10 ** 4)
-    chain = build_chain([OMEGA], make_oracle("bernoulli", p=rho, seed=9),
-                        3, "rho", cfg)
+    cfg = small_cfg(depth=3, horizon=10 ** 6, stride=10 ** 4)
+    chain = build_chain([OMEGA], BernoulliOracle(rho, 9), "rho", cfg)
     for m in range(1, 4):
         rep = chain.level_report(m, "differences", OMEGA)
         assert rep.target == rho ** (m - 1) * (1 - rho)
@@ -258,14 +255,13 @@ def test_rho_mode_chain_difference_densities():
 def test_chain_rejects_finite_member():
     fin = intersect(Progression(0, 2), Progression(1, 2))
     with pytest.raises(Exception):
-        build_chain([fin], make_oracle("bernoulli", p=HALF, seed=1), 2,
-                    "half", small_cfg())
+        build_chain([fin], BernoulliOracle(HALF, 1), "half", small_cfg(depth=2))
 
 
 def test_chain_mode_oracle_consistency():
     with pytest.raises(ValueError, match="1/2"):
-        build_chain([OMEGA], make_oracle("bernoulli", p=Fraction(3, 5), seed=1),
-                    2, "half", small_cfg())
+        build_chain([OMEGA], BernoulliOracle(Fraction(3, 5), 1), "half",
+                    small_cfg(depth=2))
 
 
 def test_forward_transform_small():
@@ -276,6 +272,20 @@ def test_forward_transform_small():
     assert res.residual == 0
     assert res.path == "direct"
     assert res.all_hold
+
+
+def test_forward_transform_keeps_a_residual_above_tolerance():
+    # half-to-rho takes no squaring fallback: at depth 4 the binary
+    # expansion of 1/3 leaves 1/48 > residual_tolerance = 1/100, and the
+    # run advertises band + 2^-4 instead
+    res = transform_splitter([OMEGA], "half-to-rho", Fraction(1, 3), None,
+                             small_cfg(depth=4))
+    assert res.path == "direct"
+    assert res.selection == [2, 4]
+    assert res.residual == Fraction(1, 48)
+    assert res.advertised_tolerance == Fraction(33, 400)
+    assert res.residual_trace == []
+    assert res.chain.mode == "half"
 
 
 def test_converse_direct_small():
@@ -313,11 +323,15 @@ def test_transform_rejects_bad_rho():
                            small_cfg())
 
 
-def test_make_oracle_validation():
+def test_oracle_validation():
     with pytest.raises(ValueError):
-        make_oracle("bernoulli", p=Fraction(1), seed=0)
-    with pytest.raises(ValueError):
-        make_oracle("nope")
-    rr = make_oracle("round-robin")
+        BernoulliOracle(Fraction(1), 0)
+    rr = RoundRobinOracle()
     with pytest.raises(ValueError):
         rr.propose(1, 0, [OMEGA, OMEGA])
+    # the transform takes any oracle whose density is its chain density
+    with pytest.raises(ValueError, match="rho-to-half needs an oracle with p = 3/5"):
+        transform_splitter([OMEGA], "rho-to-half", Fraction(3, 5), rr, small_cfg())
+    with pytest.raises(ValueError, match="half-to-rho needs an oracle with p = 1/2"):
+        transform_splitter([OMEGA], "half-to-rho", Fraction(3, 5),
+                           BernoulliOracle(Fraction(3, 5), 1), small_cfg())
