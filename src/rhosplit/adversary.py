@@ -130,10 +130,9 @@ def defeat_bisector(S: OmegaSet, eps, partition: IntervalPartition,
     x_set = IntervalSymbolicSet(partition, values, default="singleton")
 
     max_n = max(n for n, _, _ in chosen)
-    x_counts, sx_counts = [], []
+    sx_counts = []
     for k in range(max_n + 1):
         xsub = x_set.value_at(k)
-        x_counts.append(xsub.count)
         if k in case_at:
             # chosen values are S∩I_k (all of it in S) or I_k \ S (none)
             sx_counts.append(xsub.count if case_at[k] == "case1" else 0)
@@ -143,7 +142,7 @@ def defeat_bisector(S: OmegaSet, eps, partition: IntervalPartition,
     certificates, realized, cases = [], [], []
     for n, case, sub in chosen:
         num = sum(sx_counts[: n + 1])
-        den = sum(x_counts[: n + 1])
+        den = x_set.prefix_count(n)
         cards = {
             "prefix_count": partition.prefix_size(n),
             "interval_size": partition.size(n),
@@ -158,6 +157,20 @@ def defeat_bisector(S: OmegaSet, eps, partition: IntervalPartition,
     return DefeatResult(x_set, certificates, realized, cases)
 
 
+def _eps_pair(eps, eps_prime) -> tuple[Fraction, Fraction]:
+    eps, eps_prime = as_fraction(eps), as_fraction(eps_prime)
+    if not (0 < eps < eps_prime < HALF):
+        raise ValueError("need 0 < eps < eps' < 1/2")
+    return eps, eps_prime
+
+
+def _check_band(sub: IntervalSubset, eps_prime: Fraction):
+    """|sub|/|I_k| must lie strictly inside (1/2 - eps', 1/2 + eps')."""
+    r = sub.ratio()
+    if not (HALF - eps_prime < r < HALF + eps_prime):
+        raise ValueError(f"band violated at interval {sub.index}: ratio {r}")
+
+
 def centred_thresholds(eps, eps_prime) -> tuple[int, int]:
     """Least indices activating the centred escape chain.
 
@@ -165,9 +178,7 @@ def centred_thresholds(eps, eps_prime) -> tuple[int, int]:
     1/2 - eps - 2^-n > 1/2 - eps'.  k0: least k with
     2^-k / (1/2 - eps') + 1 <= 1/(1/2 + eps).
     """
-    eps, eps_prime = as_fraction(eps), as_fraction(eps_prime)
-    if not (0 < eps < eps_prime < HALF):
-        raise ValueError("need 0 < eps < eps' < 1/2")
+    eps, eps_prime = _eps_pair(eps, eps_prime)
     n0 = 0
     while True:
         pw = Fraction(1, 2 ** n0)
@@ -185,11 +196,11 @@ def centred_escape(guards: Mapping[int, IntervalSubset], eps, eps_prime,
     """Certificate that the set assembled from the E-sequence escapes
     upward at interval n.
 
-    Every E_k for k <= n must be non-empty with |E_k|/|I_k| strictly
-    inside (1/2 - eps', 1/2 + eps'); n must be at or above the k-threshold
-    of centred_thresholds.
+    Every E_k for k <= n must have |E_k|/|I_k| strictly inside
+    (1/2 - eps', 1/2 + eps'), so it is non-empty; n must be at or above
+    the k-threshold of centred_thresholds.
     """
-    eps, eps_prime = as_fraction(eps), as_fraction(eps_prime)
+    eps, eps_prime = _eps_pair(eps, eps_prime)
     _, k0 = centred_thresholds(eps, eps_prime)
     if n < k0:
         raise ValueError(f"index {n} below the chain threshold k0={k0}")
@@ -197,16 +208,8 @@ def centred_escape(guards: Mapping[int, IntervalSubset], eps, eps_prime,
     if missing:
         raise ValueError(f"E-sequence is missing intervals {missing}")
     partition = guards[n].partition
-    lo_band, hi_band = HALF - eps_prime, HALF + eps_prime
     for k in range(n + 1):
-        sub = guards[k]
-        if sub.count == 0:
-            raise ValueError(f"E_{k} is empty")
-        r = sub.ratio()
-        if not (lo_band < r < hi_band):
-            raise ValueError(
-                f"band violated at interval {k}: |E_k|/|I_k| = {r}"
-            )
+        _check_band(guards[k], eps_prime)
     cards = {
         "prefix_count": partition.prefix_size(n),
         "interval_size": partition.size(n),
@@ -288,13 +291,10 @@ def laver_escape(slalom: Slalom, eps, eps_prime,
                  m: int) -> tuple[IntervalSymbolicSet, Certificate]:
     """Assemble the diagonal union of the slalom and certify the upward
     escape at interval k = 2^m + branch(m)."""
-    eps, eps_prime = as_fraction(eps), as_fraction(eps_prime)
-    if not (0 < eps < eps_prime < HALF):
-        raise ValueError("need 0 < eps < eps' < 1/2")
+    eps, eps_prime = _eps_pair(eps, eps_prime)
     if m not in slalom.blocks:
         raise ValueError(f"slalom does not define block {m}")
-    lo_band, hi_band = HALF - eps_prime, HALF + eps_prime
-    threshold = lo_band * (HALF - eps) / (HALF + eps)
+    threshold = (HALF - eps_prime) * (HALF - eps) / (HALF + eps)
     if Fraction(1, 2 ** (2 ** m)) > threshold:
         raise ValueError(
             f"block {m} is below the escape threshold "
@@ -305,14 +305,8 @@ def laver_escape(slalom: Slalom, eps, eps_prime,
     for blk, cands in sorted(slalom.blocks.items()):
         for j, cand in enumerate(cands):
             diag = 2 ** blk + j
-            sub = cand[diag]
-            r = sub.ratio()
-            if not (lo_band < r < hi_band):
-                raise ValueError(
-                    f"band violated: candidate {j} of block {blk} has "
-                    f"ratio {r} on its interval"
-                )
-            values[diag] = sub
+            _check_band(cand[diag], eps_prime)
+            values[diag] = cand[diag]
     x_set = IntervalSymbolicSet(partition, values, default="singleton")
 
     k = 2 ** m + slalom.branch[m]

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from ._util import HALF
+from .partitions import IntervalPartition
 
 __all__ = [
     "Step",
@@ -88,17 +89,22 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Certificate":
-        return cls(
-            kind=obj["kind"],
-            index=int(obj["index"]),
-            eps=Fraction(obj["eps"]),
-            eps_prime=Fraction(obj["eps_prime"]) if obj.get("eps_prime") else None,
-            cardinalities={k: int(v) for k, v in obj["cardinalities"].items()},
-            steps=tuple(Step.from_json(s) for s in obj["steps"]),
-            conclusion_rel=obj["conclusion"]["rel"],
-            conclusion_bound=Fraction(obj["conclusion"]["bound"]),
-            boundaries=tuple(int(b) for b in obj.get("boundaries", ())),
-        )
+        # certificates are untrusted JSON: a wrong shape (a list where an
+        # object belongs, a number where a list does) is a ValueError
+        try:
+            return cls(
+                kind=obj["kind"],
+                index=int(obj["index"]),
+                eps=Fraction(obj["eps"]),
+                eps_prime=Fraction(obj["eps_prime"]) if obj.get("eps_prime") else None,
+                cardinalities={k: int(v) for k, v in obj["cardinalities"].items()},
+                steps=tuple(Step.from_json(s) for s in obj["steps"]),
+                conclusion_rel=obj["conclusion"]["rel"],
+                conclusion_bound=Fraction(obj["conclusion"]["bound"]),
+                boundaries=tuple(int(b) for b in obj.get("boundaries", ())),
+            )
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"malformed certificate: {exc}") from exc
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -170,7 +176,7 @@ def _escape_rule(kind, k, eps, eps_prime, cards):
     rels = [">=", ">", ">", ">="]
     if slalom:
         m = block[0]
-        if k < 2 ** m or k >= 2 ** (m + 1):
+        if m != k.bit_length() - 1:  # 2^m <= k < 2^(m+1), with no 2^m built
             raise ValueError("interval index does not belong to the stated block")
         terms.append(c(2 ** m))
         rels.append(">=")
@@ -239,22 +245,26 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     cards = cert.cardinalities
     if any(v < 0 for v in cards.values()):
         return _fail("negative cardinality")
+    # the growth law gives |I_n| > 2^(n+1), so an honest index stays below
+    # the bit length of the interval size; this also keeps 2^n small
+    size = cards.get("interval_size")
+    if size is not None and cert.index >= size.bit_length():
+        return _fail("interval index too large for the interval size")
     # boundary consistency when boundaries are embedded
     if cert.boundaries:
         bs = cert.boundaries
         n = cert.index
         if len(bs) < n + 2:
             return _fail("boundary list too short for the chosen interval")
-        if bs[0] != 0 or any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
+        try:
+            violation = IntervalPartition.from_boundaries(bs).verify_growth()
+        except ValueError:
             return _fail("boundaries are not strictly increasing from 0")
-        if bs[1] - bs[0] < 2:
-            return _fail("growth violated: |I_0| < 2")
-        for j in range(1, n + 1):
-            if bs[j + 1] - bs[j] <= (1 << j) * bs[j]:
-                return _fail(f"growth violated at interval {j}")
+        if violation is not None:
+            return _fail(f"growth violated at interval {violation}")
         if cards.get("prefix_count") != bs[n]:
             return _fail("prefix_count disagrees with the boundaries")
-        if cards.get("interval_size") != bs[n + 1] - bs[n]:
+        if size != bs[n + 1] - bs[n]:
             return _fail("interval_size disagrees with the boundaries")
     try:
         steps, rel, bound = _RULES[cert.kind](
@@ -270,14 +280,14 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
         return _fail(f"expected {len(steps)} steps, found {len(cert.steps)}")
     for i, (exp, got) in enumerate(zip(steps, cert.steps)):
         if exp != got:
-            return _fail(f"step {i} disagrees with recomputation: "
-                         f"recorded {got}, derived {exp}")
+            side = next(f for f in ("lhs", "rel", "rhs")
+                        if getattr(exp, f) != getattr(got, f))
+            return _fail(f"step {i} disagrees with recomputation at its {side}")
         if not got.holds():
             return _fail(f"step {i} inequality fails: {got}")
     if cert.conclusion_rel != rel or cert.conclusion_bound != bound:
         return _fail("conclusion does not match the chain")
     # sanity: within-interval counts cannot exceed the interval
-    size = cards.get("interval_size")
     for key in ("s_in_interval", "escape_count"):
         if key in cards and size is not None and cards[key] > size:
             return _fail(f"{key} exceeds the interval size")

@@ -27,7 +27,6 @@ from .certificates import Certificate, verify_certificate
 from .density import density_report, split_verdict
 from .omega_sets import (
     ExplicitSet,
-    FiniteSetError,
     HorizonOverflowError,
     PowersSet,
     SequenceSet,
@@ -35,7 +34,7 @@ from .omega_sets import (
     parse_family,
     parse_set,
 )
-from .partitions import ExactCountError, IntervalPartition, build_partition
+from .partitions import IntervalPartition, build_partition
 from .preservation import (
     GoodPair,
     nwd_escape,
@@ -420,8 +419,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report = _HANDLERS[args.command](args)
-    except (ValueError, FiniteSetError, ExactCountError, HorizonOverflowError,
-            FileNotFoundError, KeyError) as exc:
+    except (ValueError, HorizonOverflowError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OracleExhaustedError, TransformError) as exc:

@@ -1033,6 +1033,16 @@ def parse_set(text: str) -> OmegaSet:
     Forms: omega, prog(a,d), bern(p,seed), pow(b), inter(A,B), union(A,B),
     diff(A,B), compl(A), every(A,stride[,offset]).
     """
+    return _parse(text, family=False)[0]
+
+
+def parse_family(text: str) -> list[OmegaSet]:
+    """Parse a non-empty comma-separated list of descriptors."""
+    return _parse(text, family=True)
+
+
+def _parse(text: str, family: bool) -> list[OmegaSet]:
+    """One descriptor, or with family set a top-level comma list of them."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -1073,6 +1083,8 @@ def parse_set(text: str) -> OmegaSet:
 
     def parse_expr() -> OmegaSet:
         name = take()
+        if not name[0].isalpha():
+            raise ValueError(f"expected a set descriptor, got {name!r}")
         if name == "omega":
             return Progression(0, 1)
         args = parse_args()
@@ -1099,29 +1111,13 @@ def parse_set(text: str) -> OmegaSet:
             return StrideSelection(src, int(stride), int(offset))
         raise ValueError(f"unknown set constructor {name!r}")
 
-    result = parse_expr()
+    result = [parse_expr()]
+    while family and peek() == ",":
+        take(",")
+        result.append(parse_expr())
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in descriptor: {tokens[pos:]}")
     return result
-
-
-def parse_family(text: str) -> list[OmegaSet]:
-    """Parse a comma-separated list of descriptors (commas inside
-    parentheses belong to the descriptors)."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return [parse_set(p) for p in parts if p.strip()]
 
 
 def require_infinite(s: OmegaSet, role: str = "set"):

@@ -155,25 +155,14 @@ class IntervalPartition:
         return IntervalSubset(self, k, "empty", 0)
 
     def first(self, k: int, s: int) -> "IntervalSubset":
-        if not 0 <= s <= self.size(k):
-            raise ValueError(f"first-{s} does not fit interval {k}")
-        return IntervalSubset(self, k, "first", s, s=s)
+        return IntervalSubset(self, k, "first", s)
 
     def last(self, k: int, s: int) -> "IntervalSubset":
-        if not 0 <= s <= self.size(k):
-            raise ValueError(f"last-{s} does not fit interval {k}")
-        return IntervalSubset(self, k, "last", s, s=s)
+        return IntervalSubset(self, k, "last", s)
 
     def trace(self, k: int, base: OmegaSet) -> "IntervalSubset":
-        lo, hi = self.boundary(k), self.boundary(k + 1)
-        try:
-            below_lo, below_hi = base.counts_at([lo, hi])
-        except HorizonOverflowError as exc:
-            raise ExactCountError(
-                f"trace cardinality on interval {k} needs counts beyond the "
-                f"explicit cap; use a structured descriptor ({exc})"
-            ) from exc
-        return IntervalSubset(self, k, "trace", below_hi - below_lo, base=base)
+        count = _range_count(base, self.boundary(k), self.boundary(k + 1))
+        return IntervalSubset(self, k, "trace", count, base=base)
 
     def restrict(self, k: int, X: OmegaSet) -> "IntervalSubset":
         """X ∩ I_k, reusing X's own value when X is symbolic on this partition."""
@@ -194,15 +183,6 @@ class IntervalPartition:
         if elems and not (lo <= elems[0] and elems[-1] < hi):
             raise ValueError(f"elements escape interval {k} = [{lo},{hi})")
         return IntervalSubset(self, k, "explicit", len(elems), elements=elems)
-
-    def complement_subset(self, sub: "IntervalSubset") -> "IntervalSubset":
-        k, size = sub.index, self.size(sub.index)
-        if sub.kind == "explicit":
-            present = set(sub.elements)
-            return self.explicit(k, [x for x in range(sub.lo, sub.hi) if x not in present])
-        s = None if sub.s is None else size - sub.s
-        return IntervalSubset(self, k, _COMPLEMENT_KIND[sub.kind], size - sub.count,
-                              s=s, base=sub.base)
 
     def subset_from_json(self, obj: Mapping) -> "IntervalSubset":
         k, kind = int(obj["index"]), obj["kind"]
@@ -266,29 +246,29 @@ class IntervalSubset:
     index: int
     kind: str
     count: int
-    s: int | None = None
     base: OmegaSet | None = field(default=None, repr=False)
     elements: tuple[int, ...] | None = None
+    lo: int = field(init=False, compare=False)
+    hi: int = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SUBSET_KINDS:
             raise ValueError(f"unknown subset kind {self.kind!r}")
+        object.__setattr__(self, "lo", self.partition.boundary(self.index))
+        object.__setattr__(self, "hi", self.partition.boundary(self.index + 1))
         if not 0 <= self.count <= self.size:
             raise ValueError(
                 f"cardinality {self.count} escapes interval {self.index}"
             )
 
     @property
-    def lo(self) -> int:
-        return self.partition.boundary(self.index)
-
-    @property
-    def hi(self) -> int:
-        return self.partition.boundary(self.index + 1)
-
-    @property
     def size(self) -> int:
         return self.hi - self.lo
+
+    @property
+    def s(self) -> int | None:
+        """Run length of a first/last subset (its count); None otherwise."""
+        return self.count if self.kind in ("first", "last") else None
 
     def ratio(self) -> Fraction:
         return Fraction(self.count, self.size)
@@ -304,9 +284,9 @@ class IntervalSubset:
         if k in ("trace", "cotrace"):
             return lo, hi, self.base, k == "cotrace"
         if k == "first":
-            return lo, lo + self.s, OMEGA, False
+            return lo, lo + self.count, OMEGA, False
         if k == "last":
-            return hi - self.s, hi, OMEGA, False
+            return hi - self.count, hi, OMEGA, False
         return lo, (lo if k == "empty" else hi), OMEGA, False
 
     def _count_in(self, other: OmegaSet, lo: int, hi: int) -> int:
@@ -386,7 +366,12 @@ class IntervalSubset:
         return self._count_in(OMEGA, a, b) - n if minus else n
 
     def complement(self) -> "IntervalSubset":
-        return self.partition.complement_subset(self)
+        if self.kind == "explicit":
+            present = set(self.elements)
+            return self.partition.explicit(
+                self.index, [x for x in range(self.lo, self.hi) if x not in present])
+        return IntervalSubset(self.partition, self.index, _COMPLEMENT_KIND[self.kind],
+                              self.size - self.count, base=self.base)
 
     def to_json(self) -> dict:
         out: dict = {"index": self.index, "kind": self.kind, "count": self.count}

@@ -11,6 +11,7 @@ nothing about the infinite invariants.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -74,20 +75,6 @@ class FiniteRelSys:
                     f"column {self.y_labels[j]!r} dominates every point"
                 )
 
-    def row_mask(self, i: int) -> int:
-        mask = 0
-        for j in range(self.ny):
-            if self.rel[i][j]:
-                mask |= 1 << j
-        return mask
-
-    def col_mask(self, j: int) -> int:
-        mask = 0
-        for i in range(self.nx):
-            if self.rel[i][j]:
-                mask |= 1 << i
-        return mask
-
     def to_json(self) -> dict:
         return {
             "X": list(self.x_labels),
@@ -101,10 +88,15 @@ class FiniteRelSys:
         return cls(tuple(obj["X"]), tuple(obj["Y"]), rel)
 
 
+def _mask(bits) -> int:
+    """The integer whose bit i is set iff bits[i] is true."""
+    return sum(1 << i for i, b in enumerate(bits) if b)
+
+
 def bounding_number(R: FiniteRelSys) -> int:
     """Smallest size of a subset of X that no single y bounds entirely."""
     R.validate()
-    masks = [R.row_mask(i) for i in range(R.nx)]
+    masks = [_mask(row) for row in R.rel]
     for k in range(1, R.nx + 1):
         for combo in combinations(range(R.nx), k):
             acc = masks[combo[0]]
@@ -118,7 +110,7 @@ def bounding_number(R: FiniteRelSys) -> int:
 def dominating_number(R: FiniteRelSys) -> int:
     """Smallest size of a subset of Y covering every x (exact set cover)."""
     R.validate()
-    cols = [R.col_mask(j) for j in range(R.ny)]
+    cols = [_mask(col) for col in zip(*R.rel)]
     full = (1 << R.nx) - 1
 
     # greedy upper bound
@@ -263,24 +255,17 @@ def zero_split_check(R: OmegaSet, x: OmegaSet, N: int, max_window: int,
         lo = R.kth_element(2 ** n)
         hi = R.kth_element(2 ** (n + 1))
         # ratio maxima occur at the window start and just past each
-        # element of ran(x) ∩ R inside the window
-        candidates = [lo + 1]
-        j = 0
-        while True:
-            xe = x.kth_element(j)
-            if xe >= hi:
-                break
-            if xe > lo and R.contains(xe):
-                candidates.append(xe + 1)
+        # element of ran(x) ∩ R inside the window; hits lists ran(x) ∩ R
+        # below hi in increasing order
+        candidates, hits, j = [lo + 1], [], 0
+        while (xe := x.kth_element(j)) < hi:
+            if R.contains(xe):
+                hits.append(xe)
+                if xe > lo:
+                    candidates.append(xe + 1)
             j += 1
-        best = Fraction(0)
-        for k in candidates:
-            num = sum(
-                1 for i in range(j + 1)
-                if x.kth_element(i) < k and R.contains(x.kth_element(i))
-            )
-            den = R.count_below(k)
-            best = max(best, Fraction(num, den))
+        best = max(Fraction(bisect_left(hits, k), R.count_below(k))
+                   for k in candidates)
         bound = Fraction(N + n, 2 ** n)
         windows.append(ZeroSplitWindow(n, best, bound, best <= bound))
     zero = windows[-1].max_ratio <= tolerance
@@ -365,32 +350,24 @@ def gallery_dom(length: int, height: int) -> FiniteRelSys:
     )
 
 
-def _subsets(universe: int, min_size: int):
-    for mask in range(1 << universe):
-        bits = [i for i in range(universe) if mask & (1 << i)]
-        if len(bits) >= min_size:
-            yield tuple(bits)
+def _set_gallery(universe: int, min_size: int, related) -> FiniteRelSys:
+    """The subsets of range(universe) with at least min_size points, in
+    bitmask order, on both sides; S is related below X iff
+    related(S, X)."""
+    sets = [frozenset(i for i in range(universe) if mask >> i & 1)
+            for mask in range(1 << universe)]
+    sets = [s for s in sets if len(s) >= min_size]
+    labels = tuple(str(sorted(s)) for s in sets)
+    rel = tuple(tuple(related(s, xx) for xx in sets) for s in sets)
+    return FiniteRelSys(labels, labels, rel)
 
 
 def gallery_reap(universe: int = 5, min_size: int = 3,
                  split_floor: int = 1) -> FiniteRelSys:
     """Truncated reaping system: S related below X iff S does NOT split X
     at the truncation scale (one of S∩X, X\\S falls under the floor)."""
-    sets = list(_subsets(universe, min_size))
-    rel = []
-    for s in sets:
-        row = []
-        ss = set(s)
-        for xx in sets:
-            inter = len(ss & set(xx))
-            rest = len(set(xx) - ss)
-            row.append(not (inter >= split_floor and rest >= split_floor))
-        rel.append(tuple(row))
-    return FiniteRelSys(
-        tuple(str(list(s)) for s in sets),
-        tuple(str(list(s)) for s in sets),
-        tuple(rel),
-    )
+    return _set_gallery(universe, min_size, lambda s, xx: not (
+        len(s & xx) >= split_floor and len(xx - s) >= split_floor))
 
 
 def gallery_reap_rho(universe: int = 6, rho=Fraction(1, 2),
@@ -399,17 +376,5 @@ def gallery_reap_rho(universe: int = 6, rho=Fraction(1, 2),
     |S∩X|/|X| at the truncation horizon, and is labelled as such (the
     limit property is not decidable from a truncation)."""
     rho, tol = as_fraction(rho), as_fraction(tol)
-    sets = list(_subsets(universe, min_size))
-    rel = []
-    for s in sets:
-        row = []
-        ss = set(s)
-        for xx in sets:
-            ratio = Fraction(len(ss & set(xx)), len(xx))
-            row.append(not (abs(ratio - rho) <= tol))
-        rel.append(tuple(row))
-    return FiniteRelSys(
-        tuple(str(list(s)) for s in sets),
-        tuple(str(list(s)) for s in sets),
-        tuple(rel),
-    )
+    return _set_gallery(universe, min_size, lambda s, xx: abs(
+        Fraction(len(s & xx), len(xx)) - rho) > tol)

@@ -280,6 +280,18 @@ def test_tampering_boundaries_is_detected(minimal16):
     assert not verify_certificate(Certificate.from_json(payload))
 
 
+@pytest.mark.parametrize("block", [2, 4, 10 ** 8])
+def test_slalom_block_must_hold_the_index(minimal16, block):
+    # the block is untrusted input too: 2^block is never built from it
+    _, cert = laver_escape(half_slalom(minimal16, 3), Fraction(1, 10),
+                           Fraction(1, 5), 3)
+    payload = json.loads(cert.dumps())
+    payload["cardinalities"]["block"] = str(block)
+    result = verify_certificate(Certificate.from_json(payload))
+    assert not result
+    assert "does not belong to the stated block" in result.reason
+
+
 @pytest.mark.parametrize("kind", ["game", "escape"])
 def test_negative_index_is_rejected(minimal16, kind):
     # certificates are untrusted input: a negative index must be a

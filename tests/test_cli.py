@@ -97,6 +97,71 @@ def test_verify_cert_rejects_negative_index(tmp_path):
                                 "reason": "negative interval index"}]
 
 
+def _seeded_cert():
+    _, rep = invoke_json([
+        "adversary", "--S", "prog(0,2)", "--epsilon", "1/4", "--rounds", "1",
+    ])
+    return rep["certificates"][0]
+
+
+def _verify_cert_file(tmp_path, certs):
+    path = tmp_path / "certs.json"
+    path.write_text(json.dumps(certs))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, rep = invoke_json(["verify-cert", "--input", str(path)])
+    return code, rep, err.getvalue()
+
+
+def test_verify_cert_rejects_a_huge_index(tmp_path):
+    # 2 ** index must never be built from an untrusted index: the growth
+    # law bounds every honest index by the bit length of |I_n|
+    cert = _seeded_cert()
+    cert["index"] = 20000
+    cert["boundaries"] = []
+    code, rep, err = _verify_cert_file(tmp_path, [cert])
+    assert (code, err) == (1, "")
+    assert rep["results"] == [{
+        "kind": cert["kind"], "index": 20000, "ok": False,
+        "reason": "interval index too large for the interval size"}]
+
+
+def test_verify_cert_names_the_mismatched_step_side(tmp_path):
+    cert = _seeded_cert()
+    cert["steps"][1]["rhs"] = "1/1"
+    code, rep, _ = _verify_cert_file(tmp_path, [cert])
+    assert code == 1
+    assert rep["results"][0]["reason"] == \
+        "step 1 disagrees with recomputation at its rhs"
+
+
+def test_verify_cert_rejects_growth_broken_past_the_index(tmp_path):
+    cert = _seeded_cert()
+    last = int(cert["boundaries"][-1])
+    cert["boundaries"].append(str(last + 1))  # |I_{n+2}| = 1
+    code, rep, _ = _verify_cert_file(tmp_path, [cert])
+    assert code == 1
+    n = cert["index"]
+    assert rep["results"][0]["reason"] == f"growth violated at interval {n + 1}"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("cardinalities", []), ("steps", 5), ("conclusion", []),
+])
+def test_verify_cert_bad_shape_is_a_usage_error(tmp_path, field, value):
+    cert = _seeded_cert()
+    cert[field] = value
+    code, rep, err = _verify_cert_file(tmp_path, [cert])
+    assert (code, rep) == (2, None)
+    assert err.startswith("error: malformed certificate: ")
+
+
+def test_verify_cert_non_object_entry_is_a_usage_error(tmp_path):
+    code, rep, err = _verify_cert_file(tmp_path, [[]])
+    assert (code, rep) == (2, None)
+    assert err.startswith("error: malformed certificate: ")
+
+
 def test_escape_commands():
     code, rep = invoke_json([
         "escape", "--chain", "centred", "--eps", "1/10",

@@ -774,3 +774,9 @@ def test_parse_family_handles_nested_commas():
     members = parse_family("omega,prog(0,2),inter(prog(0,2),prog(0,3))")
     assert len(members) == 3
     assert members[2].count_below(36) == 6
+
+
+@pytest.mark.parametrize("text", ["omega,", "omega,,prog(0,2)", ""])
+def test_parse_family_rejects_empty_members(text):
+    with pytest.raises(ValueError):
+        parse_family(text)

@@ -237,3 +237,35 @@ def test_json_roundtrip():
     R = gallery_reap(universe=4, min_size=2)
     again = FiniteRelSys.from_json(R.to_json())
     assert again == R
+
+
+def _relation(R):
+    return {(x, y): R.rel[i][j] for i, x in enumerate(R.x_labels)
+            for j, y in enumerate(R.y_labels)}
+
+
+def _sets(universe, min_size):
+    return [set(c) for k in range(min_size, universe + 1)
+            for c in combinations(range(universe), k)]
+
+
+def test_gallery_reap_matches_its_definition():
+    # S is related below X iff S does not split X
+    sets = _sets(5, 3)
+    expected = {(str(sorted(s)), str(sorted(x))): not (s & x and x - s)
+                for s in sets for x in sets}
+    assert _relation(gallery_reap()) == expected
+
+
+@pytest.mark.parametrize("rho", [Fraction(1, 2), Fraction(1, 3)])
+def test_gallery_reap_rho_matches_its_definition(rho):
+    # S is related below X iff |S∩X|/|X| leaves the band rho ± 1/4
+    sets = _sets(6, 2)
+    expected = {
+        (str(sorted(s)), str(sorted(x))):
+            not rho - Fraction(1, 4) <= Fraction(len(s & x), len(x)) <= rho + Fraction(1, 4)
+        for s in sets for x in sets
+    }
+    R = gallery_reap_rho(rho=rho)
+    assert len(R.x_labels) == len(sets)
+    assert _relation(R) == expected
