@@ -42,7 +42,6 @@ from .density import (
     compose_densities,
     density_report,
     split_verdict,
-    upper_lower_density,
 )
 from .certificates import Certificate, Step, verify_certificate
 from .adversary import (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
@@ -47,6 +48,20 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text) -> Fraction:
+    """Exact Fraction from an untrusted "p/q" or "p" string, the forms
+    ``str(Fraction)`` writes.  Anything else is a ValueError: a float, an
+    exponent (Fraction would build 10**e for it), a zero denominator."""
+    m = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    den = int(m[2] or 1) if m else 0
+    if not den:
+        raise ValueError(f"not an exact rational p/q: {text!r}")
+    return Fraction(int(m[1]), den)
 
 
 def ceil_frac(x: Fraction) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from ._util import HALF
+from ._util import HALF, parse_rational
 from .partitions import IntervalPartition
 
 __all__ = [
@@ -54,7 +54,7 @@ class Step:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Step":
-        return cls(Fraction(obj["lhs"]), obj["rel"], Fraction(obj["rhs"]))
+        return cls(parse_rational(obj["lhs"]), obj["rel"], parse_rational(obj["rhs"]))
 
 
 @dataclass(frozen=True)
@@ -90,20 +90,21 @@ class Certificate:
     @classmethod
     def from_json(cls, obj: Mapping) -> "Certificate":
         # certificates are untrusted JSON: a wrong shape (a list where an
-        # object belongs, a number where a list does) is a ValueError
+        # object belongs, a number where a list does) or a number that is
+        # not a "p/q" string is a ValueError
         try:
             return cls(
                 kind=obj["kind"],
                 index=int(obj["index"]),
-                eps=Fraction(obj["eps"]),
-                eps_prime=Fraction(obj["eps_prime"]) if obj.get("eps_prime") else None,
+                eps=parse_rational(obj["eps"]),
+                eps_prime=parse_rational(obj["eps_prime"]) if obj.get("eps_prime") else None,
                 cardinalities={k: int(v) for k, v in obj["cardinalities"].items()},
                 steps=tuple(Step.from_json(s) for s in obj["steps"]),
                 conclusion_rel=obj["conclusion"]["rel"],
-                conclusion_bound=Fraction(obj["conclusion"]["bound"]),
+                conclusion_bound=parse_rational(obj["conclusion"]["bound"]),
                 boundaries=tuple(int(b) for b in obj.get("boundaries", ())),
             )
-        except (AttributeError, TypeError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from exc
 
     def dumps(self) -> str:

@@ -14,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-from ._util import as_fraction
+from ._util import as_fraction, parse_rational
 from .adversary import (
     centred_escape,
     centred_thresholds,
@@ -295,10 +295,20 @@ def _load_pair(path: str, part: IntervalPartition) -> GoodPair:
     H = ExplicitSet.from_elements(ks, max(ks) + 1 if ks else 1, tail=(True,))
     guards = {int(k): part.subset_from_json(v)
               for k, v in obj.get("guards", {}).items()}
-    return GoodPair(part, H, guards, Fraction(obj["eps"]))
+    return GoodPair(part, H, guards, parse_rational(obj["eps"]))
+
+
+# the inputs each preserve op reads, by argument name
+_PRESERVE_INPUTS = {
+    "rel": ("pair", "X"), "witness-above": ("X",), "witness-below": ("pair",),
+    "nwd-escape": ("pair", "X"), "reap-map": ("S",),
+}
 
 
 def _cmd_preserve(args) -> tuple[int, dict]:
+    missing = [f"--{a}" for a in _PRESERVE_INPUTS[args.op] if getattr(args, a) is None]
+    if missing:
+        raise ValueError(f"preserve --op {args.op} needs {' and '.join(missing)}")
     part = _partition_arg(args.partition, args.count, False)
     horizon_k = args.horizon_k
     if args.op == "reap-map":
@@ -392,6 +402,8 @@ def _cmd_relsys(args) -> tuple[int, dict]:
                      "the truncation horizon"),
         }
         return 0, report
+    if args.file is None:
+        raise ValueError("relsys needs one of --fact54, --random, --gallery or --file")
     with open(args.file, "r", encoding="utf-8") as fh:
         sys_ = FiniteRelSys.from_json(json.load(fh))
     return 0, {

@@ -22,7 +22,6 @@ __all__ = [
     "SplitVerdict",
     "build_checkpoints",
     "density_report",
-    "upper_lower_density",
     "split_verdict",
     "compose_densities",
 ]
@@ -55,14 +54,6 @@ class DensityReport:
         """The exact ratio at each checkpoint, built on request: the
         verdicts read the integer counts."""
         return tuple(Fraction(n, d) for n, d in zip(self.numerators, self.denominators))
-
-    def tail_rows(self):
-        tail = bisect_left(self.checkpoints, self.tail_from)
-        return [
-            (cp, num, den, Fraction(num, den))
-            for cp, num, den in zip(self.checkpoints[tail:], self.numerators[tail:],
-                                    self.denominators[tail:])
-        ]
 
     def to_json(self) -> dict:
         return {
@@ -162,16 +153,6 @@ def density_report(S: OmegaSet, X: OmegaSet, horizon: int,
     )
 
 
-def upper_lower_density(S: OmegaSet, X: OmegaSet, horizon: int,
-                        tail_window: Fraction = HALF,
-                        stride: int | None = None,
-                        geometric: bool = False) -> tuple[Fraction, Fraction]:
-    """Finite-horizon estimators of the upper and lower relative density."""
-    rep = density_report(S, X, horizon, stride=stride, geometric=geometric,
-                         tail_window=tail_window)
-    return rep.upper_est, rep.lower_est
-
-
 @dataclass(frozen=True)
 class SplitVerdict:
     kind: str
@@ -234,8 +215,8 @@ def split_verdict(kind: str, S: OmegaSet, X: OmegaSet, horizon: int, *,
         eps = as_fraction(eps)
         if not (0 < eps < HALF):
             raise ValueError("eps must lie in (0, 1/2)")
-        lo, hi = HALF - eps, HALF + eps
-        holds = all(lo < r < hi for _, _, _, r in rep.tail_rows())
+        # every tail ratio lies inside the band iff both tail extremes do
+        holds = HALF - eps < rep.lower_est and rep.upper_est < HALF + eps
         details["eps"] = eps
     else:
         holds = rep.max_tail_deviation <= tolerance

@@ -613,24 +613,29 @@ class BernoulliSet(OmegaSet):
         return f"BernoulliSet({self.p}, seed={self.seed}{mapped})"
 
 
-_BINARY_OPS = ("inter", "union", "diff")
+# each op's arity and pointwise rule, written once: the rule serves a
+# single membership, a tail pattern as a bool vector and packed uint64
+# words alike (on a plain bool, ~ is bitwise, so a membership reads bit 0)
+_OPS = {
+    "inter": (2, lambda a, b: a & b),
+    "union": (2, lambda a, b: a | b),
+    "diff": (2, lambda a, b: a & ~b),
+    "compl": (1, lambda a: ~a),
+}
 
 
 class CombineNode(OmegaSet):
     """Pointwise boolean combination of child sets."""
 
-    __slots__ = ("op", "children", "_tail", "_x", "_g")
+    __slots__ = ("op", "children", "_rule", "_tail", "_x", "_g")
 
     def __init__(self, op: str, children: Sequence[OmegaSet]):
         super().__init__()
-        if op == "compl":
-            if len(children) != 1:
-                raise ValueError("complement takes exactly one child")
-        elif op in _BINARY_OPS:
-            if len(children) != 2:
-                raise ValueError(f"{op} takes exactly two children")
-        else:
+        if op not in _OPS:
             raise ValueError(f"unknown combination op {op!r}")
+        arity, self._rule = _OPS[op]
+        if len(children) != arity:
+            raise ValueError(f"{op} takes exactly {arity} child(ren)")
         self.op = op
         self.children = tuple(children)
         # derived once, here: set trees are shared DAGs, and a node never
@@ -647,15 +652,7 @@ class CombineNode(OmegaSet):
                     self._x = c
 
     def contains(self, k: int) -> bool:
-        ch = self.children
-        if self.op == "compl":
-            return not ch[0].contains(k)
-        a = ch[0].contains(k)
-        if self.op == "inter":
-            return a and ch[1].contains(k)
-        if self.op == "union":
-            return a or ch[1].contains(k)
-        return a and not ch[1].contains(k)
+        return bool(self._rule(*[c.contains(k) for c in self.children]) & 1)
 
     def tail_pattern(self):
         return self._tail
@@ -701,26 +698,14 @@ class CombineNode(OmegaSet):
                 starts = [e.start for e in ends if e is not None]
                 return TailPattern(min(starts), 1, (False,)) if starts else None
             tps.append(tp)
-        if self.op == "compl":
-            tp = tps[0]
-            return TailPattern(tp.start, tp.period,
-                               tuple(not b for b in tp.pattern))
-        ta, tb = tps
-        period = lcm(ta.period, tb.period)
-        if period > _PATTERN_LIMIT:
+        # a lone child keeps its period, however long; combined periods
+        # stay small
+        period = lcm(*(tp.period for tp in tps))
+        if len(tps) > 1 and period > _PATTERN_LIMIT:
             return None
-        start = max(ta.start, tb.start)
-        out = []
-        for r in range(period):
-            a = ta.pattern[r % ta.period]
-            b = tb.pattern[r % tb.period]
-            if self.op == "inter":
-                out.append(a and b)
-            elif self.op == "union":
-                out.append(a or b)
-            else:
-                out.append(a and not b)
-        return TailPattern(start, period, tuple(out))
+        out = self._rule(*[np.resize(np.array(tp.pattern, dtype=bool), period)
+                           for tp in tps])
+        return TailPattern(max(tp.start for tp in tps), period, tuple(out.tolist()))
 
     def enumerate_below(self, n, limit):
         if self.op == "compl":
@@ -742,18 +727,7 @@ class CombineNode(OmegaSet):
     def _materialize_impl(self, n):
         # the horizon already passed the cap check of this node; the
         # children's words may hold bits above n, which packed() clears
-        ch = self.children
-        a = ch[0].packed(n, cap=n)
-        if self.op == "compl":
-            return ~a
-        b = ch[1].packed(n, cap=n)
-        if self.op == "inter":
-            return a & b
-        if self.op == "union":
-            return a | b
-        out = ~b
-        out &= a
-        return out
+        return self._rule(*[c.packed(n, cap=n) for c in self.children])
 
     def descriptor(self) -> str:
         parts = ",".join(c.descriptor() for c in self.children)
@@ -894,7 +868,8 @@ class StrideSelection(OmegaSet):
         return self.source.provably_finite
 
     def _materialize_impl(self, n):
-        source = self.source.packed(n)
+        # n already passed this node's cap check, as in CombineNode
+        source = self.source.packed(n, cap=n)
         seen = 0  # source members below the block
 
         def fill(lo, out):
@@ -1015,6 +990,33 @@ def complement(a: OmegaSet) -> OmegaSet:
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+\.\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|[(),])")
 
+# constructor -> (argument kinds, builder); a kind ending in "?" is
+# optional, and the builder's default stands in for it
+_GRAMMAR = {
+    "prog": (("int", "int"), Progression),
+    "bern": (("rational", "int"), BernoulliSet),
+    "pow": (("int",), PowersSet),
+    "every": (("set", "int", "int?"), StrideSelection),
+    **{op: (("set",) * arity, lambda *ch, op=op: CombineNode(op, ch))
+       for op, (arity, _) in _OPS.items()},
+}
+
+
+def _read_arg(kind: str, value):
+    """A parsed argument (a set or a number token) read as the kind, or
+    None when it is not one: digits alone for an int, and for a rational
+    any number token with a nonzero denominator."""
+    if isinstance(value, OmegaSet):
+        return value if kind == "set" else None
+    if kind == "int" and value.isdecimal():
+        return int(value)
+    if kind == "rational":
+        try:
+            return Fraction(value)  # p/q, a decimal or digits: the token grammar
+        except ZeroDivisionError:
+            pass
+    return None
+
 
 def _tokenize(text: str) -> list[str]:
     out, pos = [], 0
@@ -1028,11 +1030,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_set(text: str) -> OmegaSet:
-    """Parse the textual set grammar.
-
-    Forms: omega, prog(a,d), bern(p,seed), pow(b), inter(A,B), union(A,B),
-    diff(A,B), compl(A), every(A,stride[,offset]).
-    """
+    """Parse the textual set grammar: omega, or a constructor of
+    ``_GRAMMAR`` on arguments of its kinds, such as every(prog(0,2),3)."""
     return _parse(text, family=False)[0]
 
 
@@ -1059,27 +1058,16 @@ def _parse(text: str, family: bool) -> list[OmegaSet]:
         pos += 1
         return tok
 
-    def parse_args():
+    def parse_args():  # a list of number tokens and sets
         take("(")
         args = []
-        if peek() != ")":
-            args.append(parse_value())
-            while peek() == ",":
+        while peek() != ")":
+            if args:
                 take(",")
-                args.append(parse_value())
+            tok = peek()
+            args.append(take() if tok is not None and tok[0].isdigit() else parse_expr())
         take(")")
         return args
-
-    def parse_value():
-        tok = peek()
-        if tok is None:
-            raise ValueError("unexpected end of descriptor")
-        if tok[0].isdigit():
-            take()
-            if "/" in tok or "." in tok:
-                return Fraction(tok)
-            return int(tok)
-        return parse_expr()
 
     def parse_expr() -> OmegaSet:
         name = take()
@@ -1087,29 +1075,15 @@ def _parse(text: str, family: bool) -> list[OmegaSet]:
             raise ValueError(f"expected a set descriptor, got {name!r}")
         if name == "omega":
             return Progression(0, 1)
+        if name not in _GRAMMAR:
+            raise ValueError(f"unknown set constructor {name!r}")
+        kinds, build = _GRAMMAR[name]
         args = parse_args()
-        if name == "prog":
-            a, d = args
-            return Progression(int(a), int(d))
-        if name == "bern":
-            p, seed = args
-            return BernoulliSet(as_fraction(p), int(seed))
-        if name == "pow":
-            (b,) = args
-            return PowersSet(int(b))
-        if name in _BINARY_OPS:
-            a, b = args
-            return CombineNode(name, [a, b])
-        if name == "compl":
-            (a,) = args
-            return CombineNode("compl", [a])
-        if name == "every":
-            if len(args) == 2:
-                src, stride = args
-                return StrideSelection(src, int(stride), 0)
-            src, stride, offset = args
-            return StrideSelection(src, int(stride), int(offset))
-        raise ValueError(f"unknown set constructor {name!r}")
+        vals = [_read_arg(k.rstrip("?"), v) for k, v in zip(kinds, args)]
+        required = sum(not k.endswith("?") for k in kinds)
+        if not required <= len(args) <= len(kinds) or any(v is None for v in vals):
+            raise ValueError(f"bad arguments: expected {name}({','.join(kinds)})")
+        return build(*vals)
 
     result = [parse_expr()]
     while family and peek() == ",":

@@ -286,3 +286,135 @@ def test_csv_is_flat():
     _, out = invoke(["--output", "csv", "partition", "--count", "3"])
     for line in out.strip().splitlines():
         assert "," in line
+
+
+@pytest.mark.parametrize("text,signature", [
+    ("inter(3,omega)", "inter(set,set)"), ("prog(omega,2)", "prog(int,int)"),
+    ("bern(omega,1)", "bern(rational,int)"), ("every(3,2)", "every(set,int,int?)"),
+    ("prog(1/2,3)", "prog(int,int)"), ("bern(1/2,1/3)", "bern(rational,int)"),
+    ("bern(1/0,1)", "bern(rational,int)"),
+])
+def test_density_ill_typed_descriptor_is_a_usage_error(text, signature):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(["density", "--S", text, "--horizon", "1000"])
+    assert (code, out, err.getvalue()) == (
+        2, "", f"error: bad arguments: expected {signature}\n")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["relsys"], "--file"),
+    (["preserve", "--op", "rel", "--X", "omega"], "--pair"),
+    (["preserve", "--op", "witness-below"], "--pair"),
+    (["preserve", "--op", "nwd-escape", "--X", "omega"], "--pair"),
+    (["preserve", "--op", "witness-above"], "--X"),
+    (["preserve", "--op", "reap-map"], "--S"),
+])
+def test_missing_mode_input_is_a_usage_error(argv, flag):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(argv)
+    assert (code, out) == (2, "")
+    assert err.getvalue().startswith("error: ") and flag in err.getvalue()
+
+
+@pytest.mark.parametrize("path,value", [
+    (("eps",), "1e-1000000"),  # Fraction would build 10**1000000
+    (("eps",), "1/0"),
+    (("eps",), 0.25),  # a binary double, not an exact rational
+    (("eps_prime",), "1/0"),
+    (("steps", 0, "rhs"), "1/0"),
+    (("steps", 1, "lhs"), "1e-5"),
+    (("conclusion", "bound"), "0.25"),
+])
+def test_verify_cert_untrusted_rational_is_a_usage_error(tmp_path, path, value):
+    cert = _seeded_cert()
+    *outer, key = path
+    node = cert
+    for k in outer:
+        node = node[k]
+    node[key] = value
+    code, rep, err = _verify_cert_file(tmp_path, [cert])
+    assert (code, rep) == (2, None)
+    assert err.startswith("error: malformed certificate: ")
+
+
+@pytest.mark.parametrize("eps", ["1/0", 0.25, "1e-5"])
+def test_loaded_pair_eps_must_be_p_over_q(tmp_path, eps):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"eps": eps, "H": [0]}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(["preserve", "--op", "witness-below",
+                            "--pair", str(path)])
+    assert (code, out) == (2, "")
+    assert err.getvalue().startswith("error: not an exact rational p/q: ")
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda certs: certs[0],  # a single certificate object
+    lambda certs: {"certificates": certs, "note": "beside the list"},
+])
+def test_verify_cert_payload_forms(tmp_path, wrap):
+    _, rep = invoke_json([
+        "adversary", "--S", "prog(0,2)", "--epsilon", "1/4", "--rounds", "2",
+    ])
+    certs = rep["certificates"]
+    payload = wrap(certs)
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code, rep2 = invoke_json(["verify-cert", "--input", str(path)])
+    expected = certs if "certificates" in payload else certs[:1]
+    assert code == 0
+    assert rep2["results"] == [{"kind": c["kind"], "index": c["index"],
+                                "ok": True, "reason": None} for c in expected]
+
+
+def test_preserve_nwd_escape_flips_the_relation(tmp_path):
+    _, rep = invoke_json([
+        "preserve", "--op", "witness-above", "--X", "prog(0,2)",
+        "--horizon-k", "6",
+    ])
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(json.dumps(rep["pair"]))
+    code, rep2 = invoke_json([
+        "preserve", "--op", "nwd-escape", "--X", "prog(0,2)",
+        "--pair", str(pair_path), "--horizon-k", "6",
+    ])
+    assert code == 0
+    assert (rep2["escape_at"], rep2["relation_flipped"]) == (2, True)
+    code, rep3 = invoke_json([
+        "preserve", "--op", "rel", "--X", "prog(0,2)",
+        "--pair", str(pair_path), "--horizon-k", "6",
+    ])
+    assert code == 0 and rep3["holds"]
+
+
+@pytest.mark.parametrize("gallery,bounding,dominating", [
+    ("dom", 2, 2), ("reap", 2, 10), ("reap-rho", 3, 3),
+])
+def test_relsys_gallery_then_file(tmp_path, gallery, bounding, dominating):
+    code, rep = invoke_json(["relsys", "--gallery", gallery])
+    assert code == 0
+    assert (rep["bounding"], rep["dominating"]) == (bounding, dominating)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(rep["system"]))
+    code, rep2 = invoke_json(["relsys", "--file", str(path)])
+    assert code == 0
+    assert (rep2["bounding"], rep2["dominating"]) == (bounding, dominating)
+    # the dual swaps the two sides
+    assert (rep2["dual"]["X"], rep2["dual"]["Y"]) == (rep["system"]["Y"],
+                                                      rep["system"]["X"])
+
+
+def test_partition_growth_factor():
+    code, rep = invoke_json(["partition", "--partition", "factor:3/2",
+                             "--count", "6"])
+    assert code == 0 and rep["growth"] == "ok"
+    sizes = [int(s) for s in rep["sizes"]]
+    below = 0
+    for n, size in enumerate(sizes):
+        # at least 3/2 of the least size the growth law allows
+        least = 2 if n == 0 else (1 << n) * below + 1
+        assert 2 * size >= 3 * least
+        below += size

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rhosplit import (
     OMEGA,
@@ -17,7 +17,6 @@ from rhosplit import (
     parse_set,
     split_verdict,
     union,
-    upper_lower_density,
 )
 from rhosplit import density
 from rhosplit.density import build_checkpoints
@@ -67,7 +66,8 @@ def test_upper_lower_oscillating_blocks():
         bits[4 ** k: min(2 * 4 ** k, N)] = True
         k += 1
     osc = ExplicitSet(bits, tail=(True,))
-    upper, lower = upper_lower_density(osc, OMEGA, N, geometric=True)
+    rep = density_report(osc, OMEGA, N, geometric=True)
+    upper, lower = rep.upper_est, rep.lower_est
     # brute-force oracle at the two tail checkpoints 2^19, 2^20
     cum = np.cumsum(bits)
     expect_hi = Fraction(int(cum[2 ** 19 - 1]), 2 ** 19)
@@ -227,3 +227,28 @@ def test_tail_statistics_are_the_fraction_extremes(case):
         assert rep.max_tail_deviation is None
     else:
         assert rep.max_tail_deviation == max(abs(r - target) for r in tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(50, 2000),
+       st.sampled_from([0.3, 0.5, 0.6]), st.integers(1, 300),
+       st.builds(Fraction, st.integers(1, 19), st.just(40)) | st.integers(0, 50))
+def test_eps_band_verdict_is_the_per_row_band(seed, horizon, p, stride, eps):
+    # the verdict reads the two tail extremes; the definition is every
+    # tail row strictly inside the band, recounted here from the bits
+    rng = np.random.default_rng(seed)
+    s_bits = rng.random(horizon) < p
+    x_bits = rng.random(horizon) < 0.8
+    x_bits[-10:] = True  # at least 10 points of X below the horizon
+    num, den = np.cumsum(s_bits & x_bits), np.cumsum(x_bits)
+    rows = [(cp, Fraction(int(num[cp - 1]), int(den[cp - 1])))
+            for cp in build_checkpoints(horizon, stride) if den[cp - 1] > 0]
+    tail = [r for cp, r in rows if 2 * cp >= horizon] or [rows[-1][1]]
+    if isinstance(eps, int):
+        # a band edge on a tail row, where strictness decides
+        eps = abs(tail[eps % len(tail)] - HALF)
+        assume(0 < eps < HALF)
+    S = ExplicitSet(s_bits, tail=(True, False))
+    X = ExplicitSet(x_bits, tail=(True,))
+    v = split_verdict("eps_band", S, X, horizon, eps=eps, stride=stride)
+    assert v.holds_numerically == all(HALF - eps < r < HALF + eps for r in tail)

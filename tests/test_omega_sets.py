@@ -765,7 +765,12 @@ def test_grammar_roundtrip():
 
 
 def test_grammar_rejects_junk():
-    for bad in ("prog(0,2", "nope(1)", "prog(0,2) extra", "bern(2,1)"):
+    for bad in ("prog(0,2", "nope(1)", "prog(0,2) extra", "bern(2,1)",
+                # ill-typed, fractional and zero-denominator arguments, and
+                # wrong counts, against each constructor's signature
+                "inter(3,omega)", "prog(omega,2)", "bern(omega,1)",
+                "every(3,2)", "prog(1/2,3)", "bern(1/2,1/3)", "bern(1/0,1)",
+                "compl()", "inter(omega)", "prog(0,2,3)", "every(omega)"):
         with pytest.raises(ValueError):
             parse_set(bad)
 

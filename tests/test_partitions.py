@@ -344,3 +344,29 @@ def test_symbolic_enumeration_stops_at_the_bound():
                             default="singleton")
     expected = [P.boundary(j) for j in range(11)] + [lo, lo + 1, lo + 2]
     assert s.enumerate_below(lo + 3, 100) == expected
+
+
+@pytest.mark.parametrize("default", ["singleton", "empty", "full", "trace"])
+def test_symbolic_materialize_agrees_with_contains_and_counts(default):
+    # boundaries 0, 2, 7, 36, 325, 5526: intervals 0-4 carry a value of
+    # each kind, and interval 5, which holds the horizon, the default
+    P = build_partition("minimal", 6)
+    values = {
+        0: P.explicit(0, [1]),
+        1: P.first(1, 2),
+        2: P.last(2, 7),
+        3: P.trace(3, BernoulliSet(Fraction(1, 3), 4)),
+        4: P.explicit(4, [325, 400, 4000, 5525]),
+    }
+    base = BernoulliSet(Fraction(1, 2), 9) if default == "trace" else None
+    s = IntervalSymbolicSet(P, values, default=default, default_base=base)
+    n = 6000
+    bits = s.materialize(n).tolist()
+    assert [s.contains(k) for k in range(n)] == bits
+    counts = s.counts_at(list(range(n + 1)))
+    assert [b - a for a, b in zip(counts, counts[1:])] == bits
+    # the defaulted interval, from its start up to the horizon
+    start = P.boundary(5)
+    member = {"singleton": lambda k: k == start, "empty": lambda k: False,
+              "full": lambda k: True, "trace": lambda k: base.contains(k)}[default]
+    assert bits[start:] == [member(k) for k in range(start, n)]

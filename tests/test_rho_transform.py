@@ -18,7 +18,9 @@ from rhosplit.density import DensityReport
 from rhosplit.rho_transform import (
     BernoulliOracle,
     ChainConfig,
+    OracleExhaustedError,
     RoundRobinOracle,
+    SplitterOracle,
     TransformError,
     _band_ok,
     geometric_weights,
@@ -335,3 +337,36 @@ def test_oracle_validation():
     with pytest.raises(ValueError, match="half-to-rho needs an oracle with p = 1/2"):
         transform_splitter([OMEGA], "half-to-rho", Fraction(3, 5),
                            BernoulliOracle(Fraction(3, 5), 1), small_cfg())
+
+
+class _ScriptedOracle(SplitterOracle):
+    """Proposes the given sets in turn, then the last one again; records
+    the (stage, attempt) of every request."""
+
+    def __init__(self, *proposals):
+        self.p = HALF
+        self.proposals = proposals
+        self.asked = []
+
+    def propose(self, stage, attempt, targets):
+        self.asked.append((stage, attempt))
+        return self.proposals[min(len(self.asked), len(self.proposals)) - 1]
+
+
+def test_oracle_rejected_every_time_is_exhausted():
+    # prog(0,4) has ratio exactly 1/4 at every checkpoint: far out of band
+    oracle = _ScriptedOracle(Progression(0, 4))
+    with pytest.raises(OracleExhaustedError, match="3 times at stage 1") as info:
+        build_chain([OMEGA], oracle, "half", small_cfg(depth=1, max_attempts=3))
+    assert oracle.asked == [(1, 0), (1, 1000), (1, 2000)]
+    diags = info.value.diagnostics
+    assert [(stage, attempt) for stage, attempt, _ in diags] == [(1, 0), (1, 1), (1, 2)]
+    for _, _, rep in diags:
+        assert (rep["target"], rep["lower_est"], rep["upper_est"]) == ("1/2", "1/4", "1/4")
+
+
+def test_oracle_resampled_after_a_rejection():
+    oracle = _ScriptedOracle(Progression(0, 4), Progression(0, 2))
+    chain = build_chain([OMEGA], oracle, "half", small_cfg(depth=1))
+    assert oracle.asked == [(1, 0), (1, 1000)]
+    assert chain.stages[1] is oracle.proposals[1]
