@@ -45,7 +45,6 @@ from .density import (
 )
 from .certificates import Certificate, Step, verify_certificate
 from .adversary import (
-    Condition,
     Slalom,
     centred_escape,
     centred_thresholds,

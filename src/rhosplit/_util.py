@@ -33,8 +33,15 @@ def derive_seed(*parts: int) -> int:
     return acc
 
 
+# a rational as a person writes it: digits, p/q or a plain decimal, with
+# no exponent (Fraction would build 10**e for one)
+_NUMBER = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def as_fraction(value) -> Fraction:
-    """Exact Fraction from int, str ('p/q' or decimal) or Fraction.
+    """Exact Fraction from int, str ('p/q', digits or a plain decimal) or
+    Fraction.  Any other string is a ValueError, and a zero denominator
+    a ZeroDivisionError.
 
     Floats are read through their decimal literal so that 0.1 means 1/10,
     not the binary double nearest to it.
@@ -46,6 +53,8 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
+        if not _NUMBER.fullmatch(value):
+            raise ValueError(f"not a rational p/q or decimal: {value!r}")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 

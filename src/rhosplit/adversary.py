@@ -10,7 +10,7 @@ centred and slalom chains take their E-sequence / slalom data as input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -20,8 +20,6 @@ from .omega_sets import OmegaSet, require_infinite
 from .partitions import IntervalPartition, IntervalSubset, IntervalSymbolicSet
 
 __all__ = [
-    "Condition",
-    "EMPTY_CONDITION",
     "DefeatResult",
     "Slalom",
     "min_index_for_eps",
@@ -32,38 +30,6 @@ __all__ = [
     "laver_escape",
     "half_slalom",
 ]
-
-
-@dataclass(frozen=True)
-class Condition:
-    """Finite partial function n -> subset of I_n, ordered by extension."""
-
-    values: Mapping[int, IntervalSubset] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for k, sub in self.values.items():
-            if sub.index != k:
-                raise ValueError(f"value at {k} has interval index {sub.index}")
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self.values)
-
-    def extend(self, k: int, sub: IntervalSubset) -> "Condition":
-        if k in self.values:
-            raise ValueError(f"interval {k} already in the domain")
-        vals = dict(self.values)
-        vals[k] = sub
-        return Condition(vals)
-
-    def extends(self, other: "Condition") -> bool:
-        return all(
-            k in self.values and self.values[k] == sub
-            for k, sub in other.values.items()
-        )
-
-
-EMPTY_CONDITION = Condition({})
 
 
 def min_index_for_eps(eps) -> int:
@@ -92,9 +58,10 @@ class DefeatResult:
 
 
 def defeat_bisector(S: OmegaSet, eps, partition: IntervalPartition,
-                    condition: Condition | None = None,
+                    condition: Mapping[int, IntervalSubset] | None = None,
                     rounds: int = 1) -> DefeatResult:
-    """Extend a condition so the assembled set escapes the eps-band.
+    """Extend a condition, a finite map n -> subset of I_n, so the
+    assembled set escapes the eps-band.
 
     Each round picks the least unused interval index n at or above the
     eps threshold; when |S ∩ I_n| > |I_n|/2 the new value is S ∩ I_n
@@ -108,25 +75,20 @@ def defeat_bisector(S: OmegaSet, eps, partition: IntervalPartition,
     if partition.verify_growth() is not None:
         raise ValueError("partition violates the growth condition")
     require_infinite(S, "S")
-    cond = condition or EMPTY_CONDITION
 
     n_min = min_index_for_eps(eps)
-    used = set(cond.domain)
+    values: dict[int, IntervalSubset] = dict(condition or {})
     chosen: list[tuple[int, str, IntervalSubset]] = []
+    case_at: dict[int, str] = {}
     for _ in range(rounds):
         n = n_min
-        while n in used:
+        while n in values:
             n += 1
-        used.add(n)
         sub = partition.restrict(n, S)
         case = "case1" if 2 * sub.count > partition.size(n) else "case2"
-        chosen.append((n, case, sub))
-
-    values: dict[int, IntervalSubset] = dict(cond.values)
-    case_at: dict[int, str] = {}
-    for n, case, sub in chosen:
         values[n] = sub if case == "case1" else sub.complement()
         case_at[n] = case
+        chosen.append((n, case, sub))
     x_set = IntervalSymbolicSet(partition, values, default="singleton")
 
     max_n = max(n for n, _, _ in chosen)
@@ -232,57 +194,44 @@ def laver_blocks(partition: IntervalPartition, m: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class Slalom:
     """Per-block candidate families S(m) = {S^m_j : j < 2^m} over the
-    blocks Q_m, each candidate given per interval, plus a branch choice."""
+    blocks Q_m, plus a branch choice.  Block m holds each candidate as
+    its diagonal piece S^m_j ∩ I_(2^m+j), the only part of it that the
+    escape reads: piece j lies on interval 2^m + j."""
 
     partition: IntervalPartition
-    blocks: Mapping[int, Sequence[Mapping[int, IntervalSubset]]]
+    blocks: Mapping[int, Sequence[IntervalSubset]]
     branch: Mapping[int, int]
 
     def __post_init__(self):
-        for m, cands in self.blocks.items():
-            if len(cands) != 2 ** m:
+        for m, pieces in self.blocks.items():
+            if len(pieces) != 2 ** m:
                 raise ValueError(
-                    f"block {m} must hold exactly {2 ** m} candidates, "
-                    f"got {len(cands)}"
+                    f"block {m} must hold exactly {2 ** m} pieces, "
+                    f"got {len(pieces)}"
                 )
-            first, count = 2 ** m, 2 ** m
-            for j, cand in enumerate(cands):
-                diag = first + j
-                if diag not in cand:
+            for j, piece in enumerate(pieces):
+                if piece.index != 2 ** m + j or piece.partition is not self.partition:
                     raise ValueError(
-                        f"candidate {j} of block {m} lacks its diagonal "
-                        f"interval {diag}"
+                        f"piece {j} of block {m} must lie on interval "
+                        f"{2 ** m + j} of the slalom's partition"
                     )
-                for k in cand:
-                    if not (first <= k < first + count):
-                        raise ValueError(
-                            f"candidate {j} of block {m} escapes the block at {k}"
-                        )
         for m, j in self.branch.items():
             if m not in self.blocks:
                 raise ValueError(f"branch chooses missing block {m}")
             if not 0 <= j < 2 ** m:
                 raise ValueError(f"branch value {j} invalid for block {m}")
 
-    def diagonal(self, m: int, j: int) -> IntervalSubset:
-        return self.blocks[m][j][2 ** m + j]
-
 
 def half_slalom(partition: IntervalPartition, depth: int,
                 branch: Mapping[int, int] | None = None) -> Slalom:
     """Standard battery slalom: every candidate is the first half of each
-    interval of its block."""
-    blocks: dict[int, list[dict[int, IntervalSubset]]] = {}
+    interval of its block, so each piece is the first half of its
+    interval."""
+    blocks: dict[int, list[IntervalSubset]] = {}
     for m in range(depth + 1):
         first, count = laver_blocks(partition, m)
-        cands = []
-        for _ in range(2 ** m):
-            cand = {}
-            for k in range(first, first + count):
-                size = partition.size(k)
-                cand[k] = partition.first(k, (size + 1) // 2)
-            cands.append(cand)
-        blocks[m] = cands
+        blocks[m] = [partition.first(k, (partition.size(k) + 1) // 2)
+                     for k in range(first, first + count)]
     chosen = dict(branch or {m: 0 for m in range(depth + 1)})
     return Slalom(partition, blocks, chosen)
 
@@ -302,18 +251,17 @@ def laver_escape(slalom: Slalom, eps, eps_prime,
         )
     partition = slalom.partition
     values: dict[int, IntervalSubset] = {}
-    for blk, cands in sorted(slalom.blocks.items()):
-        for j, cand in enumerate(cands):
-            diag = 2 ** blk + j
-            _check_band(cand[diag], eps_prime)
-            values[diag] = cand[diag]
+    for _, pieces in sorted(slalom.blocks.items()):
+        for piece in pieces:
+            _check_band(piece, eps_prime)
+            values[piece.index] = piece
     x_set = IntervalSymbolicSet(partition, values, default="singleton")
 
     k = 2 ** m + slalom.branch[m]
     cards = {
         "prefix_count": partition.prefix_size(k),
         "interval_size": partition.size(k),
-        "escape_count": slalom.diagonal(m, slalom.branch[m]).count,
+        "escape_count": slalom.blocks[m][slalom.branch[m]].count,
         "x_count": x_set.prefix_count(k),
         "block": m,
     }

@@ -14,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-from ._util import as_fraction, parse_rational
+from ._util import as_fraction
 from .adversary import (
     centred_escape,
     centred_thresholds,
@@ -26,7 +26,6 @@ from .adversary import (
 from .certificates import Certificate, verify_certificate
 from .density import density_report, split_verdict
 from .omega_sets import (
-    ExplicitSet,
     HorizonOverflowError,
     PowersSet,
     SequenceSet,
@@ -287,17 +286,6 @@ def _cmd_escape(args) -> tuple[int, dict]:
     return (0 if ok else 1), report
 
 
-def _load_pair(path: str, part: IntervalPartition) -> GoodPair:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    ks = obj["H"]
-    # an empty H keeps horizon 1, so the all-true tail starts at 1, not 0
-    H = ExplicitSet.from_elements(ks, max(ks) + 1 if ks else 1, tail=(True,))
-    guards = {int(k): part.subset_from_json(v)
-              for k, v in obj.get("guards", {}).items()}
-    return GoodPair(part, H, guards, parse_rational(obj["eps"]))
-
-
 # the inputs each preserve op reads, by argument name
 _PRESERVE_INPUTS = {
     "rel": ("pair", "X"), "witness-above": ("X",), "witness-below": ("pair",),
@@ -324,7 +312,8 @@ def _cmd_preserve(args) -> tuple[int, dict]:
             "command": "preserve", "op": args.op,
             "pair": pair.to_json(horizon_k), "rel_holds": verdict.holds,
         }
-    pair = _load_pair(args.pair, part)
+    with open(args.pair, "r", encoding="utf-8") as fh:
+        pair = GoodPair.from_json(part, json.load(fh))
     if args.op == "witness-below":
         Y = witness_below(pair, horizon_k)
         verdict = rel_holds(Y, pair, 1, horizon_k)
@@ -443,3 +432,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

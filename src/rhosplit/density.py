@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = Fraction(1, 100)
+# a classical split needs more than this many points on each side
+GROWTH_FLOOR = 10
 SPLIT_KINDS = ("classical", "rho", "eps_band", "zero", "one")
 
 
@@ -172,9 +174,7 @@ class SplitVerdict:
 def split_verdict(kind: str, S: OmegaSet, X: OmegaSet, horizon: int, *,
                   rho=None, eps=None, tolerance=DEFAULT_TOLERANCE,
                   tail_window: Fraction = HALF, stride: int | None = None,
-                  checkpoints: Sequence[int] | None = None,
-                  geometric: bool = False,
-                  growth_floor: int = 10) -> SplitVerdict:
+                  geometric: bool = False) -> SplitVerdict:
     """Numeric splitting verdict of the requested kind.
 
     classical: both |S∩X∩N| and |X∩N \\ S| must exceed the growth floor.
@@ -190,9 +190,9 @@ def split_verdict(kind: str, S: OmegaSet, X: OmegaSet, horizon: int, *,
         require_infinite(S, "S")
         inter = CombineNode("inter", [S, X]).count_below(horizon)
         diff = CombineNode("diff", [X, S]).count_below(horizon)
-        holds = inter > growth_floor and diff > growth_floor
+        holds = inter > GROWTH_FLOOR and diff > GROWTH_FLOOR
         return SplitVerdict(kind, holds, None, {
-            "s_and_x": inter, "x_minus_s": diff, "growth_floor": growth_floor,
+            "s_and_x": inter, "x_minus_s": diff, "growth_floor": GROWTH_FLOOR,
         })
     if kind in ("zero", "one"):
         require_infinite(S, "S")
@@ -207,7 +207,7 @@ def split_verdict(kind: str, S: OmegaSet, X: OmegaSet, horizon: int, *,
         target = Fraction(0)
     else:
         target = Fraction(1)
-    rep = density_report(S, X, horizon, stride=stride, checkpoints=checkpoints,
+    rep = density_report(S, X, horizon, stride=stride,
                          geometric=geometric, tail_window=tail_window,
                          target=target)
     details: dict = {"target": target}

@@ -18,7 +18,6 @@ import re
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Sequence
@@ -41,8 +40,6 @@ __all__ = [
     "StrideSelection",
     "Prefix",
     "OMEGA",
-    "EVENS",
-    "ODDS",
     "explicit_cap",
     "materialize_prefix",
     "agree_below",
@@ -693,9 +690,8 @@ class CombineNode(OmegaSet):
                 # whatever the other child is (provably_finite asks no
                 # progression for its pattern)
                 absorbing = {"inter": self.children, "diff": self.children[:1]}
-                ends = [e.tail_pattern() for e in absorbing.get(self.op, ())
-                        if e.provably_finite]
-                starts = [e.start for e in ends if e is not None]
+                starts = [e.tail_pattern().start for e in absorbing.get(self.op, ())
+                          if e.provably_finite]
                 return TailPattern(min(starts), 1, (False,)) if starts else None
             tps.append(tp)
         # a lone child keeps its period, however long; combined periods
@@ -863,9 +859,10 @@ class StrideSelection(OmegaSet):
             raise IndexError("negative index")
         return self.source.kth_element(self.offset + self.stride * k)
 
-    @property
-    def provably_finite(self) -> bool:
-        return self.source.provably_finite
+    def tail_pattern(self):
+        # a source empty from its start on empties the selection there too
+        tp = self.source.tail_pattern()
+        return tp if tp is not None and not any(tp.pattern) else None
 
     def _materialize_impl(self, n):
         # n already passed this node's cap check, as in CombineNode
@@ -888,8 +885,6 @@ class StrideSelection(OmegaSet):
 
 
 OMEGA = Progression(0, 1)
-EVENS = Progression(0, 2)
-ODDS = Progression(1, 2)
 
 
 # -- finite prefixes ------------------------------------------------------
@@ -955,10 +950,10 @@ class Prefix:
 # -- operation-style wrappers --------------------------------------------
 
 
-def materialize_prefix(s: OmegaSet, n: int, cap: int | None = None) -> Prefix:
+def materialize_prefix(s: OmegaSet, n: int) -> Prefix:
     if n < 1:
         raise ValueError("prefix horizon must be at least 1")
-    return Prefix(n, s.materialize(n, cap=cap))
+    return Prefix(n, s.materialize(n))
 
 
 def agree_below(a: OmegaSet, b: OmegaSet, n: int) -> bool:
@@ -988,7 +983,7 @@ def complement(a: OmegaSet) -> OmegaSet:
 
 # -- descriptor grammar -----------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+\.\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|[(),])")
+_TOKEN = re.compile(r"\s*([0-9]+/[0-9]+|[0-9]+\.[0-9]+|[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[(),])")
 
 # constructor -> (argument kinds, builder); a kind ending in "?" is
 # optional, and the builder's default stands in for it
@@ -1012,8 +1007,8 @@ def _read_arg(kind: str, value):
         return int(value)
     if kind == "rational":
         try:
-            return Fraction(value)  # p/q, a decimal or digits: the token grammar
-        except ZeroDivisionError:
+            return as_fraction(value)
+        except (ValueError, ZeroDivisionError):
             pass
     return None
 

@@ -23,6 +23,7 @@ from .omega_sets import (
     CombineNode,
     HorizonOverflowError,
     OmegaSet,
+    TailPattern,
     _pack,
     _unpack,
     parse_set,
@@ -505,14 +506,13 @@ class IntervalSymbolicSet(OmegaSet):
             if self.default == "empty" and j > max(self.values, default=-1):
                 raise IndexError(f"element {k} beyond finite set of size {seen}")
 
-    def size_if_finite(self) -> int | None:
+    def tail_pattern(self):
+        # only the empty default ends the set: nothing lies at or past the
+        # interval after the last value
         if self.default != "empty":
             return None
-        return sum(sub.count for sub in self.values.values())
-
-    @property
-    def provably_finite(self) -> bool:
-        return self.default == "empty"
+        last = max(self.values, default=-1)
+        return TailPattern(self.part.boundary(last + 1), 1, (False,))
 
     def enumerate_below(self, n, limit):
         if self.count_below(n) > limit:

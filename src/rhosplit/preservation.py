@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from ._util import HALF, as_fraction
+from ._util import HALF, as_fraction, parse_rational
 from .omega_sets import (ExplicitSet, OmegaSet, Progression, complement,
                          require_infinite)
 from .partitions import IntervalPartition, IntervalSubset, IntervalSymbolicSet
@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 QUARTER = Fraction(1, 4)
-GUARD_TARGET = Fraction(5, 16)  # midpoint of (1/4, 3/8)
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,19 @@ class GoodPair:
             "guards": {str(k): self.guard_at(k).to_json()
                        for k in range(horizon_k)},
         }
+
+    @classmethod
+    def from_json(cls, partition: IntervalPartition, obj: Mapping) -> "GoodPair":
+        """The pair that ``to_json`` wrote, read as untrusted input: H
+        holds the listed indices and every index past them."""
+        ks = obj["H"]
+        if not isinstance(ks, list) or any(type(k) is not int or k < 0 for k in ks):
+            raise ValueError(f"pair H must be a list of non-negative integers: {ks!r}")
+        # an empty H keeps horizon 1, so the all-true tail starts at 1, not 0
+        H = ExplicitSet.from_elements(ks, max(ks) + 1 if ks else 1, tail=(True,))
+        guards = {int(k): partition.subset_from_json(v)
+                  for k, v in obj.get("guards", {}).items()}
+        return cls(partition, H, guards, parse_rational(obj["eps"]))
 
 
 @dataclass(frozen=True)

@@ -223,8 +223,12 @@ class ZeroSplitReport:
         }
 
 
-def zero_split_check(R: OmegaSet, x: OmegaSet, N: int, max_window: int,
-                     tolerance=Fraction(1, 20)) -> ZeroSplitReport:
+# a final window ratio at most this counts as a numerical 0-split
+ZERO_SPLIT_TOLERANCE = Fraction(1, 20)
+
+
+def zero_split_check(R: OmegaSet, x: OmegaSet, N: int,
+                     max_window: int) -> ZeroSplitReport:
     """Verify the (N+n)/2^n ratio bound for the doubling enumeration map.
 
     Hypothesis: the 2^n-th element of R is at most x(n) for every
@@ -237,7 +241,6 @@ def zero_split_check(R: OmegaSet, x: OmegaSet, N: int, max_window: int,
     Windows are indexed by n, not by a value horizon: the elements
     involved grow doubly exponentially, so all counting is sparse.
     """
-    tolerance = as_fraction(tolerance)
     if max_window < N:
         raise ValueError("need at least one window at or above the threshold")
     probe = 10 ** 6
@@ -268,19 +271,19 @@ def zero_split_check(R: OmegaSet, x: OmegaSet, N: int, max_window: int,
                    for k in candidates)
         bound = Fraction(N + n, 2 ** n)
         windows.append(ZeroSplitWindow(n, best, bound, best <= bound))
-    zero = windows[-1].max_ratio <= tolerance
+    zero = windows[-1].max_ratio <= ZERO_SPLIT_TOLERANCE
     return ZeroSplitReport(tuple(windows), N, zero)
 
 
 # -- random batteries and gallery truncations ---------------------------------
 
 
-def random_system(rng: random.Random, nx: int, ny: int,
-                  density: float = 0.5, max_tries: int = 1000) -> FiniteRelSys:
-    """Random valid system by rejection sampling."""
-    for _ in range(max_tries):
+def random_system(rng: random.Random, nx: int, ny: int) -> FiniteRelSys:
+    """Random valid system by rejection sampling: each pair is related
+    with probability 1/2."""
+    for _ in range(1000):
         rel = tuple(
-            tuple(rng.random() < density for _ in range(ny))
+            tuple(rng.random() < 0.5 for _ in range(ny))
             for _ in range(nx)
         )
         sys_ = FiniteRelSys(
@@ -362,19 +365,17 @@ def _set_gallery(universe: int, min_size: int, related) -> FiniteRelSys:
     return FiniteRelSys(labels, labels, rel)
 
 
-def gallery_reap(universe: int = 5, min_size: int = 3,
-                 split_floor: int = 1) -> FiniteRelSys:
+def gallery_reap(universe: int = 5, min_size: int = 3) -> FiniteRelSys:
     """Truncated reaping system: S related below X iff S does NOT split X
-    at the truncation scale (one of S∩X, X\\S falls under the floor)."""
-    return _set_gallery(universe, min_size, lambda s, xx: not (
-        len(s & xx) >= split_floor and len(xx - s) >= split_floor))
+    at the truncation scale (one of S∩X, X\\S is empty)."""
+    return _set_gallery(universe, min_size, lambda s, xx: not (s & xx and xx - s))
 
 
-def gallery_reap_rho(universe: int = 6, rho=Fraction(1, 2),
-                     tol=Fraction(1, 4), min_size: int = 2) -> FiniteRelSys:
-    """Truncated rho-reaping system; membership is band membership of
-    |S∩X|/|X| at the truncation horizon, and is labelled as such (the
+def gallery_reap_rho(rho=Fraction(1, 2)) -> FiniteRelSys:
+    """Truncated rho-reaping system over the subsets of range(6) with at
+    least 2 points; membership is band membership of |S∩X|/|X| in
+    rho ± 1/4 at the truncation horizon, and is labelled as such (the
     limit property is not decidable from a truncation)."""
-    rho, tol = as_fraction(rho), as_fraction(tol)
-    return _set_gallery(universe, min_size, lambda s, xx: abs(
-        Fraction(len(s & xx), len(xx)) - rho) > tol)
+    rho = as_fraction(rho)
+    return _set_gallery(6, 2, lambda s, xx: abs(
+        Fraction(len(s & xx), len(xx)) - rho) > Fraction(1, 4))

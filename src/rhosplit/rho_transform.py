@@ -60,7 +60,6 @@ class ChainConfig:
     depth: int = 8
     horizon: int = 1_000_000
     stride: int | None = None
-    tail_window: Fraction = HALF
     band_tolerance: Fraction = Fraction(1, 50)
     stage_tolerance: Fraction = Fraction(1, 100)
     residual_tolerance: Fraction = Fraction(1, 100)
@@ -159,17 +158,18 @@ def select_levels(weights: Callable[[int], Fraction], target,
     return out, r
 
 
-def squaring_plan(rho, max_iter: int = 64) -> tuple[list[str], Fraction]:
+def squaring_plan(rho) -> tuple[list[str], Fraction]:
     """Drive rho into (1/3, 2/3) by squaring, complementing when at or
-    below 1/3; returns the operation list and the final parameter."""
+    below 1/3, in at most 64 operations; returns the operation list and
+    the final parameter."""
     x = as_fraction(rho)
     if not (0 < x < 1):
         raise ValueError("rho must lie in (0, 1)")
     third, two_thirds = Fraction(1, 3), Fraction(2, 3)
     ops: list[str] = []
     while not (third < x < two_thirds):
-        if len(ops) >= max_iter:
-            raise RuntimeError(f"squaring plan did not settle in {max_iter} steps")
+        if len(ops) >= 64:
+            raise RuntimeError("squaring plan did not settle in 64 steps")
         if x >= two_thirds:
             x = x * x
             ops.append("square")
@@ -255,8 +255,7 @@ class ComposedOracle(SplitterOracle):
 
 def _stage_report(S: OmegaSet, R: OmegaSet, p: Fraction,
                   cfg: ChainConfig) -> DensityReport:
-    return density_report(S, R, cfg.horizon, stride=cfg.stride,
-                          tail_window=cfg.tail_window, target=p)
+    return density_report(S, R, cfg.horizon, stride=cfg.stride, target=p)
 
 
 def _band_ok(report: DensityReport, p: Fraction, cfg: ChainConfig) -> bool:
@@ -342,7 +341,6 @@ class SplitChain:
     def level_report(self, m: int, kind: str, member: OmegaSet) -> DensityReport:
         s = self.nested[m] if kind == "nested" else self.differences[m]
         return density_report(s, member, self.cfg.horizon, stride=self.cfg.stride,
-                              tail_window=self.cfg.tail_window,
                               target=self.level_target(m, kind))
 
     def summary(self) -> dict:
@@ -491,8 +489,7 @@ def transform_splitter(family: Sequence[OmegaSet], direction: str, rho,
                                        else residual)
     verdicts = [
         split_verdict("rho", splitter, member, cfg.horizon, rho=target,
-                      tolerance=advertised, stride=cfg.stride,
-                      tail_window=cfg.tail_window)
+                      tolerance=advertised, stride=cfg.stride)
         for member in family
     ]
     return TransformResult(splitter, levels, residual, ops, eff, advertised,

@@ -16,7 +16,7 @@ from rhosplit import (
     min_index_for_eps,
     verify_certificate,
 )
-from rhosplit.adversary import Condition, Slalom
+from rhosplit.adversary import Slalom
 from rhosplit.certificates import CERT_KINDS, Certificate, Step
 from rhosplit.omega_sets import FiniteSetError
 
@@ -104,7 +104,7 @@ def test_defeat_rejects_bad_partition():
 
 
 def test_defeat_respects_condition_domain(minimal16):
-    cond = Condition({3: minimal16.first(3, 5)})
+    cond = {3: minimal16.first(3, 5)}
     res = defeat_bisector(Progression(0, 2), Fraction(1, 4), minimal16,
                           condition=cond, rounds=2)
     assert [c.index for c in res.certificates] == [4, 5]
@@ -124,14 +124,6 @@ def test_defeat_realized_matches_brute_force(minimal16, splitter_battery):
         assert ratio == Fraction(num, den)
         assert cert.cardinalities["ratio_num"] == num
         assert cert.cardinalities["ratio_den"] == den
-
-
-def test_condition_extension_order(minimal16):
-    p = Condition({3: minimal16.first(3, 5)})
-    q = p.extend(4, minimal16.first(4, 7))
-    assert q.extends(p) and not p.extends(q)
-    with pytest.raises(ValueError):
-        q.extend(3, minimal16.first(3, 5))
 
 
 def scan_thresholds(eps, epsp):
@@ -229,11 +221,18 @@ def test_laver_escape_nonzero_branch(minimal16):
 
 
 def test_slalom_shape_validation(minimal16):
-    cand = {1: minimal16.first(1, 2)}
+    # block m holds one piece per interval 2^m + j of its block
+    assert sum(map(len, half_slalom(minimal16, 4).blocks.values())) == 31
+    piece = minimal16.first(2, 1)
     with pytest.raises(ValueError, match="exactly 2"):
-        Slalom(minimal16, {1: [cand]}, {1: 0})
-    with pytest.raises(ValueError, match="diagonal"):
-        Slalom(minimal16, {0: [{}]}, {0: 0})
+        Slalom(minimal16, {1: [piece]}, {1: 0})
+    with pytest.raises(ValueError, match="piece 1 of block 1 must lie on interval 3"):
+        Slalom(minimal16, {1: [piece, piece]}, {1: 0})
+    from rhosplit import build_partition
+
+    other = build_partition("minimal", 16)
+    with pytest.raises(ValueError, match="piece 0 of block 0"):
+        Slalom(minimal16, {0: [other.first(1, 1)]}, {0: 0})
 
 
 def test_certificate_json_roundtrip(minimal16):

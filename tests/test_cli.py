@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -43,6 +46,43 @@ def test_density_failing_verdict_exits_one():
         "--horizon", "100000", "--kind", "rho", "--rho", "1/2",
     ])
     assert code == 1
+
+
+def test_module_runs_as_a_script():
+    import rhosplit
+
+    src = os.path.dirname(os.path.dirname(rhosplit.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rhosplit.cli", "partition", "--count", "2"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["sizes"] == ["2", "5"]
+
+
+@pytest.mark.parametrize("eps", ["1e-10000000", ".25", " 1/4"])
+def test_rational_option_takes_only_digits_p_over_q_or_a_decimal(eps):
+    err = io.StringIO()
+    start = time.perf_counter()
+    # Fraction would build 10**10000000 for the exponent before any check
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        run(["density", "--S", "prog(0,2)", "--kind", "eps_band", "--eps", eps])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert "not a rational p/q or decimal" in err.getvalue()
+
+
+@pytest.mark.parametrize("S", [
+    "every(diff(prog(0,1),prog(0,1)),2)",
+    "inter(every(diff(prog(0,1),prog(0,1)),2),omega)",
+])
+def test_adversary_refuses_a_finite_S(S):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(["adversary", "--S", S, "--epsilon", "1/4",
+                            "--rounds", "1"])
+    assert (code, out) == (2, "")
+    assert err.getvalue() == "error: S is finite-flagged; an infinite set is required\n"
 
 
 def test_density_usage_error_exits_two():
@@ -200,14 +240,25 @@ def test_preserve_roundtrip(tmp_path):
     ([], list(range(1, 10))),  # an empty H still means {1, 2, ...}
     ([0, 3], [0] + list(range(3, 10))),
 ])
-def test_loaded_pair_H_is_listed_indices_then_all(tmp_path, ks, expected):
-    from rhosplit import build_partition
-    from rhosplit.cli import _load_pair
+def test_loaded_pair_H_is_listed_indices_then_all(ks, expected):
+    from rhosplit import GoodPair, build_partition
 
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"eps": "1/4", "H": ks}))
-    pair = _load_pair(str(path), build_partition("minimal", 4))
+    pair = GoodPair.from_json(build_partition("minimal", 4),
+                              {"eps": "1/4", "H": ks})
     assert [k for k in range(10) if pair.H.contains(k)] == expected
+
+
+@pytest.mark.parametrize("H", [["a"], [1.5], 5, [-1], [True]])
+def test_loaded_pair_H_must_list_naturals(tmp_path, H):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"eps": "1/4", "H": H}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(["preserve", "--op", "witness-below",
+                            "--pair", str(path)])
+    assert (code, out) == (2, "")
+    assert err.getvalue().startswith(
+        "error: pair H must be a list of non-negative integers")
 
 
 def test_preserve_witness_above():

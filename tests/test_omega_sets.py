@@ -498,8 +498,20 @@ def test_kth_element_agrees_with_contains(recipe, chunk):
         ref = _build(recipe)
         members = [k for k in range(700) if ref.contains(k)]
         s = _build(recipe)
+        # one finiteness rule: an all-false tail pattern
+        assert s.provably_finite == (s.size_if_finite() is not None)
         for i in range(min(len(members), 70)):
             assert s.kth_element(i) == members[i]
+
+
+def test_a_finite_stride_makes_an_intersection_finite():
+    # the stride over {0, 1, 2, 3} is {0, 2}: empty from 4 on, so the
+    # intersection knows its size instead of searching for a sixth member
+    s = CombineNode("inter", [StrideSelection(ExplicitSet([1, 1, 1, 1]), 2), OMEGA])
+    assert s.provably_finite and s.size_if_finite() == 2
+    assert s.kth_element(1) == 2
+    with pytest.raises(IndexError, match="beyond finite set of size 2"):
+        s.kth_element(5)
 
 
 def test_bernoulli_kth_element_finds_members_up_to_the_cap():
@@ -770,7 +782,9 @@ def test_grammar_rejects_junk():
                 # wrong counts, against each constructor's signature
                 "inter(3,omega)", "prog(omega,2)", "bern(omega,1)",
                 "every(3,2)", "prog(1/2,3)", "bern(1/2,1/3)", "bern(1/0,1)",
-                "compl()", "inter(omega)", "prog(0,2,3)", "every(omega)"):
+                "compl()", "inter(omega)", "prog(0,2,3)", "every(omega)",
+                # numbers are ASCII digits, as in the CLI's rational options
+                "prog(\u0663,2)", "bern(\u0661/\u0662,3)"):
         with pytest.raises(ValueError):
             parse_set(bad)
 

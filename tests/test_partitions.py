@@ -4,7 +4,9 @@ from itertools import combinations
 import pytest
 
 from rhosplit import (
+    OMEGA,
     BernoulliSet,
+    CombineNode,
     ExactCountError,
     IntervalPartition,
     IntervalSymbolicSet,
@@ -252,6 +254,10 @@ def test_symbolic_empty_default_is_finite_flagged():
     s = IntervalSymbolicSet(P, {}, default="empty")
     assert s.provably_finite
     assert s.size_if_finite() == 0
+    # its tail pattern ends it, so a set built from it is finite too
+    s = IntervalSymbolicSet(P, {2: P.first(2, 3)}, default="empty")
+    both = CombineNode("inter", [s, OMEGA])
+    assert both.provably_finite and both.size_if_finite() == 3
 
 
 def test_subset_json_roundtrip():
