@@ -73,5 +73,45 @@ def parse_rational(text) -> Fraction:
     return Fraction(int(m[1]), den)
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_int(value) -> int:
+    """Exact int from an untrusted JSON int (not a bool) or a "-?[0-9]+"
+    string.  Anything else is a ValueError: a float, which int() would
+    truncate, or a string such as "2_765" or " 7", which int() accepts."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _INTEGER.fullmatch(value):
+        return int(value)
+    raise ValueError(f"not an exact integer: {value!r}")
+
+
+_INTEGERS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+
+
+def parse_ints(values) -> tuple[int, ...]:
+    """parse_int of each value.  A list of strings, the form a certificate
+    writes, is checked by one match of the strings joined by spaces."""
+    values = tuple(values)
+    try:
+        plain = _INTEGERS.fullmatch(" ".join(values))
+    except TypeError:  # a value that is not a string
+        plain = None
+    return tuple(map(int, values)) if plain else tuple(map(parse_int, values))
+
+
+def half_offset(eps: Fraction, sign: int) -> Fraction:
+    """1/2 + eps (sign 1) or 1/2 - eps (sign -1), as one Fraction."""
+    return Fraction(eps.denominator + 2 * sign * eps.numerator, 2 * eps.denominator)
+
+
+def in_half_band(count: int, size: int, eps: Fraction) -> bool:
+    """Whether count/size lies strictly inside (1/2 - eps, 1/2 + eps), for
+    size >= 0 (false at size 0), decided on integers:
+    |2 count - size| / (2 size) < eps."""
+    return abs(2 * count - size) * eps.denominator < 2 * eps.numerator * size
+
+
 def ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)

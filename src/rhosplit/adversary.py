@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._util import HALF, as_fraction
+from ._util import HALF, as_fraction, in_half_band
 from .certificates import Certificate, emit_certificate
 from .omega_sets import OmegaSet, require_infinite
 from .partitions import IntervalPartition, IntervalSubset, IntervalSymbolicSet
@@ -128,9 +128,8 @@ def _eps_pair(eps, eps_prime) -> tuple[Fraction, Fraction]:
 
 def _check_band(sub: IntervalSubset, eps_prime: Fraction):
     """|sub|/|I_k| must lie strictly inside (1/2 - eps', 1/2 + eps')."""
-    r = sub.ratio()
-    if not (HALF - eps_prime < r < HALF + eps_prime):
-        raise ValueError(f"band violated at interval {sub.index}: ratio {r}")
+    if not in_half_band(sub.count, sub.size, eps_prime):
+        raise ValueError(f"band violated at interval {sub.index}: ratio {sub.ratio()}")
 
 
 def centred_thresholds(eps, eps_prime) -> tuple[int, int]:
@@ -139,17 +138,19 @@ def centred_thresholds(eps, eps_prime) -> tuple[int, int]:
     n0: least n with (1 + 2^-n)(1/2 + eps) < 1/2 + eps' and
     1/2 - eps - 2^-n > 1/2 - eps'.  k0: least k with
     2^-k / (1/2 - eps') + 1 <= 1/(1/2 + eps).
+
+    Both are read off integers.  With eps = a/b and eps' = c/d, the
+    second condition on n is 2^n (cb - ad) > bd, and it implies the first
+    (2^-n (1/2 + eps) < 2^-n < eps' - eps).  The condition on k is
+    2^k (b - 2a)(d - 2c) >= 2d(b + 2a).
     """
     eps, eps_prime = _eps_pair(eps, eps_prime)
-    n0 = 0
-    while True:
-        pw = Fraction(1, 2 ** n0)
-        if (1 + pw) * (HALF + eps) < HALF + eps_prime and HALF - eps - pw > HALF - eps_prime:
-            break
-        n0 += 1
-    k0 = 0
-    while Fraction(1, 2 ** k0) / (HALF - eps_prime) + 1 > 1 / (HALF + eps):
-        k0 += 1
+    a, b = eps.numerator, eps.denominator
+    c, d = eps_prime.numerator, eps_prime.denominator
+    # least n with 2^n > x is the bit length of floor(x); least k with
+    # 2^k >= m, for an integer m >= 1, is the bit length of m - 1
+    n0 = (b * d // (c * b - a * d)).bit_length()
+    k0 = (-(-2 * d * (b + 2 * a) // ((b - 2 * a) * (d - 2 * c))) - 1).bit_length()
     return n0, k0
 
 
@@ -243,8 +244,10 @@ def laver_escape(slalom: Slalom, eps, eps_prime,
     eps, eps_prime = _eps_pair(eps, eps_prime)
     if m not in slalom.blocks:
         raise ValueError(f"slalom does not define block {m}")
-    threshold = (HALF - eps_prime) * (HALF - eps) / (HALF + eps)
-    if Fraction(1, 2 ** (2 ** m)) > threshold:
+    # 2^-2^m <= (1/2 - eps')(1/2 - eps)/(1/2 + eps) is the k-condition of
+    # centred_thresholds at k = 2^m, so it holds exactly when 2^m >= k0
+    if 2 ** m < centred_thresholds(eps, eps_prime)[1]:
+        threshold = (HALF - eps_prime) * (HALF - eps) / (HALF + eps)
         raise ValueError(
             f"block {m} is below the escape threshold "
             f"(need 2^-2^m <= {threshold})"

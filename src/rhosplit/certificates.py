@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from ._util import HALF, parse_rational
-from .partitions import IntervalPartition
+from ._util import half_offset, in_half_band, parse_int, parse_ints, parse_rational
+from .partitions import growth_violation
 
 __all__ = [
     "Step",
@@ -40,8 +40,7 @@ _REL = {
 }
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     lhs: Fraction
     rel: str
     rhs: Fraction
@@ -52,9 +51,19 @@ class Step:
     def to_json(self) -> dict:
         return {"lhs": str(self.lhs), "rel": self.rel, "rhs": str(self.rhs)}
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "Step":
-        return cls(parse_rational(obj["lhs"]), obj["rel"], parse_rational(obj["rhs"]))
+
+def _read_chain(steps, bound) -> tuple[tuple[Step, ...], Fraction]:
+    """The recorded steps and conclusion bound.  A chain repeats its terms:
+    each step's lhs is the previous step's rhs, and the bound is the last
+    rhs, so a side written as the string before it is not parsed again."""
+    out: list[Step] = []
+    text = value = None
+    for s in steps:
+        lhs = value if out and s["lhs"] == text else parse_rational(s["lhs"])
+        text = s["rhs"]
+        value = parse_rational(text)
+        out.append(Step(lhs, s["rel"], value))
+    return tuple(out), value if out and bound == text else parse_rational(bound)
 
 
 @dataclass(frozen=True)
@@ -90,19 +99,22 @@ class Certificate:
     @classmethod
     def from_json(cls, obj: Mapping) -> "Certificate":
         # certificates are untrusted JSON: a wrong shape (a list where an
-        # object belongs, a number where a list does) or a number that is
-        # not a "p/q" string is a ValueError
+        # object belongs, a number where a list does), an integer that is
+        # not a JSON int or a "-?[0-9]+" string, or a rational that is not
+        # a "p/q" string is a ValueError
         try:
+            cards = obj["cardinalities"]
+            steps, bound = _read_chain(obj["steps"], obj["conclusion"]["bound"])
             return cls(
                 kind=obj["kind"],
-                index=int(obj["index"]),
+                index=parse_int(obj["index"]),
                 eps=parse_rational(obj["eps"]),
                 eps_prime=parse_rational(obj["eps_prime"]) if obj.get("eps_prime") else None,
-                cardinalities={k: int(v) for k, v in obj["cardinalities"].items()},
-                steps=tuple(Step.from_json(s) for s in obj["steps"]),
+                cardinalities=dict(zip(cards, parse_ints(cards.values()))),
+                steps=steps,
                 conclusion_rel=obj["conclusion"]["rel"],
-                conclusion_bound=parse_rational(obj["conclusion"]["bound"]),
-                boundaries=tuple(int(b) for b in obj.get("boundaries", ())),
+                conclusion_bound=bound,
+                boundaries=parse_ints(obj.get("boundaries", ())),
             )
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from exc
@@ -128,6 +140,11 @@ def _fail(reason: str) -> VerifyResult:
     return VerifyResult(False, reason)
 
 
+def _below_half(eps: Fraction) -> bool:
+    """0 < eps < 1/2, on integers."""
+    return 0 < 2 * eps.numerator < eps.denominator
+
+
 def _need(cards: Mapping[str, int], *keys: str):
     missing = [k for k in keys if k not in cards]
     if missing:
@@ -148,14 +165,16 @@ def _game_rule(kind, n, eps, eps_prime, cards):
     if kind == "game-case1":
         if 2 * c <= size:
             raise ValueError("case-1 certificate without |S∩I_n| > |I_n|/2")
+        bound = half_offset(eps, 1)
         terms = (realized, Fraction(c, b + c), Fraction(size, 2 * b + size),
-                 Fraction(2 ** n, 2 ** n + 2), HALF + eps)
-        return _chain(terms, (">=", ">", ">", ">=")), ">=", HALF + eps
+                 Fraction(2 ** n, 2 ** n + 2), bound)
+        return _chain(terms, (">=", ">", ">", ">=")), ">=", bound
     if 2 * c > size:
         raise ValueError("case-2 certificate without |S∩I_n| <= |I_n|/2")
+    bound = half_offset(eps, -1)
     terms = (realized, Fraction(b, size - c), Fraction(2 * b, size),
-             Fraction(2, 2 ** n), HALF - eps)
-    return _chain(terms, ("<=", "<=", "<", "<=")), "<=", HALF - eps
+             Fraction(2, 2 ** n), bound)
+    return _chain(terms, ("<=", "<=", "<", "<=")), "<=", bound
 
 
 def _escape_rule(kind, k, eps, eps_prime, cards):
@@ -165,15 +184,18 @@ def _escape_rule(kind, k, eps, eps_prime, cards):
     b, size, e, xc, *block = _need(cards, *keys, *(("block",) if slalom else ()))
     if eps_prime is None:
         raise ValueError(f"{kind} needs eps_prime")
-    lo_band = HALF - eps_prime
-    if not (lo_band * size < e < (HALF + eps_prime) * size):
+    if not in_half_band(e, size, eps_prime):
         raise ValueError("escape count violates the per-interval band")
-    t = lo_band * size
+    # with 1/2 - eps' = low / 2q, every term is one Fraction of integers:
+    # t = (1/2 - eps')|I_k| gives t / (b + t) = low |I_k| / (2qb + low |I_k|)
+    q = eps_prime.denominator
+    low = q - 2 * eps_prime.numerator
+    t = low * size
 
-    def c(j):
-        return 1 / (Fraction(1, 2 ** j) / lo_band + 1)
+    def c(j):  # 1 / (2^-j / (1/2 - eps') + 1)
+        return Fraction(low << j, 2 * q + (low << j))
 
-    terms = [Fraction(e, xc), Fraction(e, b + e), t / (b + t), c(k)]
+    terms = [Fraction(e, xc), Fraction(e, b + e), Fraction(t, 2 * q * b + t), c(k)]
     rels = [">=", ">", ">", ">="]
     if slalom:
         m = block[0]
@@ -181,8 +203,9 @@ def _escape_rule(kind, k, eps, eps_prime, cards):
             raise ValueError("interval index does not belong to the stated block")
         terms.append(c(2 ** m))
         rels.append(">=")
-    terms.append(HALF + eps)
-    return _chain(terms, rels), ">=", HALF + eps
+    bound = half_offset(eps, 1)
+    terms.append(bound)
+    return _chain(terms, rels), ">=", bound
 
 
 # the one definition of each chain: kind -> rule from (kind, index, eps,
@@ -225,8 +248,8 @@ def _unsound(cert: Certificate, ratio: Fraction) -> str | None:
         return "a step points against the conclusion"
     if cert.conclusion_rel == way and all(s.rel != way for s in steps):
         return "strict conclusion from a chain of non-strict steps"
-    if (cert.conclusion_bound < HALF + cert.eps if way == ">"
-            else cert.conclusion_bound > HALF - cert.eps):
+    if (cert.conclusion_bound < half_offset(cert.eps, 1) if way == ">"
+            else cert.conclusion_bound > half_offset(cert.eps, -1)):
         return "conclusion bound lies inside the band"
     return None
 
@@ -237,9 +260,9 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     conclusion bound."""
     if cert.kind not in _RULES:
         return _fail(f"unknown certificate kind {cert.kind!r}")
-    if not (0 < cert.eps < HALF):
+    if not _below_half(cert.eps):
         return _fail("eps outside (0, 1/2)")
-    if cert.eps_prime is not None and not (0 < cert.eps_prime < HALF):
+    if cert.eps_prime is not None and not _below_half(cert.eps_prime):
         return _fail("eps_prime outside (0, 1/2)")
     if cert.index < 0:
         return _fail("negative interval index")
@@ -257,11 +280,12 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
         n = cert.index
         if len(bs) < n + 2:
             return _fail("boundary list too short for the chosen interval")
-        try:
-            violation = IntervalPartition.from_boundaries(bs).verify_growth()
-        except ValueError:
-            return _fail("boundaries are not strictly increasing from 0")
-        if violation is not None:
+        violation = growth_violation(bs)
+        if violation is not None or bs[0]:
+            # growth from b_0 = 0 makes the list strictly increasing, so
+            # that plainer fault is looked for only on a violation
+            if bs[0] or any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
+                return _fail("boundaries are not strictly increasing from 0")
             return _fail(f"growth violated at interval {violation}")
         if cards.get("prefix_count") != bs[n]:
             return _fail("prefix_count disagrees with the boundaries")

@@ -9,6 +9,7 @@ JSON: exact rationals are rendered as "p/q" strings and keys are sorted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -103,6 +104,7 @@ def _flatten(obj, prefix=""):
     return rows
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rhosplit",

@@ -47,6 +47,22 @@ class ExactCountError(ValueError):
     """An exact cardinality was requested that the descriptor cannot supply."""
 
 
+def _least_size(n: int, prefix: int) -> int:
+    """The growth law as the least admissible |I_n|, given |I_{<n}|:
+    |I_0| >= 2 and |I_n| > 2^n * |I_{<n}|."""
+    return (1 << n) * prefix + 1 if n else 2
+
+
+def growth_violation(bounds: Sequence[int], even_sizes: bool = False) -> int | None:
+    """None if the intervals [b_n, b_{n+1}) of a boundary list obey the
+    growth law (and have even sizes, if asked); else the least violating n."""
+    for n in range(len(bounds) - 1):
+        size = bounds[n + 1] - bounds[n]
+        if size < _least_size(n, bounds[n]) or (even_sizes and size % 2):
+            return n
+    return None
+
+
 class IntervalPartition:
     """Consecutive intervals I_n = [b_n, b_{n+1}) with |I_0| >= 2 and
     |I_n| > 2^n * |I_{<n}|.
@@ -78,8 +94,7 @@ class IntervalPartition:
     # -- lazy extension -------------------------------------------------
 
     def _next_size(self, n: int, prefix: int) -> int:
-        minimal = 2 if n == 0 else (1 << n) * prefix + 1
-        size = minimal
+        minimal = size = _least_size(n, prefix)
         if self._factor is not None:
             size = ceil_frac(self._factor * minimal)
         if self.even_sizes and size % 2:
@@ -136,16 +151,7 @@ class IntervalPartition:
 
     def verify_growth(self) -> int | None:
         """None if compliant; else the least violating interval index."""
-        for n in range(self.materialized_count):
-            size = self._bounds[n + 1] - self._bounds[n]
-            if n == 0:
-                if size < 2:
-                    return 0
-            elif size <= (1 << n) * self._bounds[n]:
-                return n
-            if self.even_sizes and size % 2:
-                return n
-        return None
+        return growth_violation(self._bounds, self.even_sizes)
 
     # -- subset constructors ---------------------------------------------
 

@@ -72,15 +72,20 @@ class GoodPair:
     @classmethod
     def from_json(cls, partition: IntervalPartition, obj: Mapping) -> "GoodPair":
         """The pair that ``to_json`` wrote, read as untrusted input: H
-        holds the listed indices and every index past them."""
-        ks = obj["H"]
-        if not isinstance(ks, list) or any(type(k) is not int or k < 0 for k in ks):
-            raise ValueError(f"pair H must be a list of non-negative integers: {ks!r}")
-        # an empty H keeps horizon 1, so the all-true tail starts at 1, not 0
-        H = ExplicitSet.from_elements(ks, max(ks) + 1 if ks else 1, tail=(True,))
-        guards = {int(k): partition.subset_from_json(v)
-                  for k, v in obj.get("guards", {}).items()}
-        return cls(partition, H, guards, parse_rational(obj["eps"]))
+        holds the listed indices and every index past them.  A wrong shape
+        (a list where an object belongs, a number where a guard does) is a
+        ValueError."""
+        try:
+            ks = obj["H"]
+            if not isinstance(ks, list) or any(type(k) is not int or k < 0 for k in ks):
+                raise ValueError(f"pair H must be a list of non-negative integers: {ks!r}")
+            # an empty H keeps horizon 1, so the all-true tail starts at 1, not 0
+            H = ExplicitSet.from_elements(ks, max(ks) + 1 if ks else 1, tail=(True,))
+            guards = {int(k): partition.subset_from_json(v)
+                      for k, v in obj.get("guards", {}).items()}
+            return cls(partition, H, guards, parse_rational(obj["eps"]))
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"malformed pair: {exc}") from exc
 
 
 @dataclass(frozen=True)

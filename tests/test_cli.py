@@ -85,6 +85,32 @@ def test_adversary_refuses_a_finite_S(S):
     assert err.getvalue() == "error: S is finite-flagged; an infinite set is required\n"
 
 
+def _usage_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        run(argv)
+    return exc.value.code, err.getvalue()
+
+
+def test_one_parser_serves_every_run(monkeypatch):
+    # the parser is built once per process; a parse leaves nothing behind
+    # that a later run could see
+    import rhosplit
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+    argv = ["escape", "--chain", "centred", "--eps", "1/10"]
+    first = _usage_error(argv)
+    assert invoke(["partition", "--count", "2"])[0] == 0
+    assert _usage_error(["density", "--S", "prog(0,2)", "--horizon", "x"])[0] == 2
+    assert _usage_error(argv) == first
+    src = os.path.dirname(os.path.dirname(rhosplit.__file__))
+    proc = subprocess.run([sys.executable, "-m", "rhosplit.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert first == (2, proc.stderr)
+
+
 def test_density_usage_error_exits_two():
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
@@ -202,6 +228,47 @@ def test_verify_cert_non_object_entry_is_a_usage_error(tmp_path):
     assert err.startswith("error: malformed certificate: ")
 
 
+def _centred_cert():
+    _, rep = invoke_json([
+        "escape", "--chain", "centred", "--eps", "1/10",
+        "--eps-prime", "1/5", "--index", "4",
+    ])
+    return rep["certificate"]
+
+
+@pytest.mark.parametrize("path,value", [
+    (("index",), 4.9),
+    (("index",), True),
+    (("cardinalities", "escape_count"), 2601.4),
+    (("cardinalities", "x_count"), "2_765"),
+    (("boundaries", 1), False),
+])
+def test_verify_cert_integers_are_ints_or_digit_strings(tmp_path, path, value):
+    cert = _centred_cert()
+    *outer, key = path
+    node = cert
+    for k in outer:
+        node = node[k]
+    node[key] = value
+    code, rep, err = _verify_cert_file(tmp_path, [cert])
+    assert (code, rep) == (2, None)
+    assert err.startswith("error: malformed certificate: not an exact integer: ")
+
+
+def test_verify_cert_refuses_truncated_floats(tmp_path):
+    # int() would truncate each of these to the honest count and verify
+    cert = _centred_cert()
+    cert["index"] += 0.9
+    cert["cardinalities"] = {k: int(v) + 0.4 for k, v in cert["cardinalities"].items()}
+    code, rep, err = _verify_cert_file(tmp_path, [cert])
+    assert (code, rep) == (2, None)
+    assert err.startswith("error: malformed certificate: ")
+    cert = _centred_cert()
+    cert["cardinalities"] = {k: int(v) for k, v in cert["cardinalities"].items()}
+    code, rep, _ = _verify_cert_file(tmp_path, [cert])
+    assert code == 0 and rep["results"][0]["ok"]
+
+
 def test_escape_commands():
     code, rep = invoke_json([
         "escape", "--chain", "centred", "--eps", "1/10",
@@ -246,6 +313,22 @@ def test_loaded_pair_H_is_listed_indices_then_all(ks, expected):
     pair = GoodPair.from_json(build_partition("minimal", 4),
                               {"eps": "1/4", "H": ks})
     assert [k for k in range(10) if pair.H.contains(k)] == expected
+
+
+@pytest.mark.parametrize("payload", [
+    [1],  # a list where the pair object belongs
+    {"eps": "1/4", "H": [0], "guards": [1]},  # a list where the guard map belongs
+    {"eps": "1/4", "H": [0], "guards": {"0": "x"}},  # a string where a guard belongs
+])
+def test_loaded_pair_of_a_wrong_shape_is_a_usage_error(tmp_path, payload):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(payload))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(["preserve", "--op", "witness-below",
+                            "--pair", str(path)])
+    assert (code, out) == (2, "")
+    assert err.getvalue().startswith("error: malformed pair: ")
 
 
 @pytest.mark.parametrize("H", [["a"], [1.5], 5, [-1], [True]])
