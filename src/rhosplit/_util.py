@@ -87,20 +87,6 @@ def parse_int(value) -> int:
     raise ValueError(f"not an exact integer: {value!r}")
 
 
-_INTEGERS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
-
-
-def parse_ints(values) -> tuple[int, ...]:
-    """parse_int of each value.  A list of strings, the form a certificate
-    writes, is checked by one match of the strings joined by spaces."""
-    values = tuple(values)
-    try:
-        plain = _INTEGERS.fullmatch(" ".join(values))
-    except TypeError:  # a value that is not a string
-        plain = None
-    return tuple(map(int, values)) if plain else tuple(map(parse_int, values))
-
-
 def half_offset(eps: Fraction, sign: int) -> Fraction:
     """1/2 + eps (sign 1) or 1/2 - eps (sign -1), as one Fraction."""
     return Fraction(eps.denominator + 2 * sign * eps.numerator, 2 * eps.denominator)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from ._util import half_offset, in_half_band, parse_int, parse_ints, parse_rational
-from .partitions import growth_violation
+from ._util import half_offset, in_half_band, parse_int, parse_rational
+from .partitions import growth_violation, order_fault
 
 __all__ = [
     "Step",
@@ -103,18 +103,20 @@ class Certificate:
         # not a JSON int or a "-?[0-9]+" string, or a rational that is not
         # a "p/q" string is a ValueError
         try:
-            cards = obj["cardinalities"]
+            cards, bounds = obj["cardinalities"], obj.get("boundaries", [])
+            if not isinstance(cards, dict) or not isinstance(bounds, list):
+                raise ValueError("cardinalities must be an object and boundaries a list")
             steps, bound = _read_chain(obj["steps"], obj["conclusion"]["bound"])
             return cls(
                 kind=obj["kind"],
                 index=parse_int(obj["index"]),
                 eps=parse_rational(obj["eps"]),
                 eps_prime=parse_rational(obj["eps_prime"]) if obj.get("eps_prime") else None,
-                cardinalities=dict(zip(cards, parse_ints(cards.values()))),
+                cardinalities={k: parse_int(v) for k, v in cards.items()},
                 steps=steps,
                 conclusion_rel=obj["conclusion"]["rel"],
                 conclusion_bound=bound,
-                boundaries=parse_ints(obj.get("boundaries", ())),
+                boundaries=tuple(map(parse_int, bounds)),
             )
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from exc
@@ -280,12 +282,10 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
         n = cert.index
         if len(bs) < n + 2:
             return _fail("boundary list too short for the chosen interval")
+        if order_fault(bs) is not None:
+            return _fail("boundaries are not strictly increasing from 0")
         violation = growth_violation(bs)
-        if violation is not None or bs[0]:
-            # growth from b_0 = 0 makes the list strictly increasing, so
-            # that plainer fault is looked for only on a violation
-            if bs[0] or any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
-                return _fail("boundaries are not strictly increasing from 0")
+        if violation is not None:
             return _fail(f"growth violated at interval {violation}")
         if cards.get("prefix_count") != bs[n]:
             return _fail("prefix_count disagrees with the boundaries")

@@ -53,6 +53,16 @@ def _least_size(n: int, prefix: int) -> int:
     return (1 << n) * prefix + 1 if n else 2
 
 
+def order_fault(bounds: Sequence[int]) -> str | None:
+    """None if a boundary list starts at 0 and strictly increases; else
+    what is wrong with it."""
+    if not bounds or bounds[0] != 0:
+        return "boundaries must start at 0"
+    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        return "boundaries must be strictly increasing"
+    return None
+
+
 def growth_violation(bounds: Sequence[int], even_sizes: bool = False) -> int | None:
     """None if the intervals [b_n, b_{n+1}) of a boundary list obey the
     growth law (and have even sizes, if asked); else the least violating n."""
@@ -76,10 +86,9 @@ class IntervalPartition:
     def __init__(self, boundaries: Sequence[int], mode: str | None,
                  factor: Fraction | None, even_sizes: bool):
         bounds = [int(b) for b in boundaries]
-        if not bounds or bounds[0] != 0:
-            raise ValueError("boundaries must start at 0")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError("boundaries must be strictly increasing")
+        fault = order_fault(bounds)
+        if fault is not None:
+            raise ValueError(fault)
         self._bounds = bounds
         self._mode = mode
         self._factor = factor

@@ -255,6 +255,21 @@ def test_verify_cert_integers_are_ints_or_digit_strings(tmp_path, path, value):
     assert err.startswith("error: malformed certificate: not an exact integer: ")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("boundaries", "02736325"),
+    ("boundaries", {"0": 1, "2": 1, "7": 1, "36": 1, "325": 1}),
+    ("cardinalities", [["prefix_count", "7"]]),
+])
+def test_verify_cert_refuses_a_wrong_container(tmp_path, field, value):
+    # tuple() of a digit string or a dict would read its digits or keys
+    cert = _seeded_cert()
+    cert[field] = value
+    code, rep, err = _verify_cert_file(tmp_path, [cert])
+    assert (code, rep) == (2, None)
+    assert err == ("error: malformed certificate: "
+                   "cardinalities must be an object and boundaries a list\n")
+
+
 def test_verify_cert_refuses_truncated_floats(tmp_path):
     # int() would truncate each of these to the honest count and verify
     cert = _centred_cert()
