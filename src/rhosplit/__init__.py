@@ -18,14 +18,12 @@ from .omega_sets import (
     HorizonOverflowError,
     OmegaSet,
     PowersSet,
-    Prefix,
     Progression,
     SequenceSet,
     StrideSelection,
     complement,
     difference,
     intersect,
-    materialize_prefix,
     parse_set,
     union,
 )
@@ -39,7 +37,6 @@ from .partitions import (
 from .density import (
     DensityReport,
     SplitVerdict,
-    compose_densities,
     density_report,
     split_verdict,
 )

@@ -72,8 +72,6 @@ def defeat_bisector(S: OmegaSet, eps, partition: IntervalPartition,
     eps = as_fraction(eps)
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    if partition.verify_growth() is not None:
-        raise ValueError("partition violates the growth condition")
     require_infinite(S, "S")
 
     n_min = min_index_for_eps(eps)
@@ -106,7 +104,7 @@ def defeat_bisector(S: OmegaSet, eps, partition: IntervalPartition,
         num = sum(sx_counts[: n + 1])
         den = x_set.prefix_count(n)
         cards = {
-            "prefix_count": partition.prefix_size(n),
+            "prefix_count": partition.boundary(n),
             "interval_size": partition.size(n),
             "s_in_interval": sub.count,
             "ratio_num": num,
@@ -174,7 +172,7 @@ def centred_escape(guards: Mapping[int, IntervalSubset], eps, eps_prime,
     for k in range(n + 1):
         _check_band(guards[k], eps_prime)
     cards = {
-        "prefix_count": partition.prefix_size(n),
+        "prefix_count": partition.boundary(n),
         "interval_size": partition.size(n),
         "escape_count": guards[n].count,
         "x_count": sum(guards[k].count for k in range(n + 1)),
@@ -262,7 +260,7 @@ def laver_escape(slalom: Slalom, eps, eps_prime,
 
     k = 2 ** m + slalom.branch[m]
     cards = {
-        "prefix_count": partition.prefix_size(k),
+        "prefix_count": partition.boundary(k),
         "interval_size": partition.size(k),
         "escape_count": slalom.blocks[m][slalom.branch[m]].count,
         "x_count": x_set.prefix_count(k),

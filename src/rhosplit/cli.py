@@ -15,6 +15,8 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from ._util import as_fraction
 from .adversary import (
     centred_escape,
@@ -30,7 +32,6 @@ from .omega_sets import (
     HorizonOverflowError,
     PowersSet,
     SequenceSet,
-    materialize_prefix,
     parse_family,
     parse_set,
 )
@@ -102,6 +103,14 @@ def _flatten(obj, prefix=""):
     else:
         rows.append((prefix.rstrip("."), obj))
     return rows
+
+
+def _rle(bits) -> list[int]:
+    """Run lengths of a non-empty bool vector, alternating and starting
+    with a run of zeros (possibly of length 0)."""
+    edges = np.flatnonzero(np.diff(bits)) + 1
+    runs = np.diff(np.concatenate([[0], edges, [len(bits)]])).tolist()
+    return [0] + runs if bits[0] else runs
 
 
 @functools.cache  # parsing leaves the parser as it was, so one serves every run
@@ -213,8 +222,9 @@ def _cmd_density(args) -> tuple[int, dict]:
     S, X = parse_set(args.S), parse_set(args.X)
     extra = {}
     if args.prefix is not None:
-        pref = materialize_prefix(S, args.prefix)
-        extra["prefix"] = {"horizon": pref.horizon, "rle": pref.to_rle()}
+        if args.prefix < 1:
+            raise ValueError("prefix horizon must be at least 1")
+        extra["prefix"] = {"horizon": args.prefix, "rle": _rle(S.materialize(args.prefix))}
     if args.kind == "report":
         rep = density_report(S, X, args.horizon, stride=args.stride,
                              geometric=args.geometric,

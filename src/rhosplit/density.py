@@ -23,7 +23,6 @@ __all__ = [
     "build_checkpoints",
     "density_report",
     "split_verdict",
-    "compose_densities",
 ]
 
 DEFAULT_TOLERANCE = Fraction(1, 100)
@@ -222,17 +221,3 @@ def split_verdict(kind: str, S: OmegaSet, X: OmegaSet, horizon: int, *,
         holds = rep.max_tail_deviation <= tolerance
         details["tolerance"] = tolerance
     return SplitVerdict(kind, holds, rep, details)
-
-
-def compose_densities(mode: str, rho0, rho1) -> Fraction:
-    """Density of an intersection (rho0*rho1) or union
-    (rho0 + rho1 - rho0*rho1) of independent splitters."""
-    rho0, rho1 = as_fraction(rho0), as_fraction(rho1)
-    for r in (rho0, rho1):
-        if not (0 < r <= 1):
-            raise ValueError("densities must lie in (0,1]")
-    if mode == "inter" or mode == "intersect":
-        return rho0 * rho1
-    if mode == "union":
-        return rho0 + rho1 - rho0 * rho1
-    raise ValueError(f"unknown composition mode {mode!r}")

@@ -38,10 +38,8 @@ __all__ = [
     "PowersSet",
     "SequenceSet",
     "StrideSelection",
-    "Prefix",
     "OMEGA",
     "explicit_cap",
-    "materialize_prefix",
     "agree_below",
     "intersect",
     "union",
@@ -591,12 +589,6 @@ class BernoulliSet(OmegaSet):
                 x *= m2
                 _below(x, self._thr, t, out[start - lo:start - lo + m])
 
-    def _bits_range(self, lo: int, hi: int) -> np.ndarray:
-        """Membership bits of [lo, hi) as a bool vector."""
-        out = np.empty(hi - lo, dtype=bool)
-        self._fill(lo, out)
-        return out
-
     def _materialize_impl(self, n):
         return _pack(n, self._fill)
 
@@ -887,73 +879,7 @@ class StrideSelection(OmegaSet):
 OMEGA = Progression(0, 1)
 
 
-# -- finite prefixes ------------------------------------------------------
-
-
-class Prefix:
-    """Finite truncation of a set: a horizon and the bits below it."""
-
-    __slots__ = ("horizon", "bits")
-
-    def __init__(self, horizon: int, bits):
-        arr = np.asarray(bits, dtype=bool)
-        if arr.shape != (horizon,):
-            raise ValueError("bit vector length must equal the horizon")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.horizon = horizon
-        self.bits = arr
-
-    @property
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-    def elements(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.bits)]
-
-    def to_rle(self) -> list[int]:
-        """Run lengths, alternating and starting with a run of zeros
-        (possibly of length 0)."""
-        if self.horizon == 0:
-            return []
-        changes = np.flatnonzero(np.diff(self.bits)) + 1
-        edges = np.concatenate([[0], changes, [self.horizon]])
-        runs = np.diff(edges).tolist()
-        if bool(self.bits[0]):
-            runs = [0] + runs
-        return [int(r) for r in runs]
-
-    @classmethod
-    def from_rle(cls, runs: Sequence[int], horizon: int) -> "Prefix":
-        bits = np.zeros(horizon, dtype=bool)
-        pos, val = 0, False
-        for r in runs:
-            if val:
-                bits[pos : pos + r] = True
-            pos += r
-            val = not val
-        if pos != horizon:
-            raise ValueError("run lengths do not sum to the horizon")
-        return cls(horizon, bits)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Prefix)
-            and self.horizon == other.horizon
-            and bool(np.array_equal(self.bits, other.bits))
-        )
-
-    def __repr__(self):
-        return f"Prefix(horizon={self.horizon}, count={self.count})"
-
-
 # -- operation-style wrappers --------------------------------------------
-
-
-def materialize_prefix(s: OmegaSet, n: int) -> Prefix:
-    if n < 1:
-        raise ValueError("prefix horizon must be at least 1")
-    return Prefix(n, s.materialize(n))
 
 
 def agree_below(a: OmegaSet, b: OmegaSet, n: int) -> bool:

@@ -17,7 +17,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._util import as_fraction, ceil_frac
+from ._util import as_fraction, ceil_frac, parse_int
 from .omega_sets import (
     OMEGA,
     CombineNode,
@@ -77,28 +77,19 @@ class IntervalPartition:
     """Consecutive intervals I_n = [b_n, b_{n+1}) with |I_0| >= 2 and
     |I_n| > 2^n * |I_{<n}|.
 
-    Generated partitions extend lazily; extension is append-only behind a
-    lock, and reads of already-materialised boundaries never block.
+    A partition is generated, never given: it starts at [0] and extends
+    lazily by the growth law, so it obeys that law by construction.
+    Extension is append-only behind a lock, and reads of
+    already-materialised boundaries never block.
     """
 
-    __slots__ = ("_bounds", "_mode", "_factor", "even_sizes", "_lock")
+    __slots__ = ("_bounds", "_factor", "even_sizes", "_lock")
 
-    def __init__(self, boundaries: Sequence[int], mode: str | None,
-                 factor: Fraction | None, even_sizes: bool):
-        bounds = [int(b) for b in boundaries]
-        fault = order_fault(bounds)
-        if fault is not None:
-            raise ValueError(fault)
-        self._bounds = bounds
-        self._mode = mode
+    def __init__(self, factor: Fraction | None, even_sizes: bool):
+        self._bounds = [0]
         self._factor = factor
         self.even_sizes = even_sizes
         self._lock = threading.Lock()
-
-    @classmethod
-    def from_boundaries(cls, boundaries: Sequence[int]) -> "IntervalPartition":
-        """Raw boundary list; growth is not enforced (for negative tests)."""
-        return cls(boundaries, None, None, False)
 
     # -- lazy extension -------------------------------------------------
 
@@ -114,19 +105,11 @@ class IntervalPartition:
         """Materialise boundaries for intervals 0..count-1."""
         if len(self._bounds) - 1 >= count:
             return
-        if self._mode is None:
-            raise ValueError(
-                f"raw partition has only {len(self._bounds) - 1} intervals"
-            )
         with self._lock:
             while len(self._bounds) - 1 < count:
                 n = len(self._bounds) - 1
                 prefix = self._bounds[-1]
                 self._bounds.append(prefix + self._next_size(n, prefix))
-
-    @property
-    def materialized_count(self) -> int:
-        return len(self._bounds) - 1
 
     def boundary(self, i: int) -> int:
         if i < 0:
@@ -141,20 +124,14 @@ class IntervalPartition:
     def size(self, n: int) -> int:
         return self.boundary(n + 1) - self.boundary(n)
 
-    def prefix_size(self, n: int) -> int:
-        """|I_{<n}| = b_n."""
-        return self.boundary(n)
-
     def growth_ratio(self, n: int) -> Fraction:
         """|I_{<n}| / |I_n| as an exact rational."""
-        return Fraction(self.prefix_size(n), self.size(n))
+        return Fraction(self.boundary(n), self.size(n))
 
     def interval_of(self, x: int) -> int:
         if x < 0:
             raise ValueError("points live in the naturals")
         while self._bounds[-1] <= x:
-            if self._mode is None:
-                raise ValueError(f"{x} lies beyond the raw partition")
             self.ensure(len(self._bounds))
         return bisect_right(self._bounds, x) - 1
 
@@ -201,24 +178,30 @@ class IntervalPartition:
         return IntervalSubset(self, k, "explicit", len(elems), elements=elems)
 
     def subset_from_json(self, obj: Mapping) -> "IntervalSubset":
-        k, kind = int(obj["index"]), obj["kind"]
+        """The subset that ``IntervalSubset.to_json`` wrote, read as
+        untrusted input: every integer goes through ``parse_int``."""
+        k, kind = parse_int(obj["index"]), obj["kind"]
+        if k < 0:
+            raise ValueError(f"subset index must be non-negative: {k}")
         if kind in ("full", "empty"):
             return getattr(self, kind)(k)
         if kind in ("first", "last"):
-            return getattr(self, kind)(k, int(obj["s"]))
+            return getattr(self, kind)(k, parse_int(obj["s"]))
         if kind in ("trace", "cotrace"):
             return getattr(self, kind)(k, parse_set(obj["base"]))
         if kind == "explicit":
-            return self.explicit(k, obj["elements"])
+            elems = obj["elements"]
+            if not isinstance(elems, list):
+                raise ValueError(f"explicit elements must be a list: {elems!r}")
+            return self.explicit(k, map(parse_int, elems))
         raise ValueError(f"unknown subset kind {kind!r}")
 
-    def to_json(self, count: int | None = None) -> list[str]:
-        bounds = self.boundaries(count) if count is not None else list(self._bounds)
-        return [str(b) for b in bounds]
+    def to_json(self, count: int) -> list[str]:
+        return [str(b) for b in self.boundaries(count)]
 
     def __repr__(self):
-        mode = self._mode or "raw"
-        return (f"IntervalPartition({mode}, materialized={self.materialized_count},"
+        mode = "minimal" if self._factor is None else "factor"
+        return (f"IntervalPartition({mode}, materialized={len(self._bounds) - 1},"
                 f" even_sizes={self.even_sizes})")
 
 
@@ -232,16 +215,14 @@ def build_partition(min_growth="minimal", count: int = 16,
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if min_growth == "minimal":
-        mode, factor = "minimal", None
-    else:
+    factor = None
+    if min_growth != "minimal":
         if isinstance(min_growth, str) and min_growth.startswith("factor:"):
             min_growth = min_growth.split(":", 1)[1]
         factor = as_fraction(min_growth)
         if factor < 1:
             raise ValueError("growth factor must be at least 1")
-        mode = "factor"
-    part = IntervalPartition([0], mode, factor, even_sizes)
+    part = IntervalPartition(factor, even_sizes)
     part.ensure(count)
     return part
 
@@ -474,11 +455,6 @@ class IntervalSymbolicSet(OmegaSet):
         self._resolved[k] = sub
         return sub
 
-    def with_value(self, k: int, sub: IntervalSubset) -> "IntervalSymbolicSet":
-        vals = dict(self.values)
-        vals[k] = sub
-        return IntervalSymbolicSet(self.part, vals, self.default, self.default_base)
-
     # -- OmegaSet surface --------------------------------------------------
 
     def contains(self, k: int) -> bool:
@@ -560,12 +536,11 @@ class IntervalSymbolicSet(OmegaSet):
                     out[a - lo:b - lo] = ~bits if minus else bits
         return _pack(n, fill)
 
-    def to_json(self, count: int | None = None) -> dict:
-        upto = count if count is not None else self.part.materialized_count
+    def to_json(self, count: int) -> dict:
         out = {
-            "partition": self.part.to_json(upto),
+            "partition": self.part.to_json(count),
             "default": self.default,
-            "values": {str(k): self.value_at(k).to_json() for k in range(upto)},
+            "values": {str(k): self.value_at(k).to_json() for k in range(count)},
         }
         if self.default_base is not None:
             out["default_base"] = self.default_base.descriptor()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from ._util import HALF, as_fraction, parse_rational
+from ._util import HALF, as_fraction, parse_int, parse_rational
 from .omega_sets import (ExplicitSet, OmegaSet, Progression, complement,
                          require_infinite)
 from .partitions import IntervalPartition, IntervalSubset, IntervalSymbolicSet
@@ -73,19 +73,19 @@ class GoodPair:
     def from_json(cls, partition: IntervalPartition, obj: Mapping) -> "GoodPair":
         """The pair that ``to_json`` wrote, read as untrusted input: H
         holds the listed indices and every index past them.  A wrong shape
-        (a list where an object belongs, a number where a guard does) is a
-        ValueError."""
+        (a list where an object belongs, a number where a guard does) or a
+        guard integer that is not exact is a "malformed pair" ValueError."""
         try:
-            ks = obj["H"]
-            if not isinstance(ks, list) or any(type(k) is not int or k < 0 for k in ks):
-                raise ValueError(f"pair H must be a list of non-negative integers: {ks!r}")
-            # an empty H keeps horizon 1, so the all-true tail starts at 1, not 0
-            H = ExplicitSet.from_elements(ks, max(ks) + 1 if ks else 1, tail=(True,))
-            guards = {int(k): partition.subset_from_json(v)
-                      for k, v in obj.get("guards", {}).items()}
-            return cls(partition, H, guards, parse_rational(obj["eps"]))
-        except (AttributeError, TypeError) as exc:
+            ks, guards = obj["H"], obj.get("guards", {})
+            guards = {parse_int(k): partition.subset_from_json(v)
+                      for k, v in guards.items()}
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed pair: {exc}") from exc
+        if not isinstance(ks, list) or any(type(k) is not int or k < 0 for k in ks):
+            raise ValueError(f"pair H must be a list of non-negative integers: {ks!r}")
+        # an empty H keeps horizon 1, so the all-true tail starts at 1, not 0
+        H = ExplicitSet.from_elements(ks, max(ks) + 1 if ks else 1, tail=(True,))
+        return cls(partition, H, guards, parse_rational(obj["eps"]))
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def rel_holds(X: OmegaSet, pair: GoodPair, n: int, horizon_k: int) -> RelVerdict
             continue
         guard = pair.guard_at(k)
         lhs = guard.intersect_set_count(X)
-        rhs = bound * (part.restrict(k, X).count + part.prefix_size(k))
+        rhs = bound * (part.restrict(k, X).count + part.boundary(k))
         if not lhs < rhs:
             return RelVerdict(False, k, lhs, rhs)
     return RelVerdict(True)
@@ -145,8 +145,6 @@ def witness_above(X: OmegaSet, eps, partition: IntervalPartition,
     """
     eps = as_fraction(eps)
     require_infinite(X, "X")
-    if partition.verify_growth() is not None:
-        raise ValueError("partition violates the growth condition")
     traces = [partition.restrict(k, X) for k in range(horizon_k)]
     ratios = [sub.ratio() for sub in traces]
     low = {k for k, r in enumerate(ratios) if r < Fraction(3, 4)}
@@ -191,8 +189,6 @@ def nwd_escape(X: OmegaSet, pair: GoodPair, n: int, m: int,
     witnessed at that k.
     """
     part = pair.partition
-    if part.verify_growth() is not None:
-        raise ValueError("partition violates the growth condition")
     if m > part.boundary(horizon_k):
         raise ValueError(f"prefix bound {m} lies beyond the horizon")
     before = rel_holds(X, pair, n, horizon_k)

@@ -84,8 +84,17 @@ class FiniteRelSys:
 
     @classmethod
     def from_json(cls, obj) -> "FiniteRelSys":
-        rel = tuple(tuple(ch == "1" for ch in row) for row in obj["rel"])
-        return cls(tuple(obj["X"]), tuple(obj["Y"]), rel)
+        """The system that ``to_json`` wrote, read as untrusted input: X
+        and Y are lists of strings and rel a list of strings over {0, 1};
+        anything else is a "malformed system" ValueError."""
+        parts = [obj.get(key) if isinstance(obj, dict) else None for key in ("X", "Y", "rel")]
+        for key, part in zip(("X", "Y", "rel"), parts):
+            if not (isinstance(part, list) and all(isinstance(v, str) for v in part)):
+                raise ValueError(f"malformed system: {key} must be a list of strings")
+        xs, ys, rows = parts
+        if any(set(row) - {"0", "1"} for row in rows):
+            raise ValueError("malformed system: rel rows must be strings over {0, 1}")
+        return cls(tuple(xs), tuple(ys), tuple(tuple(ch == "1" for ch in row) for row in rows))
 
 
 def _mask(bits) -> int:
@@ -375,7 +384,14 @@ def gallery_reap_rho(rho=Fraction(1, 2)) -> FiniteRelSys:
     """Truncated rho-reaping system over the subsets of range(6) with at
     least 2 points; membership is band membership of |S∩X|/|X| in
     rho ± 1/4 at the truncation horizon, and is labelled as such (the
-    limit property is not decidable from a truncation)."""
-    rho = as_fraction(rho)
-    return _set_gallery(6, 2, lambda s, xx: abs(
-        Fraction(len(s & xx), len(xx)) - rho) > Fraction(1, 4))
+    limit property is not decidable from a truncation).  A rho whose
+    truncation is no valid system is a ValueError naming rho and the band."""
+    rho, quarter = as_fraction(rho), Fraction(1, 4)
+    sys_ = _set_gallery(6, 2, lambda s, xx: abs(
+        Fraction(len(s & xx), len(xx)) - rho) > quarter)
+    try:
+        sys_.validate()
+    except ValueError as exc:
+        raise ValueError(f"the reap-rho truncation at rho = {rho} is degenerate: with the "
+                         f"band rho ± 1/4 = [{rho - quarter}, {rho + quarter}], {exc}") from exc
+    return sys_

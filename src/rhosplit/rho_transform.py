@@ -59,12 +59,15 @@ __all__ = [
 class ChainConfig:
     depth: int = 8
     horizon: int = 1_000_000
-    stride: int | None = None
     band_tolerance: Fraction = Fraction(1, 50)
-    stage_tolerance: Fraction = Fraction(1, 100)
-    residual_tolerance: Fraction = Fraction(1, 100)
     seed: int = 1
-    max_attempts: int = 12
+
+
+# the band a stage proposal must meet, the residual the converse
+# transform accepts, and the proposals an oracle gets per stage
+STAGE_TOLERANCE = Fraction(1, 100)
+RESIDUAL_TOLERANCE = Fraction(1, 100)
+MAX_ATTEMPTS = 12
 
 
 class OracleExhaustedError(RuntimeError):
@@ -253,12 +256,7 @@ class ComposedOracle(SplitterOracle):
 # -- validation --------------------------------------------------------------
 
 
-def _stage_report(S: OmegaSet, R: OmegaSet, p: Fraction,
-                  cfg: ChainConfig) -> DensityReport:
-    return density_report(S, R, cfg.horizon, stride=cfg.stride, target=p)
-
-
-def _band_ok(report: DensityReport, p: Fraction, cfg: ChainConfig) -> bool:
+def _band_ok(report: DensityReport, p: Fraction, tol: Fraction) -> bool:
     """Count-aware acceptance, decided in exact arithmetic.
 
     The allowed deviation at a checkpoint with denominator d is the larger
@@ -277,7 +275,7 @@ def _band_ok(report: DensityReport, p: Fraction, cfg: ChainConfig) -> bool:
     so no Fraction is built per row.
     """
     a, b = p.numerator, p.denominator
-    t, u = cfg.stage_tolerance.numerator, cfg.stage_tolerance.denominator
+    t, u = tol.numerator, tol.denominator
     dev_scale = 10 * u * u
     tol_scale = 10 * (t * b) ** 2
     floor_scale = 61 * (b * u) ** 2
@@ -293,19 +291,19 @@ def _accepted_proposal(oracle: SplitterOracle, stage: int, salt: int,
                        targets: Sequence[OmegaSet],
                        cfg: ChainConfig) -> OmegaSet:
     failures = []
-    for attempt in range(cfg.max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         S = oracle.propose(stage, salt + attempt * 1000, targets)
         ok = True
         for R in targets:
-            rep = _stage_report(S, R, oracle.p, cfg)
-            if not _band_ok(rep, oracle.p, cfg):
+            rep = density_report(S, R, cfg.horizon, target=oracle.p)
+            if not _band_ok(rep, oracle.p, STAGE_TOLERANCE):
                 failures.append((stage, attempt, rep.to_json()))
                 ok = False
                 break
         if ok:
             return S
     raise OracleExhaustedError(
-        f"oracle failed validation {cfg.max_attempts} times at stage {stage}",
+        f"oracle failed validation {MAX_ATTEMPTS} times at stage {stage}",
         failures,
     )
 
@@ -318,42 +316,18 @@ class SplitChain:
     """Nested splitting stages with their intersections and differences.
 
     nested[m] is the intersection of the first m stages; differences[m]
-    = nested[m-1] \\ nested[m] for m >= 1 (index 0 unused).
+    = nested[m-1] \\ nested[m] for m >= 1 (index 0 unused).  Each stage
+    has density p.
     """
 
-    family: tuple[OmegaSet, ...]
     stages: tuple[OmegaSet, ...]
     nested: tuple[OmegaSet, ...]
     differences: tuple[OmegaSet | None, ...]
-    mode: str
     p: Fraction
-    cfg: ChainConfig
-
-    @property
-    def depth(self) -> int:
-        return len(self.stages) - 1
-
-    def level_target(self, m: int, kind: str) -> Fraction:
-        if kind == "nested":
-            return self.p ** m
-        return self.p ** (m - 1) * (1 - self.p)
-
-    def level_report(self, m: int, kind: str, member: OmegaSet) -> DensityReport:
-        s = self.nested[m] if kind == "nested" else self.differences[m]
-        return density_report(s, member, self.cfg.horizon, stride=self.cfg.stride,
-                              target=self.level_target(m, kind))
-
-    def summary(self) -> dict:
-        return {
-            "depth": self.depth,
-            "mode": self.mode,
-            "p": str(self.p),
-            "horizon": self.cfg.horizon,
-        }
 
 
 def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
-                mode: str, cfg: ChainConfig) -> SplitChain:
+                cfg: ChainConfig) -> SplitChain:
     """Build the stage recursion S_0 = omega, S_{n+1} splitting every
     member of the current family, replacing the family by its traces,
     for cfg.depth stages.
@@ -368,10 +342,6 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
         require_infinite(member, "family member")
     if cfg.depth < 1:
         raise ValueError("depth must be at least 1")
-    if mode not in ("half", "rho"):
-        raise ValueError("mode must be 'half' or 'rho'")
-    if mode == "half" and oracle.p != HALF:
-        raise ValueError("half mode needs an oracle with p = 1/2")
     family = tuple(family)
     targets: list[OmegaSet] = list(family)
     stages: list[OmegaSet] = [OMEGA]
@@ -389,8 +359,7 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
                 raise AssertionError(
                     f"trace identity failed at stage {stage_idx}"
                 )
-    return SplitChain(family, tuple(stages), tuple(nested),
-                      tuple(differences), mode, oracle.p, cfg)
+    return SplitChain(tuple(stages), tuple(nested), tuple(differences), oracle.p)
 
 
 # -- end-to-end transforms ----------------------------------------------------
@@ -405,7 +374,7 @@ class TransformResult:
     effective_p: Fraction
     advertised_tolerance: Fraction
     verdicts: list
-    chain: SplitChain
+    chain: dict
     residual_trace: list = field(default_factory=list)
 
     @property
@@ -427,7 +396,7 @@ class TransformResult:
             "residual_trace": [
                 [str(p), str(r)] for p, r in self.residual_trace
             ],
-            "chain": self.chain.summary(),
+            "chain": self.chain,
             "verdicts": [v.to_json() for v in self.verdicts],
         }
 
@@ -453,7 +422,8 @@ def transform_splitter(family: Sequence[OmegaSet], direction: str, rho,
     selection whatever the residual; rho-to-half advertises band + the
     exact residual, records the residual trace, and squares (and
     complements) p into (1/3, 2/3) when p >= 2/3 or the residual exceeds
-    tolerance; the chain's mode label is "half" or "rho".
+    tolerance.  ``chain`` is the chain's JSON: its depth, its density p,
+    the horizon and the direction's label, "half" or "rho".
     """
     cfg = cfg or ChainConfig()
     rho = as_fraction(rho)
@@ -470,27 +440,28 @@ def transform_splitter(family: Sequence[OmegaSet], direction: str, rho,
     trace, ops, eff = [], [], p
     if not forward:
         trace.append((p, residual))
-        if p >= Fraction(2, 3) or residual > cfg.residual_tolerance:
+        if p >= Fraction(2, 3) or residual > RESIDUAL_TOLERANCE:
             ops, eff = squaring_plan(p)
             levels, residual = select_levels(geometric_weights(eff), target,
                                              cfg.depth)
             trace.append((eff, residual))
-            if residual > cfg.residual_tolerance:
+            if residual > RESIDUAL_TOLERANCE:
                 raise TransformError(
                     f"residual {residual} above tolerance after fallback",
                     trace,
                 )
     # a fallback that gets here has squared at least once: a parameter
     # already in (1/3, 2/3) gets no new residual from an empty plan
-    chain = build_chain(family, ComposedOracle(oracle, ops, cfg) if ops else oracle,
-                        "half" if forward else "rho", cfg)
+    chain = build_chain(family, ComposedOracle(oracle, ops, cfg) if ops else oracle, cfg)
     splitter = _union_of_levels(chain, levels)
     advertised = cfg.band_tolerance + (Fraction(1, 2 ** cfg.depth) if forward
                                        else residual)
     verdicts = [
         split_verdict("rho", splitter, member, cfg.horizon, rho=target,
-                      tolerance=advertised, stride=cfg.stride)
+                      tolerance=advertised)
         for member in family
     ]
+    summary = {"depth": cfg.depth, "mode": "half" if forward else "rho",
+               "p": str(chain.p), "horizon": cfg.horizon}
     return TransformResult(splitter, levels, residual, ops, eff, advertised,
-                           verdicts, chain, trace)
+                           verdicts, summary, trace)

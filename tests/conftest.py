@@ -28,16 +28,10 @@ def splitter_battery(minimal16):
     while P.boundary(k + 1) <= 1 << 27 and k < 8:
         cap_values[k] = P.trace(k, bern)
         k += 1
-    bern_symbolic = IntervalSymbolicSet(
-        P,
-        cap_values,
-        default="singleton",
-    )
     # structured halves above the cap
     for j in range(k, 12):
-        bern_symbolic = bern_symbolic.with_value(
-            j, P.first(j, (P.size(j) + 1) // 2)
-        )
+        cap_values[j] = P.first(j, (P.size(j) + 1) // 2)
+    bern_symbolic = IntervalSymbolicSet(P, cap_values, default="singleton")
     first_half = IntervalSymbolicSet(
         P, {j: P.first(j, (P.size(j) + 1) // 2) for j in range(12)},
         default="singleton",

@@ -95,14 +95,6 @@ def test_defeat_rejects_finite_flagged(minimal16):
         defeat_bisector(empty, Fraction(1, 4), minimal16)
 
 
-def test_defeat_rejects_bad_partition():
-    from rhosplit import IntervalPartition
-
-    bad = IntervalPartition.from_boundaries([0, 2, 6])
-    with pytest.raises(ValueError, match="growth"):
-        defeat_bisector(Progression(0, 2), Fraction(1, 4), bad)
-
-
 def test_defeat_respects_condition_domain(minimal16):
     cond = {3: minimal16.first(3, 5)}
     res = defeat_bisector(Progression(0, 2), Fraction(1, 4), minimal16,

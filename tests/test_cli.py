@@ -567,3 +567,66 @@ def test_partition_growth_factor():
         least = 2 if n == 0 else (1 << n) * below + 1
         assert 2 * size >= 3 * least
         below += size
+
+
+def test_density_prefix_rle_roundtrip():
+    import numpy as np
+    from rhosplit.omega_sets import parse_set
+
+    for S, n in [("prog(0,2)", 11), ("prog(1,2)", 11), ("omega", 5), ("prog(3,7)", 40),
+                 ("bern(1/2,5)", 1000), ("pow(2)", 1)]:
+        code, rep = invoke_json(["density", "--S", S, "--horizon", "100", "--prefix", str(n)])
+        assert code == 0 and rep["prefix"]["horizon"] == n
+        # runs alternate from a run of zeros, which alone may be empty
+        runs = rep["prefix"]["rle"]
+        assert sum(runs) == n and all(r > 0 for r in runs[1:])
+        bits = np.repeat([i % 2 == 1 for i in range(len(runs))], runs)
+        assert np.array_equal(bits, parse_set(S).materialize(n))
+
+
+def test_density_prefix_requires_positive_horizon():
+    for n in ("0", "-3"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = invoke(["density", "--S", "omega", "--prefix", n])
+        assert (code, out) == (2, "")
+        assert err.getvalue() == "error: prefix horizon must be at least 1\n"
+
+
+@pytest.mark.parametrize("guards", [
+    {"0": {"index": 0.9, "kind": "full"}},  # a float index
+    {"0": {"index": 0, "kind": "first", "s": 1.7}},  # a float run length
+    {"1": {"index": 1, "kind": "explicit", "elements": [2, "3.0"]}},  # an element
+    {"1": {"index": 1, "kind": "explicit", "elements": "23"}},  # elements not a list
+    {" 1": {"index": 1, "kind": "full"}},  # a key that int() would accept
+    {"0": {"index": -1, "kind": "full"}},  # a negative index
+])
+def test_loaded_pair_integers_are_exact(tmp_path, guards):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"eps": "1/4", "H": [0, 1], "guards": guards}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(["preserve", "--op", "witness-below", "--pair", str(path),
+                            "--horizon-k", "3"])
+    assert (code, out) == (2, "")
+    assert err.getvalue().startswith("error: malformed pair: ")
+
+
+def test_relsys_file_of_a_wrong_shape_is_a_usage_error(tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"X": "ab", "Y": ["u", "v"], "rel": ["1x", "01"]}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(["relsys", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err.getvalue() == "error: malformed system: X must be a list of strings\n"
+
+
+def test_relsys_reap_rho_names_its_band():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(["relsys", "--gallery", "reap-rho", "--rho", "3/4"])
+    assert (code, out) == (2, "")
+    assert err.getvalue().startswith(
+        "error: the reap-rho truncation at rho = 3/4 is degenerate: "
+        "with the band rho ± 1/4 = [1/2, 1], ")

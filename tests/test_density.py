@@ -11,7 +11,6 @@ from rhosplit import (
     Progression,
     SequenceSet,
     complement,
-    compose_densities,
     density_report,
     intersect,
     parse_set,
@@ -151,22 +150,6 @@ def test_one_verdict():
     v = split_verdict("one", almost_all, OMEGA, 10 ** 5,
                       tolerance=Fraction(1, 100))
     assert v.holds_numerically
-
-
-def test_compose_densities_laws():
-    assert compose_densities("inter", HALF, HALF) == Fraction(1, 4)
-    assert compose_densities("union", HALF, HALF) == Fraction(3, 4)
-    assert compose_densities("inter", Fraction(2, 7), 1) == Fraction(2, 7)
-
-
-@given(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)),
-       st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)))
-def test_compose_densities_algebra(r0, r1):
-    inter = compose_densities("inter", r0, r1)
-    un = compose_densities("union", r0, r1)
-    assert inter + un == r0 + r1  # inclusion-exclusion
-    assert 0 < inter <= min(r0, r1)
-    assert max(r0, r1) <= un < 1
 
 
 def test_fact_intersection_realized():

@@ -18,14 +18,12 @@ from rhosplit import (
     FiniteSetError,
     HorizonOverflowError,
     PowersSet,
-    Prefix,
     Progression,
     SequenceSet,
     StrideSelection,
     complement,
     difference,
     intersect,
-    materialize_prefix,
     parse_set,
     union,
 )
@@ -62,17 +60,24 @@ def combos():
     return st.one_of(base, unary, binary)
 
 
+def bits_range(s, lo, hi):
+    """Membership bits of [lo, hi) from one vectorised Bernoulli fill."""
+    out = np.empty(hi - lo, dtype=bool)
+    s._fill(lo, out)
+    return out
+
+
 def test_materialize_progressions():
     evens = Progression(0, 2)
-    assert materialize_prefix(evens, 10).elements() == [0, 2, 4, 6, 8]
-    assert materialize_prefix(complement(evens), 10).elements() == [1, 3, 5, 7, 9]
+    assert np.flatnonzero(evens.materialize(10)).tolist() == [0, 2, 4, 6, 8]
+    assert np.flatnonzero(complement(evens).materialize(10)).tolist() == [1, 3, 5, 7, 9]
 
 
 def test_materialize_is_idempotent_and_deterministic():
     s = parse_set("inter(prog(0,2),bern(1/2,5))")
-    a = materialize_prefix(s, 5000)
-    b = materialize_prefix(s, 5000)
-    assert a == b
+    a, b = s.materialize(5000), s.materialize(5000)
+    fresh = parse_set("inter(prog(0,2),bern(1/2,5))").materialize(5000)
+    assert np.array_equal(a, b) and np.array_equal(a, fresh)
 
 
 def test_bernoulli_count_chernoff_band_and_regression():
@@ -360,7 +365,7 @@ def test_bernoulli_fill_seams_match_the_scalar_prf(chunk):
         # ranges that start and end off the block grid and cross seams
         for lo, hi in [(0, 3 * c + 5), (max(0, c - 3), c + 4), (2 * c + 1, 4 * c - 1),
                        (5, 6), (9, 9), (max(0, 3 * c - 40), 3 * c + 33)]:
-            bits = s._bits_range(lo, hi)
+            bits = bits_range(s, lo, hi)
             assert bits.shape == (hi - lo,)
             assert bits.tolist() == [s.contains(k) for k in range(lo, hi)]
         # the k-th member found block by block, around a seam
@@ -394,7 +399,7 @@ def test_interleaved_fills_of_different_maps_match_the_scalar_prf():
     # each stride d differs from the one before, so the ramp must follow
     for a, d in [(0, 1), (5, 3), (0, 1), (2, 7), (5, 3), (1, 2), (1, 2)]:
         g = base.along(a, d)
-        assert g._bits_range(900, 3100).tolist() == [g.contains(k) for k in range(900, 3100)]
+        assert bits_range(g, 900, 3100).tolist() == [g.contains(k) for k in range(900, 3100)]
 
 
 def test_fills_in_threads_match_the_scalar_prf():
@@ -402,7 +407,7 @@ def test_fills_in_threads_match_the_scalar_prf():
     # more threads than cores, each with its own set and index map
     sets = [BernoulliSet(Fraction(1, 3), 21), BernoulliSet(Fraction(1, 2), 22).along(3, 5),
             BernoulliSet(Fraction(5, 32), 23).along(0, 2)]
-    want = [s._bits_range(0, n) for s in sets]
+    want = [bits_range(s, 0, n) for s in sets]
     for s, bits in zip(sets, want):
         assert bits[::97].tolist() == [s.contains(k) for k in range(0, n, 97)]
     start, errors, rounds = threading.Barrier(len(sets)), [], []
@@ -410,7 +415,7 @@ def test_fills_in_threads_match_the_scalar_prf():
     def fill(s, bits):
         start.wait()
         for _ in range(20):
-            if not np.array_equal(s._bits_range(0, n), bits):
+            if not np.array_equal(bits_range(s, 0, n), bits):
                 errors.append(s)
             rounds.append(s)
 
@@ -616,7 +621,7 @@ def test_grid_count_at_2_27_runs_in_bounded_memory():
     # the same counts from the plain PRF, in slices of 2^20 indices
     bern, total, expected = BernoulliSet(Fraction(1, 3), 9), 0, []
     for lo in range(0, 2 ** 27, 2 ** 20):
-        bits = bern._bits_range(lo, lo + 2 ** 20)
+        bits = bits_range(bern, lo, lo + 2 ** 20)
         first = max(5, lo + (5 - lo) % 3)
         total += int(np.count_nonzero(bits[first - lo::3]))
         expected.append(total)
@@ -742,20 +747,6 @@ def test_powers_membership():
     for k in range(100):
         assert p3.contains(k) == (k in members)
     assert p3.count_below(10 ** 30) == 63  # 3^62 < 10^30 < 3^63
-
-
-def test_prefix_rle_roundtrip():
-    evens = Progression(0, 2)
-    pref = materialize_prefix(evens, 11)
-    runs = pref.to_rle()
-    assert runs[0] == 0  # starts with a set bit
-    assert Prefix.from_rle(runs, 11) == pref
-    assert pref.count == 6
-
-
-def test_prefix_requires_positive_horizon():
-    with pytest.raises(ValueError):
-        materialize_prefix(OMEGA, 0)
 
 
 def test_grammar_roundtrip():

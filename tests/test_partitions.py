@@ -2,18 +2,19 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rhosplit import (
     OMEGA,
     BernoulliSet,
     CombineNode,
     ExactCountError,
-    IntervalPartition,
     IntervalSymbolicSet,
     PowersSet,
     Progression,
     build_partition,
 )
+from rhosplit.partitions import growth_violation
 
 from conftest import brute_count
 
@@ -88,17 +89,20 @@ def test_interval_of_extends_lazily():
 
 
 def test_verify_growth_violations():
-    assert IntervalPartition.from_boundaries([0, 2, 6]).verify_growth() == 1
-    assert IntervalPartition.from_boundaries([0, 1]).verify_growth() == 0
-    assert IntervalPartition.from_boundaries([0, 2, 7, 36]).verify_growth() is None
+    assert growth_violation([0, 2, 6]) == 1
+    assert growth_violation([0, 1]) == 0
+    assert growth_violation([0, 2, 7, 36]) is None
+    assert growth_violation([0, 2, 7, 36], even_sizes=True) == 1
 
 
-def test_raw_partition_refuses_extension():
-    P = IntervalPartition.from_boundaries([0, 2, 7])
-    with pytest.raises(ValueError):
-        P.boundary(5)
-    with pytest.raises(ValueError):
-        P.interval_of(100)
+@settings(max_examples=60, deadline=None)
+@given(st.just("minimal") | st.fractions(min_value=1, max_value=4,
+                                         max_denominator=1000),
+       st.integers(1, 20), st.booleans())
+def test_built_partitions_obey_the_growth_law(factor, count, even_sizes):
+    # no partition is handed in, so none needs a growth re-check
+    P = build_partition(factor, count, even_sizes)
+    assert growth_violation(P.boundaries(count), even_sizes) is None
 
 
 def test_growth_ratio_strictly_below_power():

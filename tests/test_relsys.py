@@ -269,3 +269,40 @@ def test_gallery_reap_rho_matches_its_definition(rho):
     R = gallery_reap_rho(rho=rho)
     assert len(R.x_labels) == len(sets)
     assert _relation(R) == expected
+
+
+@pytest.mark.parametrize("obj,part", [
+    ({"X": "ab", "Y": ["u", "v"], "rel": ["10", "01"]}, "X"),  # a string, not a list
+    ({"X": ["a", "b"], "Y": [1, 2], "rel": ["10", "01"]}, "Y"),  # labels must be strings
+    ({"X": ["a", "b"], "Y": ["u", "v"], "rel": "1001"}, "rel"),
+    ({"X": ["a", "b"], "Y": ["u", "v"], "rel": [[1, 0], [0, 1]]}, "rel"),
+    ({"X": ["a", "b"], "Y": ["u", "v"]}, "rel"),  # missing
+    (["a", "b"], "X"),  # a list where the system object belongs
+])
+def test_from_json_rejects_wrong_shapes(obj, part):
+    with pytest.raises(ValueError, match=f"malformed system: {part} must be a list of strings"):
+        FiniteRelSys.from_json(obj)
+
+
+@pytest.mark.parametrize("row", ["1x", "1 ", "12", "TF"])
+def test_from_json_rejects_rows_off_zero_one(row):
+    with pytest.raises(ValueError, match="malformed system: rel rows"):
+        FiniteRelSys.from_json({"X": ["a", "b"], "Y": ["u", "v"], "rel": [row, "01"]})
+
+
+def test_gallery_reap_rho_names_a_degenerate_truncation():
+    # over rho = k/32 a column dominates at k = 1, 2 and a row is empty at
+    # k >= 24; every other truncation is a valid system
+    for k in range(1, 32):
+        rho = Fraction(k, 32)
+        if k in (1, 2) or k >= 24:
+            reason = "dominates every point" if k < 24 else "is empty"
+            with pytest.raises(ValueError) as exc:
+                gallery_reap_rho(rho=rho)
+            msg = str(exc.value)
+            assert msg.startswith(f"the reap-rho truncation at rho = {rho} is degenerate: "
+                                  f"with the band rho ± 1/4 = [{rho - Fraction(1, 4)}, "
+                                  f"{rho + Fraction(1, 4)}], ")
+            assert reason in msg
+        else:
+            gallery_reap_rho(rho=rho).validate()

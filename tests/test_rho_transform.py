@@ -14,8 +14,9 @@ from rhosplit import (
     transform_splitter,
 )
 from rhosplit.omega_sets import parse_family
-from rhosplit.density import DensityReport
+from rhosplit.density import DensityReport, density_report
 from rhosplit.rho_transform import (
+    MAX_ATTEMPTS,
     BernoulliOracle,
     ChainConfig,
     OracleExhaustedError,
@@ -188,26 +189,37 @@ def test_band_check_is_the_fraction_rule(case):
     # the rule in rational arithmetic, as the docstring of _band_ok states it
     oracle = all((r - p) ** 2 * d <= max(tol ** 2 * d, Fraction(61, 10))
                  for r, (_, d) in zip(ratios, rows))
-    assert _band_ok(report, p, ChainConfig(stage_tolerance=tol)) == oracle
+    assert _band_ok(report, p, tol) == oracle
 
 
 # -- chains -------------------------------------------------------------------
 
 
 def small_cfg(**kw):
-    base = dict(depth=4, horizon=200_000, stride=10_000, seed=5)
+    base = dict(depth=4, horizon=200_000, seed=5)
     base.update(kw)
     return ChainConfig(**base)
+
+
+def level_report(chain, m, kind, member, horizon):
+    """Density report of nested level m (target p^m) or difference level m
+    (target p^(m-1) (1-p)) of a chain, relative to member."""
+    p = chain.p
+    if kind == "nested":
+        s, target = chain.nested[m], p ** m
+    else:
+        s, target = chain.differences[m], p ** (m - 1) * (1 - p)
+    return density_report(s, member, horizon, stride=horizon // 100, target=target)
 
 
 def test_round_robin_chain_exact():
     evens = Progression(0, 2)
     cfg = small_cfg(depth=3, horizon=100_000)
-    chain = build_chain([evens], RoundRobinOracle(), "half", cfg)
+    chain = build_chain([evens], RoundRobinOracle(), cfg)
     assert [chain.stages[1].kth_element(i) for i in range(4)] == [0, 4, 8, 12]
     # d_X(I_m) = 2^-m exactly whenever |X ∩ n| is a multiple of 2^m
     for m in (1, 2, 3):
-        rep = chain.level_report(m, "nested", evens)
+        rep = level_report(chain, m, "nested", evens, cfg.horizon)
         aligned = 0
         for cp, r in zip(rep.checkpoints, rep.ratios):
             if (cp // 2) % (2 ** m) == 0:
@@ -218,7 +230,7 @@ def test_round_robin_chain_exact():
 
 def test_chain_partition_law_and_telescoping():
     cfg = small_cfg()
-    chain = build_chain([OMEGA], BernoulliOracle(HALF, 3), "half", cfg)
+    chain = build_chain([OMEGA], BernoulliOracle(HALF, 3), cfg)
     N = cfg.horizon
     # D_1..D_M and I_M partition [0, N) exactly
     total = chain.nested[4].count_below(N)
@@ -234,22 +246,22 @@ def test_chain_partition_law_and_telescoping():
 
 
 def test_chain_band_for_omega():
-    cfg = small_cfg(horizon=10 ** 6, stride=10 ** 4)
-    chain = build_chain([OMEGA], BernoulliOracle(HALF, 7), "half", cfg)
+    cfg = small_cfg(horizon=10 ** 6)
+    chain = build_chain([OMEGA], BernoulliOracle(HALF, 7), cfg)
     for m in range(1, 5):
-        rep = chain.level_report(m, "nested", OMEGA)
+        rep = level_report(chain, m, "nested", OMEGA, cfg.horizon)
         assert rep.max_tail_deviation <= Fraction(1, 50)
-        rep_d = chain.level_report(m, "differences", OMEGA)
+        rep_d = level_report(chain, m, "differences", OMEGA, cfg.horizon)
         assert rep_d.max_tail_deviation <= Fraction(1, 50)
 
 
 def test_rho_mode_chain_difference_densities():
     # difference levels of a rho chain carry density rho^(m-1) * (1-rho)
     rho = Fraction(3, 5)
-    cfg = small_cfg(depth=3, horizon=10 ** 6, stride=10 ** 4)
-    chain = build_chain([OMEGA], BernoulliOracle(rho, 9), "rho", cfg)
+    cfg = small_cfg(depth=3, horizon=10 ** 6)
+    chain = build_chain([OMEGA], BernoulliOracle(rho, 9), cfg)
     for m in range(1, 4):
-        rep = chain.level_report(m, "differences", OMEGA)
+        rep = level_report(chain, m, "differences", OMEGA, cfg.horizon)
         assert rep.target == rho ** (m - 1) * (1 - rho)
         assert rep.max_tail_deviation <= Fraction(1, 50)
 
@@ -257,13 +269,7 @@ def test_rho_mode_chain_difference_densities():
 def test_chain_rejects_finite_member():
     fin = intersect(Progression(0, 2), Progression(1, 2))
     with pytest.raises(Exception):
-        build_chain([fin], BernoulliOracle(HALF, 1), "half", small_cfg(depth=2))
-
-
-def test_chain_mode_oracle_consistency():
-    with pytest.raises(ValueError, match="1/2"):
-        build_chain([OMEGA], BernoulliOracle(Fraction(3, 5), 1), "half",
-                    small_cfg(depth=2))
+        build_chain([fin], BernoulliOracle(HALF, 1), small_cfg(depth=2))
 
 
 def test_forward_transform_small():
@@ -278,7 +284,7 @@ def test_forward_transform_small():
 
 def test_forward_transform_keeps_a_residual_above_tolerance():
     # half-to-rho takes no squaring fallback: at depth 4 the binary
-    # expansion of 1/3 leaves 1/48 > residual_tolerance = 1/100, and the
+    # expansion of 1/3 leaves 1/48 > RESIDUAL_TOLERANCE = 1/100, and the
     # run advertises band + 2^-4 instead
     res = transform_splitter([OMEGA], "half-to-rho", Fraction(1, 3), None,
                              small_cfg(depth=4))
@@ -287,7 +293,7 @@ def test_forward_transform_keeps_a_residual_above_tolerance():
     assert res.residual == Fraction(1, 48)
     assert res.advertised_tolerance == Fraction(33, 400)
     assert res.residual_trace == []
-    assert res.chain.mode == "half"
+    assert res.chain == {"depth": 4, "mode": "half", "p": "1/2", "horizon": 200_000}
 
 
 def test_converse_direct_small():
@@ -312,11 +318,12 @@ def test_converse_fallback_small():
 
 
 def test_converse_unreachable_residual_errors():
-    family = [OMEGA]
-    cfg = small_cfg(depth=3, residual_tolerance=Fraction(1, 10 ** 9))
+    # at depth 3 the fallback to 9/16 still leaves 1/16 > RESIDUAL_TOLERANCE
     with pytest.raises(TransformError) as exc:
-        transform_splitter(family, "rho-to-half", Fraction(3, 4), None, cfg)
-    assert exc.value.residual_trace  # full residual trace attached
+        transform_splitter([OMEGA], "rho-to-half", Fraction(3, 4), None,
+                           small_cfg(depth=3))
+    assert exc.value.residual_trace == [(Fraction(3, 4), Fraction(1, 16)),
+                                        (Fraction(9, 16), Fraction(1, 16))]
 
 
 def test_transform_rejects_bad_rho():
@@ -356,17 +363,18 @@ class _ScriptedOracle(SplitterOracle):
 def test_oracle_rejected_every_time_is_exhausted():
     # prog(0,4) has ratio exactly 1/4 at every checkpoint: far out of band
     oracle = _ScriptedOracle(Progression(0, 4))
-    with pytest.raises(OracleExhaustedError, match="3 times at stage 1") as info:
-        build_chain([OMEGA], oracle, "half", small_cfg(depth=1, max_attempts=3))
-    assert oracle.asked == [(1, 0), (1, 1000), (1, 2000)]
+    with pytest.raises(OracleExhaustedError, match="12 times at stage 1") as info:
+        build_chain([OMEGA], oracle, small_cfg(depth=1))
+    assert oracle.asked == [(1, 1000 * a) for a in range(MAX_ATTEMPTS)]
     diags = info.value.diagnostics
-    assert [(stage, attempt) for stage, attempt, _ in diags] == [(1, 0), (1, 1), (1, 2)]
+    assert [(stage, attempt) for stage, attempt, _ in diags] == [
+        (1, a) for a in range(MAX_ATTEMPTS)]
     for _, _, rep in diags:
         assert (rep["target"], rep["lower_est"], rep["upper_est"]) == ("1/2", "1/4", "1/4")
 
 
 def test_oracle_resampled_after_a_rejection():
     oracle = _ScriptedOracle(Progression(0, 4), Progression(0, 2))
-    chain = build_chain([OMEGA], oracle, "half", small_cfg(depth=1))
+    chain = build_chain([OMEGA], oracle, small_cfg(depth=1))
     assert oracle.asked == [(1, 0), (1, 1000)]
     assert chain.stages[1] is oracle.proposals[1]
