@@ -325,7 +325,7 @@ def _cmd_preserve(args) -> tuple[int, dict]:
             "pair": pair.to_json(horizon_k), "rel_holds": verdict.holds,
         }
     with open(args.pair, "r", encoding="utf-8") as fh:
-        pair = GoodPair.from_json(part, json.load(fh))
+        pair = GoodPair.from_json(part, json.load(fh), horizon_k)
     if args.op == "witness-below":
         Y = witness_below(pair, horizon_k)
         verdict = rel_holds(Y, pair, 1, horizon_k)

@@ -94,6 +94,30 @@ def build_checkpoints(horizon: int, stride: int | None = None,
     return cps
 
 
+def tail_rows(checkpoints: Sequence[int], dens: Sequence[int], horizon: int,
+              tail_window: Fraction = HALF) -> tuple[list[int], int, int]:
+    """The rows of a report and of its tail, given X's counts dens at the
+    sorted checkpoints: (kept, tail, tail_from).
+
+    A report keeps the rows with a point of X (d > 0), listed by index in
+    kept.  Its tail is kept[tail:], from the first kept checkpoint at or
+    above tail_from = ceil(tail_window * horizon), or the last kept row
+    (with tail_from its checkpoint) when there is none.  X needs at least
+    10 points below the last checkpoint.
+    """
+    if dens[-1] < 10:
+        raise ValueError(
+            f"X has only {dens[-1]} points below horizon {horizon}; "
+            "need at least 10"
+        )
+    kept = [i for i, d in enumerate(dens) if d > 0]
+    tail_from = ceil_frac(tail_window * horizon)
+    tail = bisect_left(kept, tail_from, key=checkpoints.__getitem__)
+    if tail == len(kept):
+        tail, tail_from = tail - 1, checkpoints[kept[-1]]
+    return kept, tail, tail_from
+
+
 def _pair_counts(S: OmegaSet, X: OmegaSet, checkpoints: Sequence[int]):
     if S is X:
         den = X.counts_at(checkpoints)
@@ -118,17 +142,8 @@ def density_report(S: OmegaSet, X: OmegaSet, horizon: int,
     else:
         checkpoints = sorted(set(int(c) for c in checkpoints) | {horizon})
     nums, dens = _pair_counts(S, X, checkpoints)
-    if dens[-1] < 10:
-        raise ValueError(
-            f"X has only {dens[-1]} points below horizon {horizon}; "
-            "need at least 10"
-        )
-    rows = [(cp, n, d) for cp, n, d in zip(checkpoints, nums, dens) if d > 0]
-    checkpoints, nums, dens = zip(*rows)
-    tail_from = ceil_frac(tail_window * horizon)
-    tail = bisect_left(checkpoints, tail_from)
-    if tail == len(checkpoints):
-        tail, tail_from = tail - 1, checkpoints[-1]
+    kept, tail, tail_from = tail_rows(checkpoints, dens, horizon, tail_window)
+    checkpoints, nums, dens = (tuple(v[i] for i in kept) for v in (checkpoints, nums, dens))
     # the tail extremes, compared by cross-multiplying the counts
     hi_n = lo_n = nums[tail]
     hi_d = lo_d = dens[tail]

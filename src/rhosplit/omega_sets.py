@@ -114,23 +114,29 @@ def _nwords(n: int) -> int:
     return (n >> 6) + 1
 
 
-def _prefix_counts(words: np.ndarray, checkpoints: Sequence[int]) -> list[int]:
+def _prefix_counts(words: np.ndarray, checkpoints: Sequence[int]) -> list:
     """Members below each checkpoint n, from packed words that cover every
-    checkpoint (bits at and above a checkpoint are masked off).
+    checkpoint (bits at and above a checkpoint are masked off).  One row
+    of words, shape (w,), gives a list of counts; rows of words, shape
+    (r, w), give one such list per row, all counted in this one call.
 
-    One popcount per word, a cumulative sum at word granularity, and one
-    masked popcount of the partial word at each checkpoint.
+    One popcount per word, a cumulative sum along each row at word
+    granularity, and one masked popcount of the partial word at each
+    checkpoint.
     """
     top = max(0, *checkpoints) >> 6
     # every count is at most 64 * (top + 1)
     dt = np.uint32 if top < 1 << 26 else np.uint64
-    cum = np.zeros(top + 1, dtype=dt)
-    np.bitwise_count(words[:top], out=cum[1:])
-    cum.cumsum(out=cum)
+    cum = np.zeros((*words.shape[:-1], top + 1), dtype=dt)
+    np.bitwise_count(words[..., :top], out=cum[..., 1:])
+    cum.cumsum(axis=-1, out=cum)
     n = np.array(checkpoints, dtype=np.int64)
     np.maximum(n, 0, out=n)
     q = n >> 6
-    return (cum[q] + np.bitwise_count(words[q] & _LOW_BITS[n & 63])).tolist()
+    # take() gathers along the last axis; indexing with [..., q] does the
+    # same a few microseconds slower per call
+    partial = np.bitwise_count(words.take(q, axis=-1) & _LOW_BITS[n & 63])
+    return (cum.take(q, axis=-1) + partial).tolist()
 
 
 def _unpack(words: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -70,15 +70,26 @@ class GoodPair:
         }
 
     @classmethod
-    def from_json(cls, partition: IntervalPartition, obj: Mapping) -> "GoodPair":
-        """The pair that ``to_json`` wrote, read as untrusted input: H
-        holds the listed indices and every index past them.  A wrong shape
-        (a list where an object belongs, a number where a guard does) or a
-        guard integer that is not exact is a "malformed pair" ValueError."""
+    def from_json(cls, partition: IntervalPartition, obj: Mapping,
+                  horizon_k: int) -> "GoodPair":
+        """The pair that ``to_json(horizon_k)`` wrote, read as untrusted
+        input: H holds the listed indices and every index past them.  A
+        wrong shape (a list where an object belongs, a number where a
+        guard does), a guard integer that is not exact, or a guard key or
+        index at or above horizon_k is a "malformed pair" ValueError.
+
+        Every check reads guards below horizon_k only, and a guard's
+        boundaries grow like 2^(k^2/2), so the bound is checked before any
+        guard is built."""
         try:
             ks, guards = obj["H"], obj.get("guards", {})
-            guards = {parse_int(k): partition.subset_from_json(v)
-                      for k, v in guards.items()}
+            guards = {parse_int(k): v for k, v in guards.items()}
+            for k, v in guards.items():
+                index = parse_int(v["index"])
+                if max(k, index) >= horizon_k:
+                    raise ValueError(f"guard {k} (interval {index}) is not "
+                                     f"below horizon_k {horizon_k}")
+            guards = {k: partition.subset_from_json(v) for k, v in guards.items()}
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed pair: {exc}") from exc
         if not isinstance(ks, list) or any(type(k) is not int or k < 0 for k in ks):

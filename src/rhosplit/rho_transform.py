@@ -15,18 +15,20 @@ against every current family member.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ._util import HALF, as_fraction, derive_seed
-from .density import DensityReport, density_report, split_verdict
+from .density import build_checkpoints, density_report, split_verdict, tail_rows
 from .omega_sets import (
     OMEGA,
     BernoulliSet,
     OmegaSet,
     StrideSelection,
+    _prefix_counts,
     agree_below,
     complement,
     difference,
@@ -256,8 +258,10 @@ class ComposedOracle(SplitterOracle):
 # -- validation --------------------------------------------------------------
 
 
-def _band_ok(report: DensityReport, p: Fraction, tol: Fraction) -> bool:
-    """Count-aware acceptance, decided in exact arithmetic.
+def _band_ok(nums: Sequence[int], dens: Sequence[int], p: Fraction,
+             tol: Fraction) -> bool:
+    """Count-aware acceptance of the tail rows num/den, decided in exact
+    arithmetic.
 
     The allowed deviation at a checkpoint with denominator d is the larger
     of the stage tolerance and sqrt(6.1/d).  By Hoeffding's inequality
@@ -279,8 +283,7 @@ def _band_ok(report: DensityReport, p: Fraction, tol: Fraction) -> bool:
     dev_scale = 10 * u * u
     tol_scale = 10 * (t * b) ** 2
     floor_scale = 61 * (b * u) ** 2
-    tail = bisect_left(report.checkpoints, report.tail_from)
-    for num, den in zip(report.numerators[tail:], report.denominators[tail:]):
+    for num, den in zip(nums, dens):
         dev = num * b - a * den
         if dev_scale * dev * dev > max(tol_scale * den * den, floor_scale * den):
             return False
@@ -290,17 +293,42 @@ def _band_ok(report: DensityReport, p: Fraction, tol: Fraction) -> bool:
 def _accepted_proposal(oracle: SplitterOracle, stage: int, salt: int,
                        targets: Sequence[OmegaSet],
                        cfg: ChainConfig) -> OmegaSet:
+    """The first proposal whose tail rows pass ``_band_ok`` against every
+    target, the targets checked in order, after at most MAX_ATTEMPTS
+    proposals.
+
+    The targets' words are stacked once and their counts taken once.
+    Each proposal's words are ANDed with the stack, and every row is
+    counted in one kernel call.  A rejected proposal's diagnostics are
+    the density report against the target it failed.
+    """
+    H, p = cfg.horizon, oracle.p
+    checkpoints = build_checkpoints(H)
+    stack = np.stack([R.packed(H) for R in targets])
+    dens = _prefix_counts(stack, checkpoints)
+    joint = np.empty_like(stack)
+    # a target's tail rows and their denominators, found when the walk
+    # first reaches the target, so that a finite or thin target raises
+    # only then, as a report per target would
+    tails: dict[int, tuple[list[int], list[int]]] = {}
     failures = []
     for attempt in range(MAX_ATTEMPTS):
         S = oracle.propose(stage, salt + attempt * 1000, targets)
-        ok = True
-        for R in targets:
-            rep = density_report(S, R, cfg.horizon, target=oracle.p)
-            if not _band_ok(rep, oracle.p, STAGE_TOLERANCE):
-                failures.append((stage, attempt, rep.to_json()))
-                ok = False
+        nums = _prefix_counts(np.bitwise_and(stack, S.packed(H), out=joint),
+                              checkpoints)
+        for i, R in enumerate(targets):
+            if i not in tails:
+                require_infinite(R, "X")
+                kept, tail, _ = tail_rows(checkpoints, dens[i], H)
+                rows = kept[tail:]
+                tails[i] = rows, [dens[i][j] for j in rows]
+            rows, tail_dens = tails[i]
+            if not _band_ok([nums[i][j] for j in rows], tail_dens, p,
+                            STAGE_TOLERANCE):
+                failures.append(
+                    (stage, attempt, density_report(S, R, H, target=p).to_json()))
                 break
-        if ok:
+        else:
             return S
     raise OracleExhaustedError(
         f"oracle failed validation {MAX_ATTEMPTS} times at stage {stage}",

@@ -326,7 +326,7 @@ def test_loaded_pair_H_is_listed_indices_then_all(ks, expected):
     from rhosplit import GoodPair, build_partition
 
     pair = GoodPair.from_json(build_partition("minimal", 4),
-                              {"eps": "1/4", "H": ks})
+                              {"eps": "1/4", "H": ks}, 6)
     assert [k for k in range(10) if pair.H.contains(k)] == expected
 
 
@@ -344,6 +344,28 @@ def test_loaded_pair_of_a_wrong_shape_is_a_usage_error(tmp_path, payload):
                             "--pair", str(path)])
     assert (code, out) == (2, "")
     assert err.getvalue().startswith("error: malformed pair: ")
+
+
+@pytest.mark.parametrize("key,index", [
+    ("1000000", 1000000),  # a guard far past the horizon
+    ("0", 1000000),  # a guard whose interval is far past it
+    ("6", 6),  # the first guard that no check reads
+])
+def test_loaded_pair_guard_at_or_above_the_horizon_is_malformed(tmp_path, key, index):
+    # the boundaries of interval K grow like 2^(K^2/2): the bound is
+    # checked before any is built
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"eps": "1/4", "H": [0],
+                                "guards": {key: {"index": index, "kind": "full"}}}))
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(["preserve", "--op", "witness-below", "--pair", str(path),
+                            "--horizon-k", "6"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.getvalue() == (f"error: malformed pair: guard {key} (interval {index})"
+                              " is not below horizon_k 6\n")
 
 
 @pytest.mark.parametrize("H", [["a"], [1.5], 5, [-1], [True]])
@@ -423,6 +445,19 @@ def test_horizon_cap_env_override(monkeypatch):
     with pytest.raises(HorizonOverflowError):
         s.count_below(2000)
     assert s.count_below(500) >= 0
+
+
+# horizons below and above 2^18, where sparse enumeration stops
+@pytest.mark.parametrize("horizon", ["2000", "300000"])
+def test_transform_beyond_the_cap_is_a_usage_error(monkeypatch, horizon):
+    monkeypatch.setenv("RHOSPLIT_HORIZON_CAP", "1000")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(["transform", "--direction", "half-to-rho", "--rho", "1/4",
+                            "--depth", "2", "--horizon", horizon])
+    assert (code, out) == (2, "")
+    assert err.getvalue() == (f"error: explicit horizon {horizon} exceeds cap 1000; "
+                              "use the interval-symbolic form\n")
 
 
 def test_output_modes():

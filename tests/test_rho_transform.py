@@ -1,9 +1,12 @@
 import pytest
+from bisect import bisect_left
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from rhosplit import (
     OMEGA,
+    BernoulliSet,
+    ExplicitSet,
     Progression,
     binary_digits,
     build_chain,
@@ -14,15 +17,17 @@ from rhosplit import (
     transform_splitter,
 )
 from rhosplit.omega_sets import parse_family
-from rhosplit.density import DensityReport, density_report
+from rhosplit.density import density_report
 from rhosplit.rho_transform import (
     MAX_ATTEMPTS,
+    STAGE_TOLERANCE,
     BernoulliOracle,
     ChainConfig,
     OracleExhaustedError,
     RoundRobinOracle,
     SplitterOracle,
     TransformError,
+    _accepted_proposal,
     _band_ok,
     geometric_weights,
 )
@@ -180,16 +185,10 @@ def test_band_check_is_the_fraction_rule(case):
     a, b, t, u, rows = case
     p, tol = Fraction(a, b), Fraction(t, u)
     ratios = tuple(Fraction(n, d) for n, d in rows)
-    report = DensityReport(
-        checkpoints=tuple(range(1, len(rows) + 1)),
-        numerators=tuple(n for n, _ in rows),
-        denominators=tuple(d for _, d in rows),
-        tail_window=HALF, tail_from=1,
-        upper_est=max(ratios), lower_est=min(ratios))
     # the rule in rational arithmetic, as the docstring of _band_ok states it
     oracle = all((r - p) ** 2 * d <= max(tol ** 2 * d, Fraction(61, 10))
                  for r, (_, d) in zip(ratios, rows))
-    assert _band_ok(report, p, tol) == oracle
+    assert _band_ok([n for n, _ in rows], [d for _, d in rows], p, tol) == oracle
 
 
 # -- chains -------------------------------------------------------------------
@@ -361,16 +360,25 @@ class _ScriptedOracle(SplitterOracle):
 
 
 def test_oracle_rejected_every_time_is_exhausted():
-    # prog(0,4) has ratio exactly 1/4 at every checkpoint: far out of band
-    oracle = _ScriptedOracle(Progression(0, 4))
-    with pytest.raises(OracleExhaustedError, match="12 times at stage 1") as info:
-        build_chain([OMEGA], oracle, small_cfg(depth=1))
-    assert oracle.asked == [(1, 1000 * a) for a in range(MAX_ATTEMPTS)]
-    diags = info.value.diagnostics
-    assert [(stage, attempt) for stage, attempt, _ in diags] == [
-        (1, a) for a in range(MAX_ATTEMPTS)]
-    for _, _, rep in diags:
-        assert (rep["target"], rep["lower_est"], rep["upper_est"]) == ("1/2", "1/4", "1/4")
+    cfg = small_cfg(depth=1)
+    for family, proposal, ratio in [
+        # prog(0,4) has ratio exactly 1/4 at every checkpoint: far out of band
+        ([OMEGA], Progression(0, 4), "1/4"),
+        # the evens split omega and prog(0,3) exactly, and hold all of prog(0,4)
+        ([OMEGA, Progression(0, 3), Progression(0, 4)], Progression(0, 2), "1"),
+    ]:
+        oracle = _ScriptedOracle(proposal)
+        with pytest.raises(OracleExhaustedError, match="12 times at stage 1") as info:
+            build_chain(family, oracle, cfg)
+        assert oracle.asked == [(1, 1000 * a) for a in range(MAX_ATTEMPTS)]
+        diags = info.value.diagnostics
+        assert [(stage, attempt) for stage, attempt, _ in diags] == [
+            (1, a) for a in range(MAX_ATTEMPTS)]
+        # each diagnostic is the report against the member that rejected
+        expect = density_report(proposal, family[-1], cfg.horizon, target=HALF).to_json()
+        for _, _, rep in diags:
+            assert rep == expect
+            assert (rep["target"], rep["lower_est"], rep["upper_est"]) == ("1/2", ratio, ratio)
 
 
 def test_oracle_resampled_after_a_rejection():
@@ -378,3 +386,99 @@ def test_oracle_resampled_after_a_rejection():
     chain = build_chain([OMEGA], oracle, small_cfg(depth=1))
     assert oracle.asked == [(1, 0), (1, 1000)]
     assert chain.stages[1] is oracle.proposals[1]
+
+
+# -- the validator against one density report per (proposal, member) --------
+
+
+def _validated_by_reports(oracle, targets, horizon):
+    """Stage-1 validation as a density report per (proposal, member) pair,
+    with the band rule in rational arithmetic on each report's tail rows:
+    the reference that ``_accepted_proposal`` must agree with."""
+    p, tol = oracle.p, STAGE_TOLERANCE
+    failures = []
+    for attempt in range(MAX_ATTEMPTS):
+        S = oracle.propose(1, attempt * 1000, targets)
+        for R in targets:
+            rep = density_report(S, R, horizon, target=p)
+            tail = bisect_left(rep.checkpoints, rep.tail_from)
+            rows = zip(rep.numerators[tail:], rep.denominators[tail:])
+            if not all((Fraction(n, d) - p) ** 2 * d <= max(tol ** 2 * d, Fraction(61, 10))
+                       for n, d in rows):
+                failures.append((1, attempt, rep.to_json()))
+                break
+        else:
+            return S
+    raise OracleExhaustedError(
+        f"oracle failed validation {MAX_ATTEMPTS} times at stage 1", failures)
+
+
+def _spec_set(spec, horizon):
+    """A set from a drawn spec: a progression, a Bernoulli set, an explicit
+    set that starts at a permille of the horizon with a periodic tail, the
+    evens with every index of [end - width, end) added for an end at a
+    permille of the horizon, or a thin set with `count` points below the
+    horizon and all of it after."""
+    kind, *args = spec
+    if kind == "prog":
+        return Progression(*args)
+    if kind == "bern":
+        return BernoulliSet(Fraction(args[0], 32), args[1])
+    if kind == "late":
+        permille, tail = args
+        return ExplicitSet([False] * (horizon * permille // 1000), tail)
+    if kind == "bump":
+        permille, width = args
+        end = horizon * permille // 2000 * 2
+        bits = [k % 2 == 0 or k >= end - width for k in range(end)]
+        return ExplicitSet(bits, (True, False))
+    (count,) = args
+    return ExplicitSet.from_elements([horizon * i // count for i in range(count)],
+                                     horizon + 1, tail=(True,))
+
+
+_member_specs = st.one_of(
+    st.tuples(st.just("prog"), st.integers(0, 300), st.integers(1, 5)),
+    st.tuples(st.just("bern"), st.integers(1, 31), st.integers(0, 99)),
+    st.tuples(st.just("late"), st.integers(0, 1200),
+              st.sampled_from([(True,), (False, True), (True, False, False), (False,)])),
+    st.tuples(st.just("thin"), st.integers(1, 12)),
+)
+_proposal_specs = st.one_of(
+    st.tuples(st.just("prog"), st.integers(0, 3), st.integers(1, 4)),
+    st.tuples(st.just("bern"), st.sampled_from([14, 16, 18]), st.integers(0, 99)),
+    st.tuples(st.just("bump"), st.integers(450, 550), st.integers(0, 4000)),
+)
+
+
+def _outcome(validate):
+    try:
+        return "accepted", validate()
+    except OracleExhaustedError as exc:
+        return "exhausted", str(exc), exc.diagnostics
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# a thin member after one the proposal passes, then rows with d == 0 in the
+# tail (a member that starts at 0.7 H), each at a horizon whose checkpoints
+# share words and at the transform's horizon; then bumps that only the first
+# tail row (at H/2) rejects, and that only the row before it would reject
+@example(3_000, [("prog", 0, 1), ("thin", 5)], [("prog", 0, 2)])
+@example(200_000, [("prog", 0, 1), ("thin", 9)], [("bern", 16, 1)])
+@example(3_000, [("late", 700, (False, True))], [("prog", 0, 4), ("prog", 1, 2)])
+@example(200_000, [("prog", 0, 2), ("late", 700, (True,))], [("bern", 16, 2)])
+@example(200_000, [("prog", 0, 1)], [("bump", 500, 2020), ("prog", 0, 2)])
+@example(200_000, [("prog", 0, 1)], [("bump", 490, 1990), ("prog", 0, 4)])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(500, 200_000), st.lists(_member_specs, min_size=1, max_size=5),
+       st.lists(_proposal_specs, min_size=1, max_size=MAX_ATTEMPTS + 1))
+def test_validator_agrees_with_a_report_per_member(horizon, members, proposals):
+    family = [_spec_set(m, horizon) for m in members]
+    sets = [_spec_set(p, horizon) for p in proposals]
+    fast, slow = _ScriptedOracle(*sets), _ScriptedOracle(*sets)
+    got = _outcome(lambda: _accepted_proposal(fast, 1, 0, family,
+                                              small_cfg(horizon=horizon)))
+    want = _outcome(lambda: _validated_by_reports(slow, family, horizon))
+    assert got == want
+    assert fast.asked == slow.asked
