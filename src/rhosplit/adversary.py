@@ -36,16 +36,16 @@ def min_index_for_eps(eps) -> int:
     """Least n with 2^(1-n) <= 1/2 - eps.
 
     For that n, 1/(2^(1-n) + 1) >= 1/2 + eps holds as well, which is what
-    the escape chains need.
+    the escape chains need.  Both are read off integers: with eps = a/b,
+    n is least with 2^n >= 4b/(b - 2a), and 2b * 2^n >= (b + 2a)(2^n + 2).
     """
     eps = as_fraction(eps)
     if not (0 < eps < HALF):
         raise ValueError("eps must lie in (0, 1/2)")
-    bound = HALF - eps
-    n = 1
-    while Fraction(2, 2 ** n) > bound:
-        n += 1
-    assert Fraction(2 ** n, 2 ** n + 2) >= HALF + eps
+    a, b = eps.numerator, eps.denominator
+    # as in centred_thresholds: the least n with 2^n >= m is (m - 1).bit_length()
+    n = (-(-4 * b // (b - 2 * a)) - 1).bit_length()
+    assert b << (n + 1) >= (b + 2 * a) * ((1 << n) + 2)
     return n
 
 

@@ -119,16 +119,12 @@ def tail_rows(checkpoints: Sequence[int], dens: Sequence[int], horizon: int,
 
 
 def _pair_counts(S: OmegaSet, X: OmegaSet, checkpoints: Sequence[int]):
-    if S is X:
-        den = X.counts_at(checkpoints)
-        return list(den), den
     joint = CombineNode("inter", [S, X])
     return joint.counts_at(checkpoints), X.counts_at(checkpoints)
 
 
 def density_report(S: OmegaSet, X: OmegaSet, horizon: int,
                    stride: int | None = None,
-                   checkpoints: Sequence[int] | None = None,
                    geometric: bool = False,
                    tail_window: Fraction = HALF,
                    target=None) -> DensityReport:
@@ -137,10 +133,7 @@ def density_report(S: OmegaSet, X: OmegaSet, horizon: int,
     if not (0 < tail_window < 1):
         raise ValueError("tail window must lie in (0,1)")
     require_infinite(X, "X")
-    if checkpoints is None:
-        checkpoints = build_checkpoints(horizon, stride, geometric)
-    else:
-        checkpoints = sorted(set(int(c) for c in checkpoints) | {horizon})
+    checkpoints = build_checkpoints(horizon, stride, geometric)
     nums, dens = _pair_counts(S, X, checkpoints)
     kept, tail, tail_from = tail_rows(checkpoints, dens, horizon, tail_window)
     checkpoints, nums, dens = (tuple(v[i] for i in kept) for v in (checkpoints, nums, dens))

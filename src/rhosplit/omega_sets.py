@@ -18,6 +18,7 @@ import re
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Sequence
@@ -731,47 +732,6 @@ class CombineNode(OmegaSet):
         return f"CombineNode({self.op!r}, {list(self.children)!r})"
 
 
-class PowersSet(OmegaSet):
-    """Geometric set {base**k : k >= 0}."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: int):
-        super().__init__()
-        if base < 2:
-            raise ValueError("base must be at least 2")
-        self.base = int(base)
-
-    def contains(self, k: int) -> bool:
-        if k < 1:
-            return False
-        while k % self.base == 0:
-            k //= self.base
-        return k == 1
-
-    def counts_at(self, checkpoints):
-        powers = self.enumerate_below(max(checkpoints, default=0), _ENUM_LIMIT)
-        return [bisect_left(powers, n) for n in checkpoints]
-
-    def kth_element(self, k: int) -> int:
-        if k < 0:
-            raise IndexError("negative index")
-        return self.base ** k
-
-    def enumerate_below(self, n, limit):
-        out, v = [], 1
-        while v < n:
-            out.append(v)
-            v *= self.base
-        return out
-
-    def descriptor(self) -> str:
-        return f"pow({self.base})"
-
-    def __repr__(self):
-        return f"PowersSet({self.base})"
-
-
 class SequenceSet(OmegaSet):
     """Range of a strictly increasing integer sequence given by a function.
 
@@ -827,6 +787,24 @@ class SequenceSet(OmegaSet):
 
     def __repr__(self):
         return f"SequenceSet({self.name})"
+
+
+class PowersSet(SequenceSet):
+    """Geometric set {base**k : k >= 0}, the sequence k -> base**k."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: int):
+        if base < 2:
+            raise ValueError("base must be at least 2")
+        self.base = int(base)
+        super().__init__(partial(pow, self.base), f"pow({self.base})")
+
+    def descriptor(self) -> str:
+        return self.name
+
+    def __repr__(self):
+        return f"PowersSet({self.base})"
 
 
 class StrideSelection(OmegaSet):

@@ -78,9 +78,9 @@ class GoodPair:
         guard does), a guard integer that is not exact, or a guard key or
         index at or above horizon_k is a "malformed pair" ValueError.
 
-        Every check reads guards below horizon_k only, and a guard's
-        boundaries grow like 2^(k^2/2), so the bound is checked before any
-        guard is built."""
+        Every check reads H and the guards below horizon_k only, so H is
+        built below it alone.  A guard's boundaries grow like 2^(k^2/2),
+        so the bound is checked before any guard is built."""
         try:
             ks, guards = obj["H"], obj.get("guards", {})
             guards = {parse_int(k): v for k, v in guards.items()}
@@ -95,7 +95,8 @@ class GoodPair:
         if not isinstance(ks, list) or any(type(k) is not int or k < 0 for k in ks):
             raise ValueError(f"pair H must be a list of non-negative integers: {ks!r}")
         # an empty H keeps horizon 1, so the all-true tail starts at 1, not 0
-        H = ExplicitSet.from_elements(ks, max(ks) + 1 if ks else 1, tail=(True,))
+        n = max(0, min(max(ks, default=0) + 1, horizon_k))
+        H = ExplicitSet.from_elements(ks, n, tail=(True,))
         return cls(partition, H, guards, parse_rational(obj["eps"]))
 
 

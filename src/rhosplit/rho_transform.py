@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "binary_digits",
     "greedy_base_digits",
     "select_levels",
-    "geometric_weights",
     "squaring_plan",
     "build_chain",
     "transform_splitter",
@@ -95,18 +94,13 @@ def binary_digits(rho, K: int) -> list[int]:
     """Positions of the 1-digits in the binary expansion of rho, truncated
     at K digits; dyadic inputs get the terminating representation.
 
-    The residual rho - sum(2^-m) lies in [0, 2^-K).
+    These are the levels ``select_levels`` takes at p = 1/2, whose
+    weights are 2^-m, so the residual rho - sum(2^-m) lies in [0, 2^-K).
     """
     rho = as_fraction(rho)
     if not (0 < rho < 1):
         raise ValueError("rho must lie in (0, 1)")
-    out, r = [], rho
-    for m in range(1, K + 1):
-        w = Fraction(1, 2 ** m)
-        if w <= r:
-            out.append(m)
-            r -= w
-    return out
+    return select_levels(HALF, rho, K)[0]
 
 
 def greedy_base_digits(x, b, K: int) -> list[tuple[int, int]]:
@@ -139,27 +133,21 @@ def greedy_base_digits(x, b, K: int) -> list[tuple[int, int]]:
     return out
 
 
-def geometric_weights(rho) -> Callable[[int], Fraction]:
-    rho = as_fraction(rho)
-    return lambda m: rho ** (m - 1) * (1 - rho)
-
-
-def select_levels(weights: Callable[[int], Fraction], target,
-                  K: int) -> tuple[list[int], Fraction]:
-    """Greedy level selection: take level m (ascending) iff its weight
-    fits the remaining residual; returns the selection and the exact
-    residual after K levels."""
-    target = as_fraction(target)
+def select_levels(p, target, K: int) -> tuple[list[int], Fraction]:
+    """Greedy level selection over a chain of density p: take level m
+    (ascending) iff its weight p^(m-1) (1-p) fits the remaining residual;
+    returns the selection and the exact residual after K levels."""
+    p, target = as_fraction(p), as_fraction(target)
+    if not (0 < p < 1):
+        raise ValueError("p must lie in (0, 1)")
     if target <= 0:
         raise ValueError("target must be positive")
-    out, r = [], target
+    out, r, w = [], target, 1 - p
     for m in range(1, K + 1):
-        w = weights(m)
-        if w <= 0:
-            raise ValueError(f"weight at level {m} is not positive")
         if w <= r:
             out.append(m)
             r -= w
+        w *= p
     return out, r
 
 
@@ -464,14 +452,13 @@ def transform_splitter(family: Sequence[OmegaSet], direction: str, rho,
     oracle = oracle or BernoulliOracle(p, cfg.seed)
     if oracle.p != p:
         raise ValueError(f"{direction} needs an oracle with p = {p}")
-    levels, residual = select_levels(geometric_weights(p), target, cfg.depth)
+    levels, residual = select_levels(p, target, cfg.depth)
     trace, ops, eff = [], [], p
     if not forward:
         trace.append((p, residual))
         if p >= Fraction(2, 3) or residual > RESIDUAL_TOLERANCE:
             ops, eff = squaring_plan(p)
-            levels, residual = select_levels(geometric_weights(eff), target,
-                                             cfg.depth)
+            levels, residual = select_levels(eff, target, cfg.depth)
             trace.append((eff, residual))
             if residual > RESIDUAL_TOLERANCE:
                 raise TransformError(

@@ -40,7 +40,10 @@ def test_min_index_examples(eps, expected):
     assert min_index_for_eps(eps) == scan_min_index(eps) == expected
 
 
-@given(st.fractions(min_value=Fraction(1, 64), max_value=Fraction(31, 64)))
+@given(st.fractions(min_value=Fraction(1, 64), max_value=Fraction(31, 64))
+       | st.fractions(min_value=Fraction(1, 10 ** 9),
+                      max_value=HALF - Fraction(1, 10 ** 9),
+                      max_denominator=10 ** 9))
 def test_min_index_oracle_and_reciprocal(eps):
     n = min_index_for_eps(eps)
     assert n == scan_min_index(eps)

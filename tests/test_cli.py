@@ -330,6 +330,23 @@ def test_loaded_pair_H_is_listed_indices_then_all(ks, expected):
     assert [k for k in range(10) if pair.H.contains(k)] == expected
 
 
+def test_loaded_pair_H_far_past_the_horizon_is_not_built(tmp_path):
+    # no check reads H at or above horizon_k, so an index far past it
+    # changes no output and builds no bit (10^12 bits would be 125 GB)
+    from rhosplit import GoodPair, build_partition
+
+    outs = []
+    for K in (3, 10 ** 12):
+        path = tmp_path / f"pair{K}.json"
+        path.write_text(json.dumps({"eps": "1/4", "H": [K]}))
+        outs.append(invoke(["preserve", "--op", "witness-below",
+                            "--pair", str(path), "--horizon-k", "3"]))
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+    pair = GoodPair.from_json(build_partition("minimal", 4),
+                              {"eps": "1/4", "H": [10 ** 12]}, 3)
+    assert pair.H.prefix.shape[0] <= 3
+
+
 @pytest.mark.parametrize("payload", [
     [1],  # a list where the pair object belongs
     {"eps": "1/4", "H": [0], "guards": [1]},  # a list where the guard map belongs

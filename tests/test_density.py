@@ -197,9 +197,10 @@ def _count_rows(draw):
 def test_tail_statistics_are_the_fraction_extremes(case):
     cps, nums, dens, window, target = case
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "build_checkpoints", lambda h, stride, geo: cps)
         mp.setattr(density, "_pair_counts", lambda S, X, c: (nums, dens))
-        rep = density_report(OMEGA, OMEGA, cps[-1], checkpoints=cps,
-                             tail_window=window, target=target)
+        rep = density_report(OMEGA, OMEGA, cps[-1], tail_window=window,
+                             target=target)
     rows = [(cp, Fraction(n, d)) for cp, n, d in zip(cps, nums, dens) if d > 0]
     tail_from = -((-window.numerator * cps[-1]) // window.denominator)
     tail = [r for cp, r in rows if cp >= tail_from] or [rows[-1][1]]

@@ -749,6 +749,25 @@ def test_powers_membership():
     assert p3.count_below(10 ** 30) == 63  # 3^62 < 10^30 < 3^63
 
 
+# the closed form: every power b^j up to 2^4096
+POWERS = {b: [b ** j for j in range(4097) if b ** j <= 2 ** 4096] for b in range(2, 11)}
+
+
+@settings(deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2 ** 4096), st.integers(0, 2 ** 4096),
+       st.integers(0, 600))
+def test_powers_set_is_the_closed_form(b, n, m, k):
+    P, powers = PowersSet(b), POWERS[b]
+    below = bisect_left(powers, n)
+    assert P.counts_at([n, m]) == [below, bisect_left(powers, m)]
+    assert P.enumerate_below(n, 1 << 20) == powers[:below]
+    assert P.kth_element(k) == b ** k
+    for x in (n, b ** k - 1, b ** k, b ** k + 1):
+        assert P.contains(x) == (x in powers)
+    Q = parse_set(P.descriptor())
+    assert (type(Q), Q.base, Q.descriptor()) == (PowersSet, b, f"pow({b})")
+
+
 def test_grammar_roundtrip():
     texts = [
         "omega",

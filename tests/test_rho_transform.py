@@ -29,7 +29,6 @@ from rhosplit.rho_transform import (
     TransformError,
     _accepted_proposal,
     _band_ok,
-    geometric_weights,
 )
 
 HALF = Fraction(1, 2)
@@ -102,18 +101,35 @@ def test_greedy_base_digits_properties(x, b, K):
 def test_select_levels_examples():
     # consistency with the binary expansion for dyadic weights
     rho = Fraction(11, 16)
-    sel, res = select_levels(geometric_weights(HALF), rho, 10)
+    sel, res = select_levels(HALF, rho, 10)
     assert sel == binary_digits(rho, 10)
-    # geometric weights at rho = 3/5: take w1 (residual 1/10), skip
+    # geometric weights at p = 3/5: take w1 (residual 1/10), skip
     # w2 = 6/25 and w3 = 18/125, take w4 = 54/625 (residual 17/1250)
-    sel, res = select_levels(geometric_weights(Fraction(3, 5)), HALF, 4)
+    sel, res = select_levels(Fraction(3, 5), HALF, 4)
     assert sel == [1, 4]
     assert res == Fraction(17, 1250)
     # exact exhaustion
-    w = geometric_weights(HALF)
-    total = sum(w(m) for m in range(1, 7))
-    sel, res = select_levels(w, total, 6)
+    total = sum(Fraction(1, 2 ** m) for m in range(1, 7))
+    sel, res = select_levels(HALF, total, 6)
     assert sel == [1, 2, 3, 4, 5, 6] and res == 0
+
+
+@pytest.mark.parametrize("p", [0, 1, Fraction(-1, 2), Fraction(3, 2), "1"])
+def test_select_levels_rejects_p_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="p must lie in"):
+        select_levels(p, HALF, 8)
+
+
+@given(rationals_01, rationals_01, st.integers(1, 30))
+def test_select_levels_is_greedy_on_geometric_weights(p, target, K):
+    # the rule stated directly: weight p^(m-1) (1-p) is taken iff it fits
+    sel, r = [], target
+    for m in range(1, K + 1):
+        w = p ** (m - 1) * (1 - p)
+        if w <= r:
+            sel.append(m)
+            r -= w
+    assert select_levels(p, target, K) == (sel, r)
 
 
 @given(st.fractions(min_value=Fraction(51, 100), max_value=Fraction(99, 100)),
@@ -121,7 +137,7 @@ def test_select_levels_examples():
 def test_select_levels_no_stranding_at_or_above_half(rho, K):
     # for rho >= 1/2 each weight is at most the remaining tail, so the
     # greedy residual is below rho^K
-    _, res = select_levels(geometric_weights(rho), HALF, K)
+    _, res = select_levels(rho, HALF, K)
     assert 0 <= res < rho ** K
 
 
@@ -129,7 +145,7 @@ def test_select_levels_can_strand_below_half():
     # rho = 2/5: w1 = 3/5 > 1/2 is skipped and the remaining tail sums to
     # only 2/5, so the residual can never drop below 1/10
     for K in (10, 20, 30):
-        _, res = select_levels(geometric_weights(Fraction(2, 5)), HALF, K)
+        _, res = select_levels(Fraction(2, 5), HALF, K)
         assert res > Fraction(1, 10)
     assert res - Fraction(1, 10) < Fraction(1, 10 ** 6)
 
