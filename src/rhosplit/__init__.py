@@ -65,6 +65,7 @@ from .rho_transform import (
     binary_digits,
     build_chain,
     greedy_base_digits,
+    plan_transform,
     select_levels,
     squaring_plan,
     transform_splitter,

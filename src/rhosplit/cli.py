@@ -14,6 +14,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -65,6 +66,10 @@ from .rho_transform import (
 
 __all__ = ["main", "run"]
 
+# relsys --fact54 --max-window 20 takes about 0.25 s; each window
+# doubles the bit length of the powers it reads
+MAX_WINDOW = 20
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -74,11 +79,27 @@ def _fraction(text: str) -> Fraction:
 
 
 def _partition_arg(spec: str, count: int, even: bool) -> IntervalPartition:
-    if spec == "minimal":
-        return build_partition("minimal", count, even)
-    if spec.startswith("factor:"):
-        return build_partition(spec, count, even)
-    raise ValueError(f"unknown partition spec {spec!r}")
+    if spec != "minimal" and not spec.startswith("factor:"):
+        raise ValueError(f"unknown partition spec {spec!r}")
+    return build_partition(spec, count, even)
+
+
+def _require_printable(part: IntervalPartition, option: str, last: int,
+                       largest: Callable[[int], int]) -> None:
+    """Refuse, before any work, an option value whose report prints the
+    boundaries up to b_last when one of them has more decimal digits
+    than the interpreter turns into text (``sys.get_int_max_str_digits``,
+    0 for no limit); ``largest(n)`` is the largest value whose report
+    stops at b_n."""
+    digits = sys.get_int_max_str_digits()
+    if not digits:
+        return
+    n, limit = 0, 10 ** digits
+    while n < last and part.boundary(n + 1) < limit:
+        n += 1
+    if n < last:
+        raise ValueError(f"{option} must be at most {largest(n)} for this partition: "
+                         f"boundary b_{n + 1} has more than {digits} decimal digits")
 
 
 def _emit(report: dict, output: str) -> None:
@@ -205,7 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_partition(args) -> tuple[int, dict]:
-    part = _partition_arg(args.partition, args.count, args.even_sizes)
+    # one interval first, so that the bound is checked before the rest are built
+    part = _partition_arg(args.partition, min(args.count, 1), args.even_sizes)
+    _require_printable(part, "--count", args.count, lambda n: n)
+    part.ensure(args.count)
     violation = part.verify_growth()
     report = {
         "command": "partition",
@@ -281,6 +305,7 @@ def _cmd_verify_cert(args) -> tuple[int, dict]:
 def _cmd_escape(args) -> tuple[int, dict]:
     part = _partition_arg(args.partition, args.count, False)
     if args.chain == "centred":
+        _require_printable(part, "--index", args.index + 1, lambda n: n - 1)
         guards = {
             k: part.first(k, (part.size(k) + 1) // 2)
             for k in range(args.index + 1)
@@ -289,6 +314,9 @@ def _cmd_escape(args) -> tuple[int, dict]:
         n0, k0 = centred_thresholds(args.eps, args.eps_prime)
         extra = {"thresholds": {"n0": n0, "k0": k0}}
     else:
+        # block m escapes at interval 2^m, so its report prints up to b_(2^m + 1)
+        _require_printable(part, "--index", 2 ** max(args.index, 0) + 1,
+                           lambda n: (n - 1).bit_length() - 1)
         slalom = half_slalom(part, args.index)
         _, cert = laver_escape(slalom, args.eps, args.eps_prime, args.index)
         extra = {}
@@ -309,8 +337,11 @@ def _cmd_preserve(args) -> tuple[int, dict]:
     missing = [f"--{a}" for a in _PRESERVE_INPUTS[args.op] if getattr(args, a) is None]
     if missing:
         raise ValueError(f"preserve --op {args.op} needs {' and '.join(missing)}")
-    part = _partition_arg(args.partition, args.count, False)
     horizon_k = args.horizon_k
+    if horizon_k < 1:
+        raise ValueError("--horizon-k must be at least 1")
+    part = _partition_arg(args.partition, args.count, False)
+    _require_printable(part, "--horizon-k", horizon_k, lambda n: n)
     if args.op == "reap-map":
         S = parse_set(args.S)
         pair = reap_tukey_map(S, args.eps, part, horizon_k)
@@ -366,6 +397,8 @@ def _cmd_transform(args) -> tuple[int, dict]:
 
 def _cmd_relsys(args) -> tuple[int, dict]:
     if args.fact54:
+        if args.max_window > MAX_WINDOW:
+            raise ValueError(f"--max-window must be at most {MAX_WINDOW}")
         R = PowersSet(2)
         x = SequenceSet(lambda n: 2 ** (2 ** n), name="doubling")
         rep = zero_split_check(R, x, 1, args.max_window)

@@ -735,55 +735,48 @@ class CombineNode(OmegaSet):
 class SequenceSet(OmegaSet):
     """Range of a strictly increasing integer sequence given by a function.
 
-    Intended for sparse sequences; increases are validated as values are
-    demanded.
+    Intended for sparse sequences: nothing is cached, and every answer
+    goes through ``terms_below``, which reads the sequence from index 0
+    and checks each increase on the way.
     """
 
-    __slots__ = ("fn", "name", "_vals")
+    __slots__ = ("fn", "name")
 
     def __init__(self, fn: Callable[[int], int], name: str = "seq"):
         super().__init__()
         self.fn = fn
         self.name = name
-        self._vals: list[int] = []
 
-    def _ensure(self, idx: int):
-        vals = self._vals
-        while len(vals) <= idx:
-            v = int(self.fn(len(vals)))
-            if vals and v <= vals[-1]:
-                raise ValueError(
-                    f"{self.name} is not strictly increasing at index {len(vals)}"
-                )
-            if v < 0:
+    def terms_below(self, v: int) -> int:
+        """The number of terms below v."""
+        i, last = 0, -1
+        while True:
+            t = int(self.fn(i))
+            if t < 0:
                 raise ValueError("sequence values must be naturals")
-            vals.append(v)
-
-    def _extend_past(self, bound: int):
-        self._ensure(0)
-        while self._vals[-1] < bound:
-            self._ensure(len(self._vals))
+            if t <= last:
+                raise ValueError(f"{self.name} is not strictly increasing at index {i}")
+            if t >= v:
+                return i
+            i, last = i + 1, t
 
     def contains(self, k: int) -> bool:
-        self._extend_past(k)
-        i = bisect_left(self._vals, k)
-        return i < len(self._vals) and self._vals[i] == k
+        return int(self.fn(self.terms_below(k))) == k
 
     def counts_at(self, checkpoints):
-        self._extend_past(max(checkpoints, default=0))
-        return [bisect_left(self._vals, n) for n in checkpoints]
+        return [self.terms_below(n) for n in checkpoints]
 
     def kth_element(self, k: int) -> int:
         if k < 0:
             raise IndexError("negative index")
-        self._ensure(k)
-        return self._vals[k]
+        v = int(self.fn(k))
+        if self.terms_below(v) != k:
+            raise ValueError(f"{self.name} is not strictly increasing below index {k}")
+        return v
 
     def enumerate_below(self, n, limit):
-        c = self.count_below(n)
-        if c > limit:
-            return None
-        return self._vals[:c]
+        c = self.terms_below(n)
+        return None if c > limit else [int(self.fn(i)) for i in range(c)]
 
     def __repr__(self):
         return f"SequenceSet({self.name})"
@@ -799,6 +792,23 @@ class PowersSet(SequenceSet):
             raise ValueError("base must be at least 2")
         self.base = int(base)
         super().__init__(partial(pow, self.base), f"pow({self.base})")
+
+    def terms_below(self, v: int) -> int:
+        """The least j with b^j >= v, an integer log found without floats.
+
+        With m the bit length of v - 1 >= 1 and c that of b^m, m log2 b
+        lies in [c - 1, c), so j0 = (m - 1) m // c is at most log_b(v - 1)
+        and short of it by less than 2m/c + 1 <= 3; the loop multiplies
+        up from b^j0.
+        """
+        if v <= 1:
+            return 0
+        b, m = self.base, (v - 1).bit_length()
+        j = (m - 1) * m // (b ** m).bit_length()
+        t = b ** j
+        while t < v:
+            t, j = t * b, j + 1
+        return j
 
     def descriptor(self) -> str:
         return self.name

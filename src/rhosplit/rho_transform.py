@@ -6,7 +6,9 @@ geometric weights p^(m-1) (1-p) toward the target, and return the union
 of the selected levels.  half-to-rho is (1/2, rho), where the weights
 are 2^-m and the selection is the binary expansion of rho; rho-to-half
 is (rho, 1/2), squaring the parameter into (1/3, 2/3) first when the
-direct expansion cannot reach 1/2.
+direct expansion cannot reach 1/2.  ``plan_transform`` decides all of
+this arithmetic exactly, before any set is built, and
+``transform_splitter`` carries the plan out.
 
 Oracles are validated and resampled rather than trusted: a proposal
 enters a chain only after its tail ratios pass a count-aware band check
@@ -15,7 +17,7 @@ against every current family member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -51,7 +53,9 @@ __all__ = [
     "select_levels",
     "squaring_plan",
     "build_chain",
+    "plan_transform",
     "transform_splitter",
+    "TransformPlan",
     "TransformResult",
 ]
 
@@ -214,19 +218,16 @@ class RoundRobinOracle(SplitterOracle):
 
 
 class ComposedOracle(SplitterOracle):
-    """Oracle obtained from an inner one by intersection-squaring steps
-    (density p -> p^2, each leg validated against its own targets) and
-    complementations (p -> 1-p)."""
+    """Oracle obtained from an inner one by the ops of ``squaring_plan``:
+    intersection-squaring steps, each leg validated against its own
+    targets, and complementations; its p is the plan's effective p."""
 
     def __init__(self, inner: SplitterOracle, ops: Sequence[str],
-                 cfg: ChainConfig):
+                 effective_p: Fraction, cfg: ChainConfig):
         self.inner = inner
         self.ops = tuple(ops)
+        self.p = effective_p
         self.cfg = cfg
-        p = inner.p
-        for op in ops:
-            p = p * p if op == "square" else 1 - p
-        self.p = p
 
     def propose(self, stage, attempt, targets):
         return self._build(len(self.ops), stage, attempt * 2 + 1, targets)
@@ -381,25 +382,24 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
 # -- end-to-end transforms ----------------------------------------------------
 
 
-@dataclass
-class TransformResult:
-    splitter: OmegaSet
-    selection: list[int]
-    residual: Fraction
+@dataclass(frozen=True)
+class TransformPlan:
+    """A transform's arithmetic: chain density p, target, the ops taking
+    p to effective_p, the levels, their residual, the advertised
+    tolerance and the (parameter, residual) trace of rho-to-half."""
+
+    p: Fraction
+    target: Fraction
     ops: list[str]
     effective_p: Fraction
+    selection: list[int]
+    residual: Fraction
     advertised_tolerance: Fraction
-    verdicts: list
-    chain: dict
-    residual_trace: list = field(default_factory=list)
+    residual_trace: list
 
     @property
     def path(self) -> str:
         return "fallback" if self.ops else "direct"
-
-    @property
-    def all_hold(self) -> bool:
-        return all(v.holds_numerically for v in self.verdicts)
 
     def to_json(self) -> dict:
         return {
@@ -409,12 +409,52 @@ class TransformResult:
             "ops": self.ops,
             "effective_p": str(self.effective_p),
             "advertised_tolerance": str(self.advertised_tolerance),
-            "residual_trace": [
-                [str(p), str(r)] for p, r in self.residual_trace
-            ],
-            "chain": self.chain,
-            "verdicts": [v.to_json() for v in self.verdicts],
+            "residual_trace": [[str(p), str(r)] for p, r in self.residual_trace],
         }
+
+
+@dataclass(frozen=True)
+class TransformResult(TransformPlan):
+    """A plan carried out: its union of levels, verdicts and chain JSON."""
+
+    splitter: OmegaSet
+    verdicts: list
+    chain: dict
+
+    @property
+    def all_hold(self) -> bool:
+        return all(v.holds_numerically for v in self.verdicts)
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "chain": self.chain,
+                "verdicts": [v.to_json() for v in self.verdicts]}
+
+
+def plan_transform(direction: str, rho, depth: int,
+                   band_tolerance: Fraction) -> TransformPlan:
+    """The plan over (p, target) = (1/2, rho) for half-to-rho and (rho, 1/2)
+    for rho-to-half; pure, exact and total on valid input.  half-to-rho
+    advertises band + 2^-depth and keeps its selection whatever the
+    residual; rho-to-half advertises band + the exact residual, records
+    the residual trace, and squares (and complements) p into (1/3, 2/3)
+    when p >= 2/3 or the residual exceeds tolerance."""
+    rho = as_fraction(rho)
+    if not (0 < rho < 1):
+        raise ValueError("rho must lie in (0, 1)")
+    if direction not in ("half-to-rho", "rho-to-half"):
+        raise ValueError(f"unknown direction {direction!r}")
+    forward = direction == "half-to-rho"
+    p, target = (HALF, rho) if forward else (rho, HALF)
+    levels, residual = select_levels(p, target, depth)
+    trace, ops, eff = [], [], p
+    if not forward:
+        trace.append((p, residual))
+        if p >= Fraction(2, 3) or residual > RESIDUAL_TOLERANCE:
+            ops, eff = squaring_plan(p)
+            levels, residual = select_levels(eff, target, depth)
+            trace.append((eff, residual))
+    advertised = band_tolerance + (Fraction(1, 2 ** depth) if forward else residual)
+    return TransformPlan(p, target, ops, eff, levels, residual, advertised, trace)
 
 
 def _union_of_levels(chain: SplitChain, levels: Sequence[int]) -> OmegaSet:
@@ -429,54 +469,27 @@ def _union_of_levels(chain: SplitChain, levels: Sequence[int]) -> OmegaSet:
 def transform_splitter(family: Sequence[OmegaSet], direction: str, rho,
                        oracle: SplitterOracle | None = None,
                        cfg: ChainConfig | None = None) -> TransformResult:
-    """Transform between bisecting and rho-splitting behaviour: one path
-    over (chain density p, target), (1/2, rho) for half-to-rho and
-    (rho, 1/2) for rho-to-half, as the module docstring describes, with
-    the oracle defaulting to Bernoulli(p, cfg.seed).
-
-    By direction: half-to-rho advertises band + 2^-depth and keeps its
-    selection whatever the residual; rho-to-half advertises band + the
-    exact residual, records the residual trace, and squares (and
-    complements) p into (1/3, 2/3) when p >= 2/3 or the residual exceeds
-    tolerance.  ``chain`` is the chain's JSON: its depth, its density p,
-    the horizon and the direction's label, "half" or "rho".
-    """
+    """Carry out ``plan_transform``: check the oracle's p (default
+    Bernoulli(p, cfg.seed)), refuse a rho-to-half residual above
+    tolerance, build the chain, and judge the union of the plan's levels
+    on every family member.  ``chain`` holds the depth, p, horizon and
+    the direction's label, "half" or "rho"."""
     cfg = cfg or ChainConfig()
-    rho = as_fraction(rho)
-    if not (0 < rho < 1):
-        raise ValueError("rho must lie in (0, 1)")
-    if direction not in ("half-to-rho", "rho-to-half"):
-        raise ValueError(f"unknown direction {direction!r}")
-    forward = direction == "half-to-rho"
-    p, target = (HALF, rho) if forward else (rho, HALF)
-    oracle = oracle or BernoulliOracle(p, cfg.seed)
-    if oracle.p != p:
-        raise ValueError(f"{direction} needs an oracle with p = {p}")
-    levels, residual = select_levels(p, target, cfg.depth)
-    trace, ops, eff = [], [], p
-    if not forward:
-        trace.append((p, residual))
-        if p >= Fraction(2, 3) or residual > RESIDUAL_TOLERANCE:
-            ops, eff = squaring_plan(p)
-            levels, residual = select_levels(eff, target, cfg.depth)
-            trace.append((eff, residual))
-            if residual > RESIDUAL_TOLERANCE:
-                raise TransformError(
-                    f"residual {residual} above tolerance after fallback",
-                    trace,
-                )
-    # a fallback that gets here has squared at least once: a parameter
-    # already in (1/3, 2/3) gets no new residual from an empty plan
-    chain = build_chain(family, ComposedOracle(oracle, ops, cfg) if ops else oracle, cfg)
-    splitter = _union_of_levels(chain, levels)
-    advertised = cfg.band_tolerance + (Fraction(1, 2 ** cfg.depth) if forward
-                                       else residual)
-    verdicts = [
-        split_verdict("rho", splitter, member, cfg.horizon, rho=target,
-                      tolerance=advertised)
-        for member in family
-    ]
-    summary = {"depth": cfg.depth, "mode": "half" if forward else "rho",
-               "p": str(chain.p), "horizon": cfg.horizon}
-    return TransformResult(splitter, levels, residual, ops, eff, advertised,
-                           verdicts, summary, trace)
+    plan = plan_transform(direction, rho, cfg.depth, cfg.band_tolerance)
+    oracle = oracle or BernoulliOracle(plan.p, cfg.seed)
+    if oracle.p != plan.p:
+        raise ValueError(f"{direction} needs an oracle with p = {plan.p}")
+    if plan.residual_trace and plan.residual > RESIDUAL_TOLERANCE:
+        raise TransformError(f"residual {plan.residual} above tolerance after fallback",
+                             plan.residual_trace)
+    # a reached fallback has squared at least once, so it has ops
+    if plan.ops:
+        oracle = ComposedOracle(oracle, plan.ops, plan.effective_p, cfg)
+    chain = build_chain(family, oracle, cfg)
+    splitter = _union_of_levels(chain, plan.selection)
+    verdicts = [split_verdict("rho", splitter, member, cfg.horizon, rho=plan.target,
+                              tolerance=plan.advertised_tolerance) for member in family]
+    summary = {"depth": cfg.depth, "p": str(chain.p), "horizon": cfg.horizon,
+               "mode": "half" if direction == "half-to-rho" else "rho"}
+    return TransformResult(**vars(plan), splitter=splitter,
+                           verdicts=verdicts, chain=summary)

@@ -682,3 +682,56 @@ def test_relsys_reap_rho_names_its_band():
     assert err.getvalue().startswith(
         "error: the reap-rho truncation at rho = 3/4 is degenerate: "
         "with the band rho ± 1/4 = [1/2, 1], ")
+
+
+def invoke_err(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = invoke(argv)
+    return code, err.getvalue()
+
+
+def test_relsys_max_window_is_bounded():
+    code, rep = invoke_json(["relsys", "--fact54", "--max-window", "16"])
+    assert code == 0 and rep["fact54"]["zero_splits"]
+    code, err = invoke_err(["relsys", "--fact54", "--max-window", "21"])
+    assert code == 2 and "--max-window must be at most 20" in err
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_preserve_horizon_k_below_one_is_a_usage_error(tmp_path, k):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"eps": "1/4", "H": [3]}))
+    code, err = invoke_err(["preserve", "--op", "witness-below",
+                            "--pair", str(path), "--horizon-k", k])
+    assert code == 2 and "--horizon-k must be at least 1" in err
+
+
+# the largest value whose report prints every boundary within the
+# interpreter's 4300-digit limit on integer text, a value past it, and
+# one whose work alone would not finish: each refused before any work
+@pytest.mark.parametrize("argv, option, bound", [
+    (["partition", "--count"], "--count", 169),
+    (["preserve", "--op", "reap-map", "--S", "prog(0,2)", "--horizon-k"],
+     "--horizon-k", 169),
+    (["escape", "--chain", "slalom", "--eps", "1/10", "--eps-prime", "1/5",
+      "--index"], "--index", 7),
+    # a faster-growing partition prints up to b_128 only, so block 7,
+    # which escapes at interval 128 and prints b_129, is past it
+    (["escape", "--chain", "slalom", "--eps", "1/10", "--eps-prime", "1/5",
+      "--partition", "factor:200000000000000", "--index"], "--index", 6),
+])
+def test_options_past_the_integer_text_limit_are_usage_errors(argv, option, bound):
+    code, out = invoke(argv + [str(bound)])
+    assert code == 0 and json.loads(out)
+    for value in (bound + 1, 10 ** 7):
+        t0 = time.perf_counter()
+        code, err = invoke_err(argv + [str(value)])
+        assert code == 2
+        assert f"{option} must be at most {bound} for this partition" in err
+        assert time.perf_counter() - t0 < 1
+
+
+def test_unknown_partition_spec_is_a_usage_error():
+    code, err = invoke_err(["partition", "--partition", "3/2"])
+    assert code == 2 and "unknown partition spec '3/2'" in err

@@ -8,7 +8,7 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rhosplit import (
     OMEGA,
@@ -766,6 +766,30 @@ def test_powers_set_is_the_closed_form(b, n, m, k):
         assert P.contains(x) == (x in powers)
     Q = parse_set(P.descriptor())
     assert (type(Q), Q.base, Q.descriptor()) == (PowersSet, b, f"pow({b})")
+
+
+@settings(deadline=None)
+@given(st.integers(2, 10 ** 6), st.integers(0, 2000), st.integers(-2, 2))
+@example(3, 20000, 1)
+@example(10 ** 6, 1500, -1)
+@example(2 ** 20, 3000, 0)
+def test_powers_terms_below_is_an_exact_integer_log(b, j, d):
+    v = b ** j + d
+    powers, t, top = [], 1, b ** (j + 1)
+    while t <= top:
+        powers.append(t)
+        t *= b
+    assert PowersSet(b).terms_below(v) == bisect_left(powers, v)
+
+
+def test_powers_answer_without_listing_powers():
+    P = PowersSet(2)
+    calls, fn = [], P.fn
+    P.fn = lambda k: calls.append(k) or fn(k)
+    assert P.kth_element(2 ** 16) == 2 ** 2 ** 16
+    assert P.contains(2 ** 20000) and not P.contains(2 ** 20000 + 1)
+    assert P.counts_at([2 ** 20000 + 1]) == [20001]
+    assert len(calls) == 3  # one term per kth_element and contains
 
 
 def test_grammar_roundtrip():

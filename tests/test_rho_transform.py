@@ -20,6 +20,7 @@ from rhosplit.omega_sets import parse_family
 from rhosplit.density import density_report
 from rhosplit.rho_transform import (
     MAX_ATTEMPTS,
+    RESIDUAL_TOLERANCE,
     STAGE_TOLERANCE,
     BernoulliOracle,
     ChainConfig,
@@ -27,8 +28,10 @@ from rhosplit.rho_transform import (
     RoundRobinOracle,
     SplitterOracle,
     TransformError,
+    TransformPlan,
     _accepted_proposal,
     _band_ok,
+    plan_transform,
 )
 
 HALF = Fraction(1, 2)
@@ -170,6 +173,72 @@ def test_squaring_plan_terminates(rho):
     for op in ops:
         y = y * y if op == "square" else 1 - y
     assert y == x
+
+
+# -- plans --------------------------------------------------------------------
+
+
+@st.composite
+def dyadic_rho(draw):
+    j = draw(st.integers(1, 12))
+    return Fraction(draw(st.integers(1, 2 ** j - 1)), 2 ** j)
+
+
+@settings(deadline=None)
+@given(dyadic_rho(), st.integers(1, 16),
+       st.sampled_from(["half-to-rho", "rho-to-half"]))
+@example(Fraction(5, 8), 8, "rho-to-half")  # direct residual 0.011, just above tolerance
+@example(Fraction(2, 3), 12, "rho-to-half")  # falls back on p alone
+def test_plan_is_total_and_exact(rho, depth, direction):
+    plan = plan_transform(direction, rho, depth, Fraction(1, 50))
+    eff = plan.effective_p
+    assert plan.residual == plan.target - sum(
+        eff ** (m - 1) * (1 - eff) for m in plan.selection)
+    assert (plan.path == "fallback") == bool(plan.ops)
+    if direction == "half-to-rho":
+        assert (plan.p, plan.target) == (HALF, rho)
+        assert plan.selection == binary_digits(rho, depth)
+        assert plan.advertised_tolerance == Fraction(1, 50) + Fraction(1, 2 ** depth)
+        assert plan.ops == [] and plan.residual_trace == []
+    else:
+        assert (plan.p, plan.target) == (rho, HALF)
+        assert plan.residual_trace[0] == (rho, select_levels(rho, HALF, depth)[1])
+        assert plan.residual_trace[-1] == (eff, plan.residual)
+        # the fallback is tried exactly when rho >= 2/3 or the direct
+        # residual is above tolerance
+        assert (len(plan.residual_trace) == 2) == (
+            rho >= Fraction(2, 3) or plan.residual_trace[0][1] > RESIDUAL_TOLERANCE)
+        assert plan.advertised_tolerance == Fraction(1, 50) + plan.residual
+
+
+# the rho-to-half values k/32 whose residual stays above tolerance after
+# the fallback; at depth 8 this is the group perfbench expects to exit 1
+@pytest.mark.parametrize("depth, unreached", [
+    (8, {3, 6, 10, 11, 12, 13, 14, 15, 20, 22, 26, 29}),
+    (10, {3, 10, 11, 12, 13, 14, 15, 22, 29}),
+    (16, {3, 10, 11, 12, 13, 14, 15, 22, 29}),
+])
+def test_unreached_rho_to_half_plans(depth, unreached):
+    plans = {k: plan_transform("rho-to-half", Fraction(k, 32), depth, Fraction(1, 50))
+             for k in range(1, 32)}
+    assert {k for k, plan in plans.items()
+            if plan.residual > RESIDUAL_TOLERANCE} == unreached
+    # the transform refuses each of them before building any chain
+    for k in unreached:
+        with pytest.raises(TransformError) as exc:
+            transform_splitter([OMEGA], "rho-to-half", Fraction(k, 32), None,
+                               small_cfg(depth=depth))
+        assert exc.value.residual_trace == plans[k].residual_trace
+
+
+def test_transform_reports_its_plan():
+    cfg = small_cfg(depth=8)
+    for direction, rho in [("half-to-rho", Fraction(1, 3)),
+                           ("rho-to-half", Fraction(3, 4))]:
+        plan = plan_transform(direction, rho, cfg.depth, cfg.band_tolerance)
+        res = transform_splitter([OMEGA], direction, rho, None, cfg)
+        assert TransformPlan(**{k: getattr(res, k) for k in vars(plan)}) == plan
+        assert res.to_json().items() >= plan.to_json().items()
 
 
 # -- band check -------------------------------------------------------------
