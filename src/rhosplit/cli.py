@@ -79,9 +79,16 @@ def _fraction(text: str) -> Fraction:
 
 
 def _partition_arg(spec: str, count: int, even: bool) -> IntervalPartition:
+    """The partition with its first ``count`` intervals built, refusing a
+    count whose last boundary could not be printed before building the
+    rest: interval sizes grow so fast that the work grows about as
+    count^3."""
     if spec != "minimal" and not spec.startswith("factor:"):
         raise ValueError(f"unknown partition spec {spec!r}")
-    return build_partition(spec, count, even)
+    part = build_partition(spec, min(count, 1), even)
+    _require_printable(part, "--count", count, lambda n: n)
+    part.ensure(count)
+    return part
 
 
 def _require_printable(part: IntervalPartition, option: str, last: int,
@@ -226,10 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_partition(args) -> tuple[int, dict]:
-    # one interval first, so that the bound is checked before the rest are built
-    part = _partition_arg(args.partition, min(args.count, 1), args.even_sizes)
-    _require_printable(part, "--count", args.count, lambda n: n)
-    part.ensure(args.count)
+    part = _partition_arg(args.partition, args.count, args.even_sizes)
     violation = part.verify_growth()
     report = {
         "command": "partition",

@@ -178,8 +178,12 @@ class OmegaSet:
     Values are immutable after construction; all operations are pure, so
     sharing across threads is safe.  The only internal mutation is
     caching: packed membership words (one bit per index, see ``packed``)
-    of the first ``_built`` indices, grown on demand, and an
-    intersection's grid (``CombineNode._grid``), derived on first count.
+    of the first ``_built`` indices, grown on demand and dropped by
+    ``release_words``, and an intersection's grid (``CombineNode._grid``),
+    derived on first count.  Dropping words changes no answer, but a
+    reader in another thread may be between the length check and the
+    read, so only the code that built a set and alone holds it releases
+    its words.
     """
 
     __slots__ = ("_mat", "_built")
@@ -300,6 +304,10 @@ class OmegaSet:
             # words first: a reader that sees the new length sees them too
             self._mat, self._built = words, size
         return self._mat[:_nwords(n)]
+
+    def release_words(self) -> None:
+        """Drop the cached packed words; a later ``packed`` rebuilds them."""
+        self._mat, self._built = None, 0
 
     def materialize(self, n: int, cap: int | None = None) -> np.ndarray:
         """Membership bits over [0, n) as a read-only bool vector,

@@ -220,7 +220,9 @@ class RoundRobinOracle(SplitterOracle):
 class ComposedOracle(SplitterOracle):
     """Oracle obtained from an inner one by the ops of ``squaring_plan``:
     intersection-squaring steps, each leg validated against its own
-    targets, and complementations; its p is the plan's effective p."""
+    targets, and complementations; its p is the plan's effective p.
+    The inner oracle's proposals become legs whose packed words are
+    released once combined, so it should return sets of its own."""
 
     def __init__(self, inner: SplitterOracle, ops: Sequence[str],
                  effective_p: Fraction, cfg: ChainConfig):
@@ -235,13 +237,20 @@ class ComposedOracle(SplitterOracle):
     def _build(self, level, stage, salt, targets):
         if level == 0:
             return _accepted_proposal(self.inner, stage, salt, targets, self.cfg)
-        op = self.ops[level - 1]
-        if op == "complement":
-            return complement(self._build(level - 1, stage, salt * 3 + 1, targets))
         a = self._build(level - 1, stage, salt * 3 + 1, targets)
-        b = self._build(level - 1, stage, salt * 3 + 2,
-                        [intersect(a, t) for t in targets])
-        return intersect(a, b)
+        if self.ops[level - 1] == "complement":
+            out, legs = complement(a), (a,)
+        else:
+            b = self._build(level - 1, stage, salt * 3 + 2,
+                            [intersect(a, t) for t in targets])
+            out, legs = intersect(a, b), (a, b)
+        # the combination's words are read next anyway; once they exist no
+        # one reads the legs', so words are held for one leg per level of
+        # the plan, not for all of its 2^L legs
+        out.packed(self.cfg.horizon)
+        for leg in legs:
+            leg.release_words()
+        return out
 
 
 # -- validation --------------------------------------------------------------
@@ -369,13 +378,20 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
         stages.append(S)
         nested.append(intersect(nested[-1], S))
         differences.append(difference(nested[-2], nested[-1]))
-        targets = [intersect(S, R) for R in targets]
-        for R, member in zip(targets, family):
+        traces = [intersect(S, R) for R in targets]
+        for R, member in zip(traces, family):
             expect = intersect(nested[-1], member)
             if not agree_below(R, expect, cfg.horizon):
                 raise AssertionError(
                     f"trace identity failed at stage {stage_idx}"
                 )
+        # the new traces hold their own words, so the previous stage's,
+        # which their trees keep alive, are dead weight; the family's
+        # members are the caller's and keep theirs
+        if stage_idx > 1:
+            for R in targets:
+                R.release_words()
+        targets = traces
     return SplitChain(tuple(stages), tuple(nested), tuple(differences), oracle.p)
 
 
@@ -443,6 +459,8 @@ def plan_transform(direction: str, rho, depth: int,
         raise ValueError("rho must lie in (0, 1)")
     if direction not in ("half-to-rho", "rho-to-half"):
         raise ValueError(f"unknown direction {direction!r}")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     forward = direction == "half-to-rho"
     p, target = (HALF, rho) if forward else (rho, HALF)
     levels, residual = select_levels(p, target, depth)

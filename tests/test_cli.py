@@ -707,6 +707,16 @@ def test_preserve_horizon_k_below_one_is_a_usage_error(tmp_path, k):
     assert code == 2 and "--horizon-k must be at least 1" in err
 
 
+@pytest.mark.parametrize("direction", ["half-to-rho", "rho-to-half"])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_transform_depth_below_one_is_a_usage_error(direction, depth):
+    # 3/4 at rho-to-half falls back and leaves a residual at any depth
+    # below 1, which must not be what is reported
+    code, err = invoke_err(["transform", "--direction", direction, "--rho", "3/4",
+                            "--depth", depth, "--horizon", "1000"])
+    assert code == 2 and "depth must be at least 1" in err
+
+
 # the largest value whose report prints every boundary within the
 # interpreter's 4300-digit limit on integer text, a value past it, and
 # one whose work alone would not finish: each refused before any work
@@ -720,6 +730,12 @@ def test_preserve_horizon_k_below_one_is_a_usage_error(tmp_path, k):
     # which escapes at interval 128 and prints b_129, is past it
     (["escape", "--chain", "slalom", "--eps", "1/10", "--eps-prime", "1/5",
       "--partition", "factor:200000000000000", "--index"], "--index", 6),
+    # the other commands print fewer boundaries but build every interval
+    # of --count up front, at a cost growing about as count^3
+    (["adversary", "--S", "prog(0,2)", "--epsilon", "1/10", "--count"], "--count", 169),
+    (["escape", "--chain", "centred", "--eps", "1/10", "--eps-prime", "1/5",
+      "--index", "4", "--count"], "--count", 169),
+    (["preserve", "--op", "reap-map", "--S", "prog(0,2)", "--count"], "--count", 169),
 ])
 def test_options_past_the_integer_text_limit_are_usage_errors(argv, option, bound):
     code, out = invoke(argv + [str(bound)])

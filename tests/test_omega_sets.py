@@ -242,6 +242,21 @@ def test_counts_at_agrees_with_every_other_count(recipe, checkpoints, chunk, cap
             assert horizon > cap and s.tail_pattern() is None
 
 
+@settings(max_examples=100, deadline=None)
+@given(_recipes, st.lists(st.integers(0, 400), min_size=1, max_size=8))
+def test_released_words_are_rebuilt_identically(recipe, checkpoints):
+    checkpoints = sorted(checkpoints)
+    n = checkpoints[-1]
+    s = _build(recipe)
+    words = s.packed(n).copy()
+    counts = s.counts_at(checkpoints)
+    s.release_words()
+    assert s._mat is None and s._built == 0
+    assert np.array_equal(s.packed(n), words)
+    s.release_words()
+    assert s.counts_at(checkpoints) == counts
+
+
 # Trees whose along() never gives up, so that the grid tests below see
 # many grids and few Nones.
 _grid_recipes = st.recursive(st.one_of(

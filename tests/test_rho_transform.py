@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from bisect import bisect_left
 from fractions import Fraction
@@ -408,6 +410,25 @@ def test_converse_unreachable_residual_errors():
                            small_cfg(depth=3))
     assert exc.value.residual_trace == [(Fraction(3, 4), Fraction(1, 16)),
                                         (Fraction(9, 16), Fraction(1, 16))]
+
+
+@pytest.mark.parametrize("horizon", [200_000, 400_000])
+def test_composed_transform_holds_the_chains_words_not_every_legs(horizon):
+    # 1/32 falls back through a complement and four squarings, so every
+    # stage proposal is composed of 2^4 accepted legs
+    family = parse_family("omega,prog(0,2),prog(1,2),prog(0,3),prog(1,4)")
+    cfg = ChainConfig(depth=8, horizon=horizon)
+    tracemalloc.start()
+    try:
+        res = transform_splitter(family, "rho-to-half", Fraction(1, 32), None, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.ops == ["complement"] + ["square"] * 4 and res.all_hold
+    # the chain's stages, intersections and differences, the live targets
+    # and one leg per squaring level, each H/8 bytes of words: about 80
+    # such vectors; keeping every leg's words would hold about 470
+    assert peak <= 120 * horizon // 8
 
 
 def test_transform_rejects_bad_rho():
