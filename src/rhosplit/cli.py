@@ -95,12 +95,11 @@ def _require_printable(part: IntervalPartition, option: str, last: int,
                        largest: Callable[[int], int]) -> None:
     """Refuse, before any work, an option value whose report prints the
     boundaries up to b_last when one of them has more decimal digits
-    than the interpreter turns into text (``sys.get_int_max_str_digits``,
-    0 for no limit); ``largest(n)`` is the largest value whose report
-    stops at b_n."""
-    digits = sys.get_int_max_str_digits()
-    if not digits:
-        return
+    than the interpreter turns into text (``sys.get_int_max_str_digits``);
+    ``largest(n)`` is the largest value whose report stops at b_n.  With
+    the limit off (0) the default limit still bounds the option, since
+    the work before the report grows with it too."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     n, limit = 0, 10 ** digits
     while n < last and part.boundary(n + 1) < limit:
         n += 1

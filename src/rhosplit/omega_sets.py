@@ -121,23 +121,33 @@ def _prefix_counts(words: np.ndarray, checkpoints: Sequence[int]) -> list:
     of words, shape (w,), gives a list of counts; rows of words, shape
     (r, w), give one such list per row, all counted in this one call.
 
-    One popcount per word, a cumulative sum along each row at word
-    granularity, and one masked popcount of the partial word at each
-    checkpoint.
+    Checkpoints may come in any order, repeat, or be negative (counted
+    as 0).  A checkpoint n counts the whole words below word n // 64 and
+    then the low n % 64 bits of that word.  The whole words are popcounted
+    once and summed only between consecutive checkpoint words
+    (``np.add.reduceat``), so the running sum covers one entry per
+    checkpoint, not one per word: rank from block sums, after Jacobson,
+    "Space-efficient static trees and graphs", FOCS 1989.
     """
-    top = max(0, *checkpoints) >> 6
-    # every count is at most 64 * (top + 1)
-    dt = np.uint32 if top < 1 << 26 else np.uint64
-    cum = np.zeros((*words.shape[:-1], top + 1), dtype=dt)
-    np.bitwise_count(words[..., :top], out=cum[..., 1:])
-    cum.cumsum(axis=-1, out=cum)
-    n = np.array(checkpoints, dtype=np.int64)
-    np.maximum(n, 0, out=n)
+    n = np.maximum(np.asarray(checkpoints, dtype=np.int64), 0)
     q = n >> 6
+    order = np.argsort(q, kind="stable")
+    s = q[order]
+    # every count is at most 64 * (s[-1] + 1)
+    dt = np.uint32 if s[-1] < 1 << 26 else np.uint64
+    # segment i sums the words of [bounds[i], bounds[i + 1]); where the two
+    # are equal reduceat gives the one word at bounds[i] instead, so those
+    # segments are cleared, and the segment from the last word is dropped
+    bounds = np.concatenate(([0], s))
+    seg = np.add.reduceat(np.bitwise_count(words[..., :s[-1] + 1]), bounds,
+                          axis=-1, dtype=dt)[..., :-1]
+    seg[..., bounds[:-1] == s] = 0
+    whole = np.empty_like(seg)
+    whole[..., order] = seg.cumsum(axis=-1, dtype=dt)
     # take() gathers along the last axis; indexing with [..., q] does the
     # same a few microseconds slower per call
     partial = np.bitwise_count(words.take(q, axis=-1) & _LOW_BITS[n & 63])
-    return (cum.take(q, axis=-1) + partial).tolist()
+    return (whole + partial).tolist()
 
 
 def _unpack(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -884,10 +894,9 @@ OMEGA = Progression(0, 1)
 # -- operation-style wrappers --------------------------------------------
 
 
-def agree_below(a: OmegaSet, b: OmegaSet, n: int) -> bool:
-    """Whether a and b have the same members below n, compared word by
-    word on their packed words."""
-    wa, wb = a.packed(n), b.packed(n)
+def agree_below(wa: np.ndarray, wb: np.ndarray, n: int) -> bool:
+    """Whether two sets' packed words (``OmegaSet.packed``), each covering
+    index n, hold the same members below n, compared word by word."""
     q = n >> 6
     return (bool(np.array_equal(wa[:q], wb[:q]))
             and not int(wa[q] ^ wb[q]) & ((1 << (n & 63)) - 1))

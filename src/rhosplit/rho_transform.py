@@ -12,7 +12,10 @@ this arithmetic exactly, before any set is built, and
 
 Oracles are validated and resampled rather than trusted: a proposal
 enters a chain only after its tail ratios pass a count-aware band check
-against every current family member.
+against every current family member.  A validation counts the proposal's
+traces on its targets, and those traces, with their words and counts
+(``Counted``), are the targets of the next validation, so each set is
+counted once.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "BernoulliOracle",
     "RoundRobinOracle",
     "ComposedOracle",
+    "Counted",
     "OracleExhaustedError",
     "TransformError",
     "SplitChain",
@@ -179,8 +183,33 @@ def squaring_plan(rho) -> tuple[list[str], Fraction]:
 # -- oracles -----------------------------------------------------------------
 
 
+class Counted(tuple):
+    """Sets with their packed words at a horizon, one read-only row per
+    set, and each row's counts at the horizon's checkpoints
+    (``build_checkpoints``): what a validation against the sets reads.
+    Without words, they are packed and counted here."""
+
+    def __new__(cls, sets: Sequence[OmegaSet], horizon: int,
+                words: np.ndarray | None = None, counts: list | None = None):
+        self = super().__new__(cls, sets)
+        if words is None:
+            words = np.stack([R.packed(horizon) for R in self])
+            counts = _prefix_counts(words, build_checkpoints(horizon))
+        words.flags.writeable = False
+        self.horizon, self.words, self.counts = horizon, words, counts
+        return self
+
+
+def _counted(sets: Sequence[OmegaSet], horizon: int) -> Counted:
+    """The sets as a ``Counted`` at the horizon, counted only if not yet."""
+    if isinstance(sets, Counted) and sets.horizon == horizon:
+        return sets
+    return Counted(sets, horizon)
+
+
 class SplitterOracle:
-    """Source of candidate p-splitters for the current family."""
+    """Source of candidate p-splitters for the current family.  The
+    targets that ``propose`` gets from a validation are a ``Counted``."""
 
     p: Fraction
 
@@ -222,7 +251,11 @@ class ComposedOracle(SplitterOracle):
     intersection-squaring steps, each leg validated against its own
     targets, and complementations; its p is the plan's effective p.
     The inner oracle's proposals become legs whose packed words are
-    released once combined, so it should return sets of its own."""
+    released once combined, so it should return sets of its own.
+
+    No leg's targets are counted twice: leg a's validation hands on its
+    traces on the targets, which are leg b's targets, and a complement's
+    traces are the targets' words and counts less leg a's."""
 
     def __init__(self, inner: SplitterOracle, ops: Sequence[str],
                  effective_p: Fraction, cfg: ChainConfig):
@@ -232,25 +265,32 @@ class ComposedOracle(SplitterOracle):
         self.cfg = cfg
 
     def propose(self, stage, attempt, targets):
-        return self._build(len(self.ops), stage, attempt * 2 + 1, targets)
+        targets = _counted(targets, self.cfg.horizon)
+        return self._build(len(self.ops), stage, attempt * 2 + 1, targets)[0]
 
-    def _build(self, level, stage, salt, targets):
+    def _build(self, level, stage, salt, targets: Counted):
+        """The set of the plan's first ``level`` ops and its traces on the
+        targets, as a ``Counted``."""
         if level == 0:
             return _accepted_proposal(self.inner, stage, salt, targets, self.cfg)
-        a = self._build(level - 1, stage, salt * 3 + 1, targets)
+        a, on_a = self._build(level - 1, stage, salt * 3 + 1, targets)
         if self.ops[level - 1] == "complement":
             out, legs = complement(a), (a,)
+            # a's traces are a subset of the targets, bit for bit
+            words = targets.words ^ on_a.words
+            counts = (np.array(targets.counts) - on_a.counts).tolist()
         else:
-            b = self._build(level - 1, stage, salt * 3 + 2,
-                            [intersect(a, t) for t in targets])
+            b, on_b = self._build(level - 1, stage, salt * 3 + 2, on_a)
             out, legs = intersect(a, b), (a, b)
+            words, counts = on_b.words, on_b.counts
         # the combination's words are read next anyway; once they exist no
         # one reads the legs', so words are held for one leg per level of
         # the plan, not for all of its 2^L legs
         out.packed(self.cfg.horizon)
         for leg in legs:
             leg.release_words()
-        return out
+        return out, Counted([intersect(out, t) for t in targets],
+                            targets.horizon, words, counts)
 
 
 # -- validation --------------------------------------------------------------
@@ -290,20 +330,23 @@ def _band_ok(nums: Sequence[int], dens: Sequence[int], p: Fraction,
 
 def _accepted_proposal(oracle: SplitterOracle, stage: int, salt: int,
                        targets: Sequence[OmegaSet],
-                       cfg: ChainConfig) -> OmegaSet:
+                       cfg: ChainConfig) -> tuple[OmegaSet, Counted]:
     """The first proposal whose tail rows pass ``_band_ok`` against every
     target, the targets checked in order, after at most MAX_ATTEMPTS
-    proposals.
+    proposals, and its traces [S ∩ t] on the targets as a ``Counted``.
 
-    The targets' words are stacked once and their counts taken once.
-    Each proposal's words are ANDed with the stack, and every row is
-    counted in one kernel call.  A rejected proposal's diagnostics are
-    the density report against the target it failed.
+    The targets' words and counts are taken from them when they are a
+    ``Counted`` at cfg.horizon, and found once here otherwise.  Each
+    proposal's words are ANDed with the targets', and every row is
+    counted in one kernel call; the accepted proposal's rows and counts
+    are its traces', so the next validation against them counts nothing
+    again.  A rejected proposal's diagnostics are the density report
+    against the target it failed.
     """
     H, p = cfg.horizon, oracle.p
     checkpoints = build_checkpoints(H)
-    stack = np.stack([R.packed(H) for R in targets])
-    dens = _prefix_counts(stack, checkpoints)
+    targets = _counted(targets, H)
+    stack, dens = targets.words, targets.counts
     joint = np.empty_like(stack)
     # a target's tail rows and their denominators, found when the walk
     # first reaches the target, so that a finite or thin target raises
@@ -327,7 +370,7 @@ def _accepted_proposal(oracle: SplitterOracle, stage: int, salt: int,
                     (stage, attempt, density_report(S, R, H, target=p).to_json()))
                 break
         else:
-            return S
+            return S, Counted([intersect(S, t) for t in targets], H, joint, nums)
     raise OracleExhaustedError(
         f"oracle failed validation {MAX_ATTEMPTS} times at stage {stage}",
         failures,
@@ -359,8 +402,10 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     for cfg.depth stages.
 
     Each accepted stage is oracle output that passed the band check
-    against every live member; the exact identity "stage-m family =
-    {nested[m] ∩ X}" is checked bitwise at the horizon.
+    against every live member; its validation hands on the family's
+    traces with their words and counts, the next stage's targets.  The
+    exact identity "stage-m family = {nested[m] ∩ X}" is checked bitwise
+    at the horizon on those words.
     """
     if not family:
         raise ValueError("family must be non-empty")
@@ -369,25 +414,24 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     if cfg.depth < 1:
         raise ValueError("depth must be at least 1")
     family = tuple(family)
-    targets: list[OmegaSet] = list(family)
+    targets: Sequence[OmegaSet] = family
     stages: list[OmegaSet] = [OMEGA]
     nested: list[OmegaSet] = [OMEGA]
     differences: list[OmegaSet | None] = [None]
     for stage_idx in range(1, cfg.depth + 1):
-        S = _accepted_proposal(oracle, stage_idx, 0, targets, cfg)
+        S, traces = _accepted_proposal(oracle, stage_idx, 0, targets, cfg)
         stages.append(S)
         nested.append(intersect(nested[-1], S))
         differences.append(difference(nested[-2], nested[-1]))
-        traces = [intersect(S, R) for R in targets]
-        for R, member in zip(traces, family):
-            expect = intersect(nested[-1], member)
-            if not agree_below(R, expect, cfg.horizon):
+        for words, member in zip(traces.words, family):
+            expect = intersect(nested[-1], member).packed(cfg.horizon)
+            if not agree_below(words, expect, cfg.horizon):
                 raise AssertionError(
                     f"trace identity failed at stage {stage_idx}"
                 )
-        # the new traces hold their own words, so the previous stage's,
-        # which their trees keep alive, are dead weight; the family's
-        # members are the caller's and keep theirs
+        # the new traces' words are in hand, so any the previous stage's
+        # sets hold, which the new traces' trees keep alive, are dead
+        # weight; the family's members are the caller's and keep theirs
         if stage_idx > 1:
             for R in targets:
                 R.release_words()

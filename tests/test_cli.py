@@ -748,6 +748,21 @@ def test_options_past_the_integer_text_limit_are_usage_errors(argv, option, boun
         assert time.perf_counter() - t0 < 1
 
 
+def test_integer_text_limit_off_keeps_the_default_bound():
+    # with no limit on integer text, --count 800 would still build 800
+    # intervals before the report, at a cost growing about as count^3
+    argv = ["escape", "--chain", "centred", "--eps", "1/10", "--eps-prime", "1/5",
+            "--index", "4", "--count", "800"]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, err = invoke_err(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 2
+    assert "--count must be at most 169 for this partition" in err
+
+
 def test_unknown_partition_spec_is_a_usage_error():
     code, err = invoke_err(["partition", "--partition", "3/2"])
     assert code == 2 and "unknown partition spec '3/2'" in err

@@ -493,6 +493,39 @@ def test_packed_counts_at_word_edges(text):
         assert int(np.bitwise_count(words).sum()) == bisect_left(members, n)
 
 
+@st.composite
+def _words_and_checkpoints(draw):
+    """Packed words, one row or several, and checkpoints the words cover:
+    any order, repeats, negatives, 0, word edges and the last word."""
+    w = draw(st.integers(1, 6))
+    rows = draw(st.sampled_from([None, 1, 2, 3]))
+    shape = (w,) if rows is None else (rows, w)
+    word = st.one_of(st.just(0), st.just(MASK64), st.integers(0, MASK64))
+    flat = draw(st.lists(word, min_size=w * (rows or 1), max_size=w * (rows or 1)))
+    top = 64 * w - 1
+    point = st.one_of(st.integers(-130, top), st.just(0),
+                      st.integers(0, w - 1).map(lambda i: 64 * i),
+                      st.integers(64 * (w - 1), top))
+    return np.array(flat, dtype=np.uint64).reshape(shape), draw(st.lists(point, min_size=1,
+                                                                        max_size=10))
+
+
+def _count_bits_below(row, n):
+    return sum(int(row[k >> 6]) >> (k & 63) & 1 for k in range(max(n, 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_words_and_checkpoints())
+@example((np.array([MASK64] * 3, dtype=np.uint64), [191, 64, 64, 0, -5, 128, 1]))
+@example((np.array([[MASK64, 1], [0, MASK64]], dtype=np.uint64), [127, 127, 64, 63]))
+def test_prefix_counts_match_a_count_per_bit(case):
+    words, checkpoints = case
+    got = omega_sets._prefix_counts(words, checkpoints)
+    want = [[_count_bits_below(row, n) for n in checkpoints]
+            for row in np.atleast_2d(words)]
+    assert got == (want[0] if words.ndim == 1 else want)
+
+
 def test_cache_grown_past_the_horizon_is_masked_at_it():
     s = parse_set("bern(1/2,11)")
     members = [k for k in range(1000) if s.contains(k)]
@@ -504,9 +537,10 @@ def test_cache_grown_past_the_horizon_is_masked_at_it():
     t = union(s, Progression(100, 1))
     t.packed(1000)
     assert not set(range(100, 128)) <= set(members)
-    assert agree_below(s, t, 100) and agree_below(t, s, 100)
-    assert not agree_below(s, t, 128)
-    assert agree_below(s, parse_set("bern(1/2,11)"), 1000)
+    ws, wt = s.packed(1000), t.packed(1000)
+    assert agree_below(ws, wt, 100) and agree_below(wt, ws, 100)
+    assert not agree_below(ws, wt, 128)
+    assert agree_below(ws, parse_set("bern(1/2,11)").packed(1000), 1000)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from bisect import bisect_left
 from fractions import Fraction
@@ -18,14 +19,17 @@ from rhosplit import (
     squaring_plan,
     transform_splitter,
 )
-from rhosplit.omega_sets import parse_family
-from rhosplit.density import density_report
+from rhosplit import rho_transform
+from rhosplit.omega_sets import _prefix_counts, agree_below, parse_family
+from rhosplit.density import build_checkpoints, density_report
 from rhosplit.rho_transform import (
     MAX_ATTEMPTS,
     RESIDUAL_TOLERANCE,
     STAGE_TOLERANCE,
     BernoulliOracle,
     ChainConfig,
+    ComposedOracle,
+    Counted,
     OracleExhaustedError,
     RoundRobinOracle,
     SplitterOracle,
@@ -431,6 +435,49 @@ def test_composed_transform_holds_the_chains_words_not_every_legs(horizon):
     assert peak <= 120 * horizon // 8
 
 
+def test_handed_on_words_and_counts_are_the_sets(monkeypatch):
+    # 1/8 falls back through a complement and two squarings: each stage
+    # proposal has four legs, the second validated against the traces of
+    # a complement and the others against traces of a square or a leg
+    H = 20_000
+    cfg = small_cfg(depth=3, horizon=H)
+    ops, eff = squaring_plan(Fraction(1, 8))
+    assert ops == ["complement", "square", "square"]
+    handed = []
+    validate = rho_transform._accepted_proposal
+
+    def spy(oracle, stage, salt, targets, cfg):
+        S, traces = validate(oracle, stage, salt, targets, cfg)
+        handed.extend([targets, traces])
+        return S, traces
+
+    counts = []
+
+    def count(words, checkpoints):
+        counts.append(words.shape)
+        return _prefix_counts(words, checkpoints)
+
+    monkeypatch.setattr(rho_transform, "_accepted_proposal", spy)
+    monkeypatch.setattr(rho_transform, "_prefix_counts", count)
+    family = parse_family("omega,prog(0,3),prog(1,4)")
+    oracle = ComposedOracle(BernoulliOracle(Fraction(1, 8), 5), ops, eff, cfg)
+    build_chain(family, oracle, cfg)
+    # one count of the family, then one per proposal: 4 legs and the
+    # composed set at each of the 3 stages, each accepted at once here
+    assert len(counts) == 1 + 3 * 5 == len(handed) // 2 + 1
+    # every validation's targets and traces; only stage 1's outer one got
+    # the family itself, and counted it
+    counted = [c for c in handed if isinstance(c, Counted)]
+    assert len(handed) - len(counted) == 1
+    assert len(counted) >= 3 * 5 * 2 - 1
+    checkpoints = build_checkpoints(H)
+    for c in counted:
+        # recounted from each set's own words, built afresh from its tree
+        fresh = np.stack([R.packed(H) for R in c])
+        assert c.counts == _prefix_counts(fresh, checkpoints)
+        assert all(agree_below(row, want, H) for row, want in zip(c.words, fresh))
+
+
 def test_transform_rejects_bad_rho():
     with pytest.raises(ValueError):
         transform_splitter([OMEGA], "half-to-rho", Fraction(1), None,
@@ -584,7 +631,7 @@ def test_validator_agrees_with_a_report_per_member(horizon, members, proposals):
     sets = [_spec_set(p, horizon) for p in proposals]
     fast, slow = _ScriptedOracle(*sets), _ScriptedOracle(*sets)
     got = _outcome(lambda: _accepted_proposal(fast, 1, 0, family,
-                                              small_cfg(horizon=horizon)))
+                                              small_cfg(horizon=horizon))[0])
     want = _outcome(lambda: _validated_by_reports(slow, family, horizon))
     assert got == want
     assert fast.asked == slow.asked
