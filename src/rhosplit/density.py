@@ -94,6 +94,15 @@ def build_checkpoints(horizon: int, stride: int | None = None,
     return cps
 
 
+def require_points(count: int, horizon: int) -> None:
+    """A report needs X to have at least 10 points below the horizon."""
+    if count < 10:
+        raise ValueError(
+            f"X has only {count} points below horizon {horizon}; "
+            "need at least 10"
+        )
+
+
 def tail_rows(checkpoints: Sequence[int], dens: Sequence[int], horizon: int,
               tail_window: Fraction = HALF) -> tuple[list[int], int, int]:
     """The rows of a report and of its tail, given X's counts dens at the
@@ -105,11 +114,7 @@ def tail_rows(checkpoints: Sequence[int], dens: Sequence[int], horizon: int,
     (with tail_from its checkpoint) when there is none.  X needs at least
     10 points below the last checkpoint.
     """
-    if dens[-1] < 10:
-        raise ValueError(
-            f"X has only {dens[-1]} points below horizon {horizon}; "
-            "need at least 10"
-        )
+    require_points(dens[-1], horizon)
     kept = [i for i, d in enumerate(dens) if d > 0]
     tail_from = ceil_frac(tail_window * horizon)
     tail = bisect_left(kept, tail_from, key=checkpoints.__getitem__)

@@ -61,6 +61,10 @@ _ENUM_LIMIT = 1 << 18
 # length made at import (768 KB), stays in L2 (2^15 and 2^16 tie, in
 # isolation and in the transform workload)
 _CHUNK = 1 << 15
+# PRF first-round table: at most this many indices (2 MiB), written only
+# by ``tabulate_first_round``; 2^17, 2^18 and 2^19 were timed on a 1e6
+# transform (README, "The PRF's shared first round")
+_TABLE_CAPACITY = 1 << 18
 # membership words: bit k % 64 of word k // 64 is index k
 _WORD = np.dtype("<u8")
 # _LOW_BITS[r]: the r lowest bits of a word set
@@ -103,7 +107,7 @@ class TailPattern:
             q, r = divmod(m, self.period)
             return q * cum[-1] + cum[r]
 
-        heads = _prefix_counts(head, [min(n, self.start) for n in checkpoints])
+        heads = _prefix_counts(head, [min(n, self.start) for n in checkpoints]).tolist()
         base = periodic(self.start)
         return [c + periodic(n) - base if n > self.start else c
                 for c, n in zip(heads, checkpoints)]
@@ -115,11 +119,12 @@ def _nwords(n: int) -> int:
     return (n >> 6) + 1
 
 
-def _prefix_counts(words: np.ndarray, checkpoints: Sequence[int]) -> list:
+def _prefix_counts(words: np.ndarray, checkpoints: Sequence[int]) -> np.ndarray:
     """Members below each checkpoint n, from packed words that cover every
-    checkpoint (bits at and above a checkpoint are masked off).  One row
-    of words, shape (w,), gives a list of counts; rows of words, shape
-    (r, w), give one such list per row, all counted in this one call.
+    checkpoint (bits at and above a checkpoint are masked off), as int64.
+    One row of words, shape (w,), gives one count per checkpoint; rows of
+    words, shape (r, w), give one such row of counts per row, all counted
+    in this one call.
 
     Checkpoints may come in any order, repeat, or be negative (counted
     as 0).  A checkpoint n counts the whole words below word n // 64 and
@@ -142,12 +147,12 @@ def _prefix_counts(words: np.ndarray, checkpoints: Sequence[int]) -> list:
     seg = np.add.reduceat(np.bitwise_count(words[..., :s[-1] + 1]), bounds,
                           axis=-1, dtype=dt)[..., :-1]
     seg[..., bounds[:-1] == s] = 0
-    whole = np.empty_like(seg)
-    whole[..., order] = seg.cumsum(axis=-1, dtype=dt)
+    counts = np.empty(seg.shape, dtype=np.int64)
+    counts[..., order] = seg.cumsum(axis=-1, dtype=dt)
     # take() gathers along the last axis; indexing with [..., q] does the
     # same a few microseconds slower per call
-    partial = np.bitwise_count(words.take(q, axis=-1) & _LOW_BITS[n & 63])
-    return (whole + partial).tolist()
+    counts += np.bitwise_count(words.take(q, axis=-1) & _LOW_BITS[n & 63])
+    return counts
 
 
 def _unpack(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -267,7 +272,7 @@ class OmegaSet:
             except HorizonOverflowError:
                 pass  # J beyond the cap; sparse enumeration may still reach
         if horizon <= explicit_cap():
-            return _prefix_counts(self.packed(horizon), checkpoints)
+            return _prefix_counts(self.packed(horizon), checkpoints).tolist()
         elems = self.enumerate_below(horizon, _ENUM_LIMIT)
         if elems is not None:
             return [bisect_left(elems, n) for n in checkpoints]
@@ -511,14 +516,22 @@ class _BlockScratch:
     """The PRF's block buffers, made once per process and reused by every
     fill: buffers made per fill are fresh pages, over a hundred minor
     faults for a 2e5-bit fill.  ``np.empty`` touches no page before the
-    first fill.  One lock serialises the fills that use them."""
+    first fill.  One lock serialises the fills that use them.
 
-    __slots__ = ("ramp", "x", "t", "step", "lock")
+    ``table`` holds mix64's first round of the PRF indices below
+    ``written`` before the key is mixed in (see ``first_round``); it is
+    the same for every Bernoulli set, so a fill reads it instead of
+    computing it.  Only ``tabulate_first_round`` writes it, and no page
+    of it is resident before then."""
 
-    def __init__(self, size: int):
+    __slots__ = ("ramp", "x", "t", "step", "lock", "table", "written")
+
+    def __init__(self, size: int, capacity: int):
         self.ramp, self.x, self.t = np.empty((3, size), dtype=np.uint64)
         self.step: int | None = None  # the stride ramp holds
         self.lock = threading.Lock()
+        self.table = np.empty(capacity, dtype=np.uint64)
+        self.written = 0
 
     def ramp_of(self, step: int) -> np.ndarray:
         """ramp[k] = k * step mod 2^64, rebuilt in place (a cumulative sum
@@ -531,10 +544,37 @@ class _BlockScratch:
             self.step = step
         return self.ramp
 
+    def first_round(self, i: int, d: int, out: np.ndarray, t: np.ndarray) -> None:
+        """out[k] = R ^ (R >> 30) for R = (i + d*k) * M1 mod 2^64, the
+        first round of mix64 on PRF index i + d*k before the key: with
+        x = R ^ key, x ^ (x >> 30) = (R ^ R >> 30) ^ (key ^ key >> 30),
+        since a right shift distributes over XOR.  t is scratch of out's
+        length; called under the lock."""
+        # (i + d*k) * M1 = i * M1 + k * (d * M1) (mod 2^64)
+        ramp = self.ramp_of((d * MIX_M1) & MASK64)[:out.shape[0]]
+        np.add(ramp, np.uint64((i * MIX_M1) & MASK64), out=out)
+        np.right_shift(out, np.uint64(30), out=t)
+        out ^= t
 
-_SCRATCH = _BlockScratch(_CHUNK)
+
+_SCRATCH = _BlockScratch(_CHUNK, _TABLE_CAPACITY)
 # below a threshold with these bits zero, mix64's last step need not run
 _LOW33 = (1 << 33) - 1
+
+
+def tabulate_first_round(n: int) -> None:
+    """Extend the table of the PRF's key-independent first round, in
+    place, to the indices below n, or below its capacity when n exceeds
+    it, so that every later Bernoulli fill of consecutive indices there
+    reads it.  For code about to fill many Bernoulli sets over [0, n);
+    the table stays written for the life of the process."""
+    scratch = _SCRATCH
+    n = min(n, scratch.table.shape[0])
+    with scratch.lock:
+        for start in range(scratch.written, n, _CHUNK):
+            m = min(_CHUNK, n - start)
+            scratch.first_round(start, 1, scratch.table[start:start + m], scratch.t[:m])
+        scratch.written = max(scratch.written, n)
 
 
 def _below(x: np.ndarray, thr: int, t: np.ndarray, out: np.ndarray) -> None:
@@ -589,25 +629,28 @@ class BernoulliSet(OmegaSet):
 
         The PRF runs block by block (``_CHUNK`` indices from lo), in place
         in the resident block scratch, so its arithmetic stays in cache
-        whatever the range.  The PRF is a function of the index alone, so
+        whatever the range.  A block of consecutive PRF indices inside the
+        tabulated first round reads that round from the table; any other
+        block computes it.  The PRF is a function of the index alone, so
         the block seams do not show.
         """
-        a, d, key = self._a, self._d, np.uint64(self._key)
-        m1, m2 = np.uint64(MIX_M1), np.uint64(MIX_M2)
-        s30, s27 = np.uint64(30), np.uint64(27)
+        a, d = self._a, self._d
+        key = np.uint64(self._key ^ self._key >> 30)  # the key's share of round 1
+        m1, m2, s27 = np.uint64(MIX_M1), np.uint64(MIX_M2), np.uint64(27)
         hi = lo + out.shape[0]
-        with _SCRATCH.lock:
-            # the PRF index of member k is a + d*k, and for k in a block
-            # (a + d*k) * M1 = (a + d*start) * M1 + (k - start) * d*M1 (mod 2^64)
-            ramp = _SCRATCH.ramp_of((d * MIX_M1) & MASK64)
+        scratch = _SCRATCH
+        with scratch.lock:
             for start in range(lo, hi, _CHUNK):
                 m = min(_CHUNK, hi - start)
-                x, t = _SCRATCH.x[:m], _SCRATCH.t[:m]
-                np.add(ramp[:m], np.uint64(((a + d * start) * MIX_M1) & MASK64), out=x)
-                x ^= key
-                # mix64 up to its last step, with the shifted copies in t
-                np.right_shift(x, s30, out=t)
-                x ^= t
+                x, t = scratch.x[:m], scratch.t[:m]
+                i = a + d * start  # the PRF index of member start
+                if d == 1 and i + m <= scratch.written:
+                    np.bitwise_xor(scratch.table[i:i + m], key, out=x)
+                else:
+                    scratch.first_round(i, d, x, t)
+                    x ^= key
+                # the rest of mix64 up to its last step, with the shifted
+                # copies in t
                 x *= m1
                 np.right_shift(x, s27, out=t)
                 x ^= t

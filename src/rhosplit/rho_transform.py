@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import HALF, as_fraction, derive_seed
-from .density import build_checkpoints, density_report, split_verdict, tail_rows
+from ._util import HALF, as_fraction, ceil_frac, derive_seed
+from .density import build_checkpoints, density_report, require_points, split_verdict
 from .omega_sets import (
     OMEGA,
     BernoulliSet,
@@ -39,6 +39,7 @@ from .omega_sets import (
     difference,
     intersect,
     require_infinite,
+    tabulate_first_round,
     union,
 )
 
@@ -185,12 +186,12 @@ def squaring_plan(rho) -> tuple[list[str], Fraction]:
 
 class Counted(tuple):
     """Sets with their packed words at a horizon, one read-only row per
-    set, and each row's counts at the horizon's checkpoints
+    set, and each row's int64 counts at the horizon's checkpoints
     (``build_checkpoints``): what a validation against the sets reads.
     Without words, they are packed and counted here."""
 
     def __new__(cls, sets: Sequence[OmegaSet], horizon: int,
-                words: np.ndarray | None = None, counts: list | None = None):
+                words: np.ndarray | None = None, counts: np.ndarray | None = None):
         self = super().__new__(cls, sets)
         if words is None:
             words = np.stack([R.packed(horizon) for R in self])
@@ -278,7 +279,7 @@ class ComposedOracle(SplitterOracle):
             out, legs = complement(a), (a,)
             # a's traces are a subset of the targets, bit for bit
             words = targets.words ^ on_a.words
-            counts = (np.array(targets.counts) - on_a.counts).tolist()
+            counts = targets.counts - on_a.counts
         else:
             b, on_b = self._build(level - 1, stage, salt * 3 + 2, on_a)
             out, legs = intersect(a, b), (a, b)
@@ -294,6 +295,13 @@ class ComposedOracle(SplitterOracle):
 
 
 # -- validation --------------------------------------------------------------
+
+
+def _band_scales(p: Fraction, tol: Fraction) -> tuple[int, int, int, int, int]:
+    """(a, b, dev_scale, tol_scale, floor_scale) of ``_band_ok``'s rule."""
+    a, b = p.numerator, p.denominator
+    t, u = tol.numerator, tol.denominator
+    return a, b, 10 * u * u, 10 * (t * b) ** 2, 61 * (b * u) ** 2
 
 
 def _band_ok(nums: Sequence[int], dens: Sequence[int], p: Fraction,
@@ -316,16 +324,39 @@ def _band_ok(nums: Sequence[int], dens: Sequence[int], p: Fraction,
                                            61 * b^2 * u^2 * den),
     so no Fraction is built per row.
     """
-    a, b = p.numerator, p.denominator
-    t, u = tol.numerator, tol.denominator
-    dev_scale = 10 * u * u
-    tol_scale = 10 * (t * b) ** 2
-    floor_scale = 61 * (b * u) ** 2
+    a, b, dev_scale, tol_scale, floor_scale = _band_scales(p, tol)
     for num, den in zip(nums, dens):
         dev = num * b - a * den
         if dev_scale * dev * dev > max(tol_scale * den * den, floor_scale * den):
             return False
     return True
+
+
+_INT64_MAX = (1 << 63) - 1
+
+
+def _band_fails(nums: np.ndarray, dens: np.ndarray, rows: np.ndarray,
+                p: Fraction, tol: Fraction) -> np.ndarray:
+    """For each row of counts, whether one of its entries marked in rows
+    fails ``_band_ok``'s rule.
+
+    nums and dens are int64 counts of S ∩ t and of t at the same
+    checkpoints, so 0 <= num <= den <= D for D the largest den.  Then
+    num*b and a*den are at most b*D, and |num*b - a*den| is at most
+    max(a, b - a) * D.  Where every term of the rule fits in int64 at
+    those bounds, one int64 expression decides all the rows exactly;
+    elsewhere ``_band_ok`` decides, row by row.
+    """
+    a, b, dev_scale, tol_scale, floor_scale = _band_scales(p, tol)
+    D = max(int(dens.max(initial=0)), 1)
+    dev_top = max(a, b - a) * D
+    if max(b * D, dev_scale * dev_top * dev_top, tol_scale * D * D,
+           floor_scale * D) > _INT64_MAX:
+        return np.array([not _band_ok(n[r].tolist(), d[r].tolist(), p, tol)
+                         for n, d, r in zip(nums, dens, rows)], dtype=bool)
+    dev = nums * b - a * dens
+    fail = dev_scale * dev * dev > np.maximum(tol_scale * dens * dens, floor_scale * dens)
+    return (fail & rows).any(axis=-1)
 
 
 def _accepted_proposal(oracle: SplitterOracle, stage: int, salt: int,
@@ -337,35 +368,37 @@ def _accepted_proposal(oracle: SplitterOracle, stage: int, salt: int,
 
     The targets' words and counts are taken from them when they are a
     ``Counted`` at cfg.horizon, and found once here otherwise.  Each
-    proposal's words are ANDed with the targets', and every row is
-    counted in one kernel call; the accepted proposal's rows and counts
-    are its traces', so the next validation against them counts nothing
-    again.  A rejected proposal's diagnostics are the density report
-    against the target it failed.
+    proposal's words are ANDed with the targets', every row is counted in
+    one kernel call, and every target's tail rows are judged in one call
+    of ``_band_fails``; the accepted proposal's rows and counts are its
+    traces', so the next validation against them counts nothing again.
+    A rejected proposal's diagnostics are the density report against the
+    target it failed.
     """
     H, p = cfg.horizon, oracle.p
     checkpoints = build_checkpoints(H)
     targets = _counted(targets, H)
     stack, dens = targets.words, targets.counts
     joint = np.empty_like(stack)
-    # a target's tail rows and their denominators, found when the walk
-    # first reaches the target, so that a finite or thin target raises
-    # only then, as a report per target would
-    tails: dict[int, tuple[list[int], list[int]]] = {}
+    # every target's tail rows, as ``tail_rows`` finds them: the rows with
+    # a point (den > 0) from tail_from = ceil(H / 2) on, of which the last
+    # checkpoint, H, is one for every target with at least 10 points
+    tails = (np.asarray(checkpoints) >= ceil_frac(HALF * H)) & (dens > 0)
+    reached = 0  # the targets the walk has reached so far
     failures = []
     for attempt in range(MAX_ATTEMPTS):
         S = oracle.propose(stage, salt + attempt * 1000, targets)
         nums = _prefix_counts(np.bitwise_and(stack, S.packed(H), out=joint),
                               checkpoints)
+        fails = _band_fails(nums, dens, tails, p, STAGE_TOLERANCE)
         for i, R in enumerate(targets):
-            if i not in tails:
+            # a finite or thin target raises when the walk first reaches
+            # it, as a report per target would
+            if i == reached:
                 require_infinite(R, "X")
-                kept, tail, _ = tail_rows(checkpoints, dens[i], H)
-                rows = kept[tail:]
-                tails[i] = rows, [dens[i][j] for j in rows]
-            rows, tail_dens = tails[i]
-            if not _band_ok([nums[i][j] for j in rows], tail_dens, p,
-                            STAGE_TOLERANCE):
+                require_points(int(dens[i, -1]), H)
+                reached += 1
+            if fails[i]:
                 failures.append(
                     (stage, attempt, density_report(S, R, H, target=p).to_json()))
                 break
@@ -405,7 +438,8 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     against every live member; its validation hands on the family's
     traces with their words and counts, the next stage's targets.  The
     exact identity "stage-m family = {nested[m] ∩ X}" is checked bitwise
-    at the horizon on those words.
+    at the horizon on those words.  The PRF's first round is tabulated
+    below the horizon first (``tabulate_first_round``).
     """
     if not family:
         raise ValueError("family must be non-empty")
@@ -414,6 +448,8 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     if cfg.depth < 1:
         raise ValueError("depth must be at least 1")
     family = tuple(family)
+    # the chain's Bernoulli proposals and legs are filled over [0, H)
+    tabulate_first_round(cfg.horizon)
     targets: Sequence[OmegaSet] = family
     stages: list[OmegaSet] = [OMEGA]
     nested: list[OmegaSet] = [OMEGA]

@@ -28,7 +28,7 @@ from rhosplit import (
     union,
 )
 from rhosplit import omega_sets
-from rhosplit._util import MASK64
+from rhosplit._util import MASK64, MIX_M1
 from rhosplit.omega_sets import TailPattern, agree_below, parse_family, require_infinite
 
 from conftest import brute_count
@@ -417,15 +417,60 @@ def test_interleaved_fills_of_different_maps_match_the_scalar_prf():
         assert bits_range(g, 900, 3100).tolist() == [g.contains(k) for k in range(900, 3100)]
 
 
+def _first_rounds(n):
+    """mix64's first round of the PRF indices below n, before the key."""
+    r = np.arange(n, dtype=np.uint64) * np.uint64(MIX_M1)
+    return r ^ (r >> np.uint64(30))
+
+
+_densities = st.one_of(
+    st.builds(lambda j, k: Fraction(k % (1 << j) | 1, 1 << j),
+              st.integers(1, 40), st.integers(0, 1 << 40)),
+    st.fractions(Fraction(1, 1000), Fraction(999, 1000), max_denominator=10 ** 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_densities, st.integers(0, MASK64), st.sampled_from(["(0,1)", "(k,1)", "(k,3)"]),
+       st.integers(0, 90), st.sampled_from([1, 7, 64]), st.integers(0, 400),
+       st.integers(0, 70), st.integers(0, 70))
+def test_table_backed_fills_match_the_chunk_path_and_the_scalar_prf(
+        p, seed, mapping, k, chunk, written, back, past):
+    capacity = 256
+    a, d = {"(0,1)": (0, 1), "(k,1)": (k, 1), "(k,3)": (k, 3)}[mapping]
+    s = BernoulliSet(p, seed).along(a, d)
+    # members whose PRF indices a + d*i run from below the written prefix
+    # to past the capacity
+    lo = max(0, (written - a) // d - back)
+    hi = max(lo, (capacity - a) // d + past)
+    tabled = omega_sets._BlockScratch(64, capacity)
+    plain = omega_sets._BlockScratch(64, capacity)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(omega_sets, "_CHUNK", chunk)
+        mp.setattr(omega_sets, "_SCRATCH", tabled)
+        # extended twice, the second time from a written prefix
+        omega_sets.tabulate_first_round(written // 2)
+        omega_sets.tabulate_first_round(written)
+        omega_sets.tabulate_first_round(written // 3)  # the prefix only grows
+        got = bits_range(s, lo, hi)
+        mp.setattr(omega_sets, "_SCRATCH", plain)
+        chunked = bits_range(s, lo, hi)
+    assert tabled.written == min(written, capacity) and plain.written == 0
+    assert np.array_equal(tabled.table[:tabled.written], _first_rounds(tabled.written))
+    assert got.tolist() == chunked.tolist() == [s.contains(i) for i in range(lo, hi)]
+
+
 def test_fills_in_threads_match_the_scalar_prf():
     n = 200_000
-    # more threads than cores, each with its own set and index map
+    # more threads than cores, each with its own set and index map, and
+    # one more that extends a fresh first-round table while they fill
     sets = [BernoulliSet(Fraction(1, 3), 21), BernoulliSet(Fraction(1, 2), 22).along(3, 5),
-            BernoulliSet(Fraction(5, 32), 23).along(0, 2)]
+            BernoulliSet(Fraction(5, 32), 23).along(0, 2),
+            BernoulliSet(Fraction(3, 7), 24).along(11, 1)]
     want = [bits_range(s, 0, n) for s in sets]
     for s, bits in zip(sets, want):
         assert bits[::97].tolist() == [s.contains(k) for k in range(0, n, 97)]
-    start, errors, rounds = threading.Barrier(len(sets)), [], []
+    scratch = omega_sets._BlockScratch(omega_sets._CHUNK, omega_sets._TABLE_CAPACITY)
+    start, errors, rounds = threading.Barrier(len(sets) + 1), [], []
 
     def fill(s, bits):
         start.wait()
@@ -434,18 +479,28 @@ def test_fills_in_threads_match_the_scalar_prf():
                 errors.append(s)
             rounds.append(s)
 
+    def extend():
+        start.wait()
+        for k in range(1, 41):
+            omega_sets.tabulate_first_round(n * k // 40 + 5)
+
     threads = [threading.Thread(target=fill, args=pair) for pair in zip(sets, want)]
+    threads.append(threading.Thread(target=extend))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(omega_sets, "_SCRATCH", scratch)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(rounds) == 20 * len(sets) and not errors
+    assert scratch.written == n + 5
+    assert np.array_equal(scratch.table[:n + 5], _first_rounds(n + 5))
 
 
 def _dyadic_thresholds(j):
@@ -521,6 +576,8 @@ def _count_bits_below(row, n):
 def test_prefix_counts_match_a_count_per_bit(case):
     words, checkpoints = case
     got = omega_sets._prefix_counts(words, checkpoints)
+    assert got.dtype == np.int64
+    got = got.tolist()
     want = [[_count_bits_below(row, n) for n in checkpoints]
             for row in np.atleast_2d(words)]
     assert got == (want[0] if words.ndim == 1 else want)
@@ -645,6 +702,48 @@ def test_memory_bounds_hold_in_a_fresh_interpreter():
     for proc in procs:
         out, _ = proc.communicate()
         assert proc.returncode == 0, out[-2000:]
+
+
+_TABLE_WRITES = """
+from fractions import Fraction
+import numpy as np
+from rhosplit import OMEGA, build_chain, density_report, omega_sets, parse_set
+from rhosplit.omega_sets import parse_family
+from rhosplit.rho_transform import ChainConfig, RoundRobinOracle, transform_splitter
+from test_omega_sets import _first_rounds
+
+scratch = omega_sets._SCRATCH
+cap = scratch.table.shape[0]
+first = _first_rounds(cap)
+# every entry unlike its first round, so that any write shows
+scratch.table[:] = ~first
+density_report(parse_set("bern(1/2,7)"), OMEGA, 200_000)
+assert scratch.written == 0 and np.array_equal(scratch.table, ~first)
+n = 200_000
+res = transform_splitter(parse_family("omega,prog(0,2)"), "half-to-rho", Fraction(7, 16),
+                         cfg=ChainConfig(depth=3, horizon=n))
+assert res.all_hold
+assert scratch.written == min(n, cap)
+assert np.array_equal(scratch.table[:n], first[:n])
+assert np.array_equal(scratch.table[n:], ~first[n:])
+# a chain past the capacity writes up to the capacity
+build_chain([OMEGA], RoundRobinOracle(), ChainConfig(depth=1, horizon=cap + 1000))
+assert scratch.written == cap and np.array_equal(scratch.table, first)
+"""
+
+
+def test_only_chains_write_the_first_round_table():
+    # in a new interpreter, whose table no earlier test has written: a
+    # density report of an unmapped Bernoulli set leaves it unwritten, a
+    # transform writes exactly min(H, capacity) indices, and a chain past
+    # the capacity writes it whole
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(omega_sets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(omega_sets._ENV_CAP, None)
+    proc = subprocess.run([sys.executable, "-c", _TABLE_WRITES], cwd=here, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 _LARGE_GRID_COUNT = """

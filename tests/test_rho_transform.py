@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -251,14 +252,14 @@ def test_transform_reports_its_plan():
 
 
 @st.composite
-def _band_cases(draw):
+def _band_cases(draw, u_max=1000, den_max=10 ** 6):
     b = draw(st.integers(2, 64))
     a = draw(st.integers(1, b - 1))
-    u = draw(st.integers(1, 1000))
+    u = draw(st.integers(1, u_max))
     t = draw(st.integers(1, u))
     rows = []
     for _ in range(draw(st.integers(1, 6))):
-        den = draw(st.integers(1, 10 ** 6))
+        den = draw(st.integers(1, den_max))
         spread = draw(st.sampled_from([0, 3, 30, 300, 3000]))
         num = a * den // b + draw(st.integers(-spread, spread))
         rows.append((min(den, max(0, num)), den))
@@ -280,6 +281,74 @@ def test_band_check_is_the_fraction_rule(case):
     oracle = all((r - p) ** 2 * d <= max(tol ** 2 * d, Fraction(61, 10))
                  for r, (_, d) in zip(ratios, rows))
     assert _band_ok([n for n, _ in rows], [d for _, d in rows], p, tol) == oracle
+
+
+def _stacked(rows):
+    """The rows as the counts of len(rows) + 1 targets at len(rows)
+    checkpoints: target j with row j alone marked, and a last target with
+    every row marked."""
+    nums = np.array([[n for n, _ in rows]] * (len(rows) + 1), dtype=np.int64)
+    dens = np.array([[d for _, d in rows]] * (len(rows) + 1), dtype=np.int64)
+    marked = np.vstack([np.eye(len(rows), dtype=bool), np.ones(len(rows), dtype=bool)])
+    return nums, dens, marked
+
+
+@example((1, 2, 1, 100, [(366, 610)]))
+@example((1, 2, 1, 100, [(367, 610)]))
+@example((1, 2, 1, 100, [(51_000, 100_000)]))
+@example((1, 2, 1, 100, [(51_001, 100_000)]))
+@given(st.one_of(_band_cases(), _band_cases(u_max=100, den_max=200_000)))
+def test_int64_band_decision_is_band_ok(case):
+    a, b, t, u, rows = case
+    p, tol = Fraction(a, b), Fraction(t, u)
+    nums, dens, marked = _stacked(rows)
+    want = [not _band_ok([n], [d], p, tol) for n, d in rows]
+    want.append(not _band_ok([n for n, _ in rows], [d for _, d in rows], p, tol))
+    assert rho_transform._band_fails(nums, dens, marked, p, tol).tolist() == want
+
+
+def _takes_python_path(monkeypatch, p, top):
+    """Whether _band_fails hands counts up to top to _band_ok."""
+    called = []
+
+    def spy(*args):
+        called.append(args)
+        return _band_ok(*args)
+
+    monkeypatch.setattr(rho_transform, "_band_ok", spy)
+    nums, dens, marked = _stacked([(0, top)])
+    rho_transform._band_fails(nums, dens, marked, p, STAGE_TOLERANCE)
+    return bool(called)
+
+
+@pytest.mark.parametrize("p", [HALF, Fraction(1, 32), Fraction(31, 32), Fraction(5, 64),
+                               Fraction(3, 7)])
+def test_int64_band_decision_stops_at_the_last_count_that_fits(monkeypatch, p):
+    # the largest count decided in int64, found from the decision path alone
+    lo, hi = 1, 1 << 40
+    assert not _takes_python_path(monkeypatch, p, lo)
+    assert _takes_python_path(monkeypatch, p, hi)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _takes_python_path(monkeypatch, p, mid) else (mid, hi)
+    a, b = p.numerator, p.denominator
+    tol = STAGE_TOLERANCE
+    for top in (lo, hi):
+        # the extreme rows, the rows at p, and rows just off the band's edges
+        at_p = a * top // b
+        edge = math.isqrt(top * 61 // 10)
+        rows = [(0, top), (top, top), (at_p, top), (at_p + 1, top), (top // 2, top)]
+        rows += [(min(top, max(0, at_p + s * (edge + e))), top)
+                 for s in (1, -1) for e in (-1, 0, 1, 2)]
+        nums, dens, marked = _stacked(rows)
+        want = [not _band_ok([n], [d], p, tol) for n, d in rows]
+        want.append(not _band_ok([n for n, _ in rows], [d for _, d in rows], p, tol))
+        assert rho_transform._band_fails(nums, dens, marked, p, tol).tolist() == want
+    # one past the last count that fits, the extreme row's deviation term
+    # wraps in int64, so the Python path is not a needless one
+    dev = np.array([max(a, b - a) * hi], dtype=np.int64)
+    scale = 10 * tol.denominator ** 2
+    assert int((scale * dev * dev)[0]) != scale * (max(a, b - a) * hi) ** 2
 
 
 # -- chains -------------------------------------------------------------------
@@ -474,7 +543,7 @@ def test_handed_on_words_and_counts_are_the_sets(monkeypatch):
     for c in counted:
         # recounted from each set's own words, built afresh from its tree
         fresh = np.stack([R.packed(H) for R in c])
-        assert c.counts == _prefix_counts(fresh, checkpoints)
+        assert np.array_equal(c.counts, _prefix_counts(fresh, checkpoints))
         assert all(agree_below(row, want, H) for row, want in zip(c.words, fresh))
 
 
@@ -635,3 +704,14 @@ def test_validator_agrees_with_a_report_per_member(horizon, members, proposals):
     want = _outcome(lambda: _validated_by_reports(slow, family, horizon))
     assert got == want
     assert fast.asked == slow.asked
+
+
+def test_a_thin_target_first_reached_by_a_later_proposal_raises_then():
+    # the first proposal fails omega, so the second is the first to reach
+    # the thin member, and the validation raises only then
+    H = 3_000
+    oracle = _ScriptedOracle(Progression(0, 4), Progression(0, 2))
+    with pytest.raises(ValueError, match="X has only 5 points"):
+        _accepted_proposal(oracle, 1, 0, [OMEGA, _spec_set(("thin", 5), H)],
+                           small_cfg(horizon=H))
+    assert oracle.asked == [(1, 0), (1, 1000)]
