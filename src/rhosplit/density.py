@@ -110,17 +110,15 @@ def tail_rows(checkpoints: Sequence[int], dens: Sequence[int], horizon: int,
 
     A report keeps the rows with a point of X (d > 0), listed by index in
     kept.  Its tail is kept[tail:], from the first kept checkpoint at or
-    above tail_from = ceil(tail_window * horizon), or the last kept row
-    (with tail_from its checkpoint) when there is none.  X needs at least
-    10 points below the last checkpoint.
+    above tail_from = ceil(tail_window * horizon).  X needs at least 10
+    points below the last checkpoint, which is the horizon
+    (``build_checkpoints``), so that row is kept, and with tail_window < 1
+    it is in the tail.
     """
     require_points(dens[-1], horizon)
     kept = [i for i, d in enumerate(dens) if d > 0]
     tail_from = ceil_frac(tail_window * horizon)
-    tail = bisect_left(kept, tail_from, key=checkpoints.__getitem__)
-    if tail == len(kept):
-        tail, tail_from = tail - 1, checkpoints[kept[-1]]
-    return kept, tail, tail_from
+    return kept, bisect_left(kept, tail_from, key=checkpoints.__getitem__), tail_from
 
 
 def _pair_counts(S: OmegaSet, X: OmegaSet, checkpoints: Sequence[int]):

@@ -12,10 +12,10 @@ this arithmetic exactly, before any set is built, and
 
 Oracles are validated and resampled rather than trusted: a proposal
 enters a chain only after its tail ratios pass a count-aware band check
-against every current family member.  A validation counts the proposal's
-traces on its targets, and those traces, with their words and counts
-(``Counted``), are the targets of the next validation, so each set is
-counted once.
+against every current family member.  An oracle hands back each proposal
+with its traces on the targets, words and counts (``Counted``), and those
+traces are the targets of the next validation, so each set is counted
+once.
 """
 
 from __future__ import annotations
@@ -200,22 +200,23 @@ class Counted(tuple):
         self.horizon, self.words, self.counts = horizon, words, counts
         return self
 
-
-def _counted(sets: Sequence[OmegaSet], horizon: int) -> Counted:
-    """The sets as a ``Counted`` at the horizon, counted only if not yet."""
-    if isinstance(sets, Counted) and sets.horizon == horizon:
-        return sets
-    return Counted(sets, horizon)
+    def meet(self, S: OmegaSet) -> Counted:
+        """S's traces [S ∩ t] on these sets: S's words ANDed into every
+        row, and every row counted in one call."""
+        words = np.bitwise_and(self.words, S.packed(self.horizon))
+        return Counted([intersect(S, t) for t in self], self.horizon, words,
+                       _prefix_counts(words, build_checkpoints(self.horizon)))
 
 
 class SplitterOracle:
-    """Source of candidate p-splitters for the current family.  The
-    targets that ``propose`` gets from a validation are a ``Counted``."""
+    """Source of candidate p-splitters for the current family.  ``propose``
+    returns a proposal S with its traces on the targets, ``targets.meet(S)``
+    or the same words and counts found otherwise."""
 
     p: Fraction
 
     def propose(self, stage: int, attempt: int,
-                targets: Sequence[OmegaSet]) -> OmegaSet:
+                targets: Counted) -> tuple[OmegaSet, Counted]:
         raise NotImplementedError
 
 
@@ -231,7 +232,8 @@ class BernoulliOracle(SplitterOracle):
         self.seed = int(seed)
 
     def propose(self, stage, attempt, targets):
-        return BernoulliSet(self.p, derive_seed(self.seed, stage, attempt))
+        S = BernoulliSet(self.p, derive_seed(self.seed, stage, attempt))
+        return S, targets.meet(S)
 
 
 class RoundRobinOracle(SplitterOracle):
@@ -244,7 +246,8 @@ class RoundRobinOracle(SplitterOracle):
     def propose(self, stage, attempt, targets):
         if len(targets) != 1:
             raise ValueError("round-robin needs a single-target family")
-        return StrideSelection(targets[0], 2, 0)
+        S = StrideSelection(targets[0], 2, 0)
+        return S, targets.meet(S)
 
 
 class ComposedOracle(SplitterOracle):
@@ -254,9 +257,10 @@ class ComposedOracle(SplitterOracle):
     The inner oracle's proposals become legs whose packed words are
     released once combined, so it should return sets of its own.
 
-    No leg's targets are counted twice: leg a's validation hands on its
-    traces on the targets, which are leg b's targets, and a complement's
-    traces are the targets' words and counts less leg a's."""
+    Nothing is counted twice: leg a's validation hands on its traces on
+    the targets, which are leg b's targets, and the proposal's traces are
+    leg b's, or for a complement the targets' words and counts less leg
+    a's."""
 
     def __init__(self, inner: SplitterOracle, ops: Sequence[str],
                  effective_p: Fraction, cfg: ChainConfig):
@@ -266,8 +270,7 @@ class ComposedOracle(SplitterOracle):
         self.cfg = cfg
 
     def propose(self, stage, attempt, targets):
-        targets = _counted(targets, self.cfg.horizon)
-        return self._build(len(self.ops), stage, attempt * 2 + 1, targets)[0]
+        return self._build(len(self.ops), stage, attempt * 2 + 1, targets)
 
     def _build(self, level, stage, salt, targets: Counted):
         """The set of the plan's first ``level`` ops and its traces on the
@@ -298,38 +301,10 @@ class ComposedOracle(SplitterOracle):
 
 
 def _band_scales(p: Fraction, tol: Fraction) -> tuple[int, int, int, int, int]:
-    """(a, b, dev_scale, tol_scale, floor_scale) of ``_band_ok``'s rule."""
+    """(a, b, dev_scale, tol_scale, floor_scale) of ``_band_fails``'s rule."""
     a, b = p.numerator, p.denominator
     t, u = tol.numerator, tol.denominator
     return a, b, 10 * u * u, 10 * (t * b) ** 2, 61 * (b * u) ** 2
-
-
-def _band_ok(nums: Sequence[int], dens: Sequence[int], p: Fraction,
-             tol: Fraction) -> bool:
-    """Count-aware acceptance of the tail rows num/den, decided in exact
-    arithmetic.
-
-    The allowed deviation at a checkpoint with denominator d is the larger
-    of the stage tolerance and sqrt(6.1/d).  By Hoeffding's inequality
-    (W. Hoeffding, "Probability inequalities for sums of bounded random
-    variables", JASA 58, 1963) a ratio of d thinned members strays that
-    far with probability at most 2*exp(-12.2), a margin that survives a
-    union bound over the tail rows.  The rule is squared and scaled by d
-    so that no square root is taken: a row num/den fails when
-    (num/den - p)^2 * den > max(tol^2 * den, 61/10).
-
-    It is decided on integers.  With p = a/b and tol = t/u, multiplying
-    through by 10 * b^2 * u^2 * den > 0 gives the same rule as
-        10 * (num*b - a*den)^2 * u^2 > max(10 * t^2 * b^2 * den^2,
-                                           61 * b^2 * u^2 * den),
-    so no Fraction is built per row.
-    """
-    a, b, dev_scale, tol_scale, floor_scale = _band_scales(p, tol)
-    for num, den in zip(nums, dens):
-        dev = num * b - a * den
-        if dev_scale * dev * dev > max(tol_scale * den * den, floor_scale * den):
-            return False
-    return True
 
 
 _INT64_MAX = (1 << 63) - 1
@@ -338,59 +313,63 @@ _INT64_MAX = (1 << 63) - 1
 def _band_fails(nums: np.ndarray, dens: np.ndarray, rows: np.ndarray,
                 p: Fraction, tol: Fraction) -> np.ndarray:
     """For each row of counts, whether one of its entries marked in rows
-    fails ``_band_ok``'s rule.
+    fails the count-aware band, decided in exact arithmetic.
+
+    The allowed deviation of num/den from p at a checkpoint is the larger
+    of the stage tolerance and sqrt(6.1/den).  By Hoeffding's inequality
+    (W. Hoeffding, "Probability inequalities for sums of bounded random
+    variables", JASA 58, 1963) a ratio of den thinned members strays that
+    far with probability at most 2*exp(-12.2), a margin that survives a
+    union bound over the tail rows.  The rule is squared and scaled by den
+    so that no square root is taken: an entry fails when
+    (num/den - p)^2 * den > max(tol^2 * den, 61/10).
+
+    It is decided on integers.  With p = a/b and tol = t/u, multiplying
+    through by 10 * b^2 * u^2 * den > 0 gives the same rule as
+        10 * (num*b - a*den)^2 * u^2 > max(10 * t^2 * b^2 * den^2,
+                                           61 * b^2 * u^2 * den),
+    so no Fraction is built per entry.
 
     nums and dens are int64 counts of S ∩ t and of t at the same
     checkpoints, so 0 <= num <= den <= D for D the largest den.  Then
     num*b and a*den are at most b*D, and |num*b - a*den| is at most
     max(a, b - a) * D.  Where every term of the rule fits in int64 at
-    those bounds, one int64 expression decides all the rows exactly;
-    elsewhere ``_band_ok`` decides, row by row.
+    those bounds, the expression is evaluated in int64; elsewhere the same
+    expression is evaluated on object arrays of Python ints.
     """
     a, b, dev_scale, tol_scale, floor_scale = _band_scales(p, tol)
     D = max(int(dens.max(initial=0)), 1)
     dev_top = max(a, b - a) * D
     if max(b * D, dev_scale * dev_top * dev_top, tol_scale * D * D,
            floor_scale * D) > _INT64_MAX:
-        return np.array([not _band_ok(n[r].tolist(), d[r].tolist(), p, tol)
-                         for n, d, r in zip(nums, dens, rows)], dtype=bool)
+        nums, dens = nums.astype(object), dens.astype(object)
     dev = nums * b - a * dens
     fail = dev_scale * dev * dev > np.maximum(tol_scale * dens * dens, floor_scale * dens)
     return (fail & rows).any(axis=-1)
 
 
 def _accepted_proposal(oracle: SplitterOracle, stage: int, salt: int,
-                       targets: Sequence[OmegaSet],
-                       cfg: ChainConfig) -> tuple[OmegaSet, Counted]:
-    """The first proposal whose tail rows pass ``_band_ok`` against every
-    target, the targets checked in order, after at most MAX_ATTEMPTS
-    proposals, and its traces [S ∩ t] on the targets as a ``Counted``.
+                       targets: Counted, cfg: ChainConfig) -> tuple[OmegaSet, Counted]:
+    """The first proposal whose tail rows pass ``_band_fails``'s rule
+    against every target, the targets checked in order, after at most
+    MAX_ATTEMPTS proposals, with the traces [S ∩ t] that the oracle hands
+    back with it.
 
-    The targets' words and counts are taken from them when they are a
-    ``Counted`` at cfg.horizon, and found once here otherwise.  Each
-    proposal's words are ANDed with the targets', every row is counted in
-    one kernel call, and every target's tail rows are judged in one call
-    of ``_band_fails``; the accepted proposal's rows and counts are its
-    traces', so the next validation against them counts nothing again.
-    A rejected proposal's diagnostics are the density report against the
-    target it failed.
+    Every target's tail rows are judged on the traces' counts in one call
+    of ``_band_fails``, so nothing is counted here.  A rejected proposal's
+    diagnostics are the density report against the target it failed.
     """
     H, p = cfg.horizon, oracle.p
-    checkpoints = build_checkpoints(H)
-    targets = _counted(targets, H)
-    stack, dens = targets.words, targets.counts
-    joint = np.empty_like(stack)
+    dens = targets.counts
     # every target's tail rows, as ``tail_rows`` finds them: the rows with
     # a point (den > 0) from tail_from = ceil(H / 2) on, of which the last
     # checkpoint, H, is one for every target with at least 10 points
-    tails = (np.asarray(checkpoints) >= ceil_frac(HALF * H)) & (dens > 0)
+    tails = (np.asarray(build_checkpoints(H)) >= ceil_frac(HALF * H)) & (dens > 0)
     reached = 0  # the targets the walk has reached so far
     failures = []
     for attempt in range(MAX_ATTEMPTS):
-        S = oracle.propose(stage, salt + attempt * 1000, targets)
-        nums = _prefix_counts(np.bitwise_and(stack, S.packed(H), out=joint),
-                              checkpoints)
-        fails = _band_fails(nums, dens, tails, p, STAGE_TOLERANCE)
+        S, traces = oracle.propose(stage, salt + attempt * 1000, targets)
+        fails = _band_fails(traces.counts, dens, tails, p, STAGE_TOLERANCE)
         for i, R in enumerate(targets):
             # a finite or thin target raises when the walk first reaches
             # it, as a report per target would
@@ -403,7 +382,7 @@ def _accepted_proposal(oracle: SplitterOracle, stage: int, salt: int,
                     (stage, attempt, density_report(S, R, H, target=p).to_json()))
                 break
         else:
-            return S, Counted([intersect(S, t) for t in targets], H, joint, nums)
+            return S, traces
     raise OracleExhaustedError(
         f"oracle failed validation {MAX_ATTEMPTS} times at stage {stage}",
         failures,
@@ -434,12 +413,13 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     member of the current family, replacing the family by its traces,
     for cfg.depth stages.
 
-    Each accepted stage is oracle output that passed the band check
-    against every live member; its validation hands on the family's
-    traces with their words and counts, the next stage's targets.  The
-    exact identity "stage-m family = {nested[m] ∩ X}" is checked bitwise
-    at the horizon on those words.  The PRF's first round is tabulated
-    below the horizon first (``tabulate_first_round``).
+    The family is counted once, here.  Each accepted stage is oracle
+    output that passed the band check against every live member; the
+    oracle hands it on with the family's traces, words and counts, the
+    next stage's targets.  The exact identity "stage-m family =
+    {nested[m] ∩ X}" is checked bitwise at the horizon on those words.
+    The PRF's first round is tabulated below the horizon first
+    (``tabulate_first_round``).
     """
     if not family:
         raise ValueError("family must be non-empty")
@@ -450,7 +430,7 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     family = tuple(family)
     # the chain's Bernoulli proposals and legs are filled over [0, H)
     tabulate_first_round(cfg.horizon)
-    targets: Sequence[OmegaSet] = family
+    targets = Counted(family, cfg.horizon)
     stages: list[OmegaSet] = [OMEGA]
     nested: list[OmegaSet] = [OMEGA]
     differences: list[OmegaSet | None] = [None]

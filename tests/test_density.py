@@ -203,7 +203,8 @@ def test_tail_statistics_are_the_fraction_extremes(case):
                              target=target)
     rows = [(cp, Fraction(n, d)) for cp, n, d in zip(cps, nums, dens) if d > 0]
     tail_from = -((-window.numerator * cps[-1]) // window.denominator)
-    tail = [r for cp, r in rows if cp >= tail_from] or [rows[-1][1]]
+    tail = [r for cp, r in rows if cp >= tail_from]
+    assert rep.tail_from == tail_from
     assert rep.ratios == tuple(r for _, r in rows)
     assert rep.upper_est == max(tail)
     assert rep.lower_est == min(tail)

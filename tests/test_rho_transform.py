@@ -37,7 +37,8 @@ from rhosplit.rho_transform import (
     TransformError,
     TransformPlan,
     _accepted_proposal,
-    _band_ok,
+    _band_fails,
+    _band_scales,
     plan_transform,
 )
 
@@ -266,21 +267,12 @@ def _band_cases(draw, u_max=1000, den_max=10 ** 6):
     return a, b, t, u, rows
 
 
-# rows exactly on the floor (6.1 / den) and on the tolerance boundary,
-# where the strict inequality decides
-@example((1, 2, 1, 100, [(366, 610)]))
-@example((1, 2, 1, 100, [(367, 610)]))
-@example((1, 2, 1, 100, [(51_000, 100_000)]))
-@example((1, 2, 1, 100, [(51_001, 100_000)]))
-@given(_band_cases())
-def test_band_check_is_the_fraction_rule(case):
-    a, b, t, u, rows = case
-    p, tol = Fraction(a, b), Fraction(t, u)
-    ratios = tuple(Fraction(n, d) for n, d in rows)
-    # the rule in rational arithmetic, as the docstring of _band_ok states it
-    oracle = all((r - p) ** 2 * d <= max(tol ** 2 * d, Fraction(61, 10))
-                 for r, (_, d) in zip(ratios, rows))
-    assert _band_ok([n for n, _ in rows], [d for _, d in rows], p, tol) == oracle
+def _rule_holds(rows, p, tol):
+    """The band rule in rational arithmetic, as ``_band_fails``'s docstring
+    states it: every row num/den has (num/den - p)^2 * den at most
+    max(tol^2 * den, 61/10)."""
+    return all((Fraction(n, d) - p) ** 2 * d <= max(tol ** 2 * d, Fraction(61, 10))
+               for n, d in rows)
 
 
 def _stacked(rows):
@@ -293,46 +285,59 @@ def _stacked(rows):
     return nums, dens, marked
 
 
+def _per_row_and_whole(rows, p, tol):
+    """What ``_band_fails`` must return for ``_stacked(rows)``."""
+    return [not _rule_holds([r], p, tol) for r in rows] + [not _rule_holds(rows, p, tol)]
+
+
+# rows exactly on the floor (6.1 / den) and on the tolerance boundary,
+# where the strict inequality decides
+@example((1, 2, 1, 100, [(366, 610)]))
+@example((1, 2, 1, 100, [(367, 610)]))
+@example((1, 2, 1, 100, [(51_000, 100_000)]))
+@example((1, 2, 1, 100, [(51_001, 100_000)]))
+@given(_band_cases())
+def test_band_check_is_the_fraction_rule(case):
+    a, b, t, u, rows = case
+    p, tol = Fraction(a, b), Fraction(t, u)
+    # one target with every row marked
+    nums, dens = (np.array([[r[i] for r in rows]], dtype=np.int64) for i in (0, 1))
+    marked = np.ones(nums.shape, dtype=bool)
+    assert _band_fails(nums, dens, marked, p, tol).tolist() == [not _rule_holds(rows, p, tol)]
+
+
 @example((1, 2, 1, 100, [(366, 610)]))
 @example((1, 2, 1, 100, [(367, 610)]))
 @example((1, 2, 1, 100, [(51_000, 100_000)]))
 @example((1, 2, 1, 100, [(51_001, 100_000)]))
 @given(st.one_of(_band_cases(), _band_cases(u_max=100, den_max=200_000)))
-def test_int64_band_decision_is_band_ok(case):
+def test_stacked_band_decision_is_the_fraction_rule_per_row(case):
     a, b, t, u, rows = case
     p, tol = Fraction(a, b), Fraction(t, u)
-    nums, dens, marked = _stacked(rows)
-    want = [not _band_ok([n], [d], p, tol) for n, d in rows]
-    want.append(not _band_ok([n for n, _ in rows], [d for _, d in rows], p, tol))
-    assert rho_transform._band_fails(nums, dens, marked, p, tol).tolist() == want
+    got = _band_fails(*_stacked(rows), p, tol).tolist()
+    assert got == _per_row_and_whole(rows, p, tol)
 
 
-def _takes_python_path(monkeypatch, p, top):
-    """Whether _band_fails hands counts up to top to _band_ok."""
-    called = []
-
-    def spy(*args):
-        called.append(args)
-        return _band_ok(*args)
-
-    monkeypatch.setattr(rho_transform, "_band_ok", spy)
-    nums, dens, marked = _stacked([(0, top)])
-    rho_transform._band_fails(nums, dens, marked, p, STAGE_TOLERANCE)
-    return bool(called)
+def _fits_int64(p, tol, top):
+    """Whether every term of the band rule fits in int64 for counts up to
+    top, at the bounds ``_band_fails``'s docstring states."""
+    a, b, dev_scale, tol_scale, floor_scale = _band_scales(p, tol)
+    dev_top = max(a, b - a) * top
+    return max(b * top, dev_scale * dev_top * dev_top, tol_scale * top * top,
+               floor_scale * top) <= (1 << 63) - 1
 
 
 @pytest.mark.parametrize("p", [HALF, Fraction(1, 32), Fraction(31, 32), Fraction(5, 64),
                                Fraction(3, 7)])
-def test_int64_band_decision_stops_at_the_last_count_that_fits(monkeypatch, p):
-    # the largest count decided in int64, found from the decision path alone
+def test_int64_band_decision_stops_at_the_last_count_that_fits(p):
+    # the largest count whose rule fits in int64, from the docstring bound
+    tol = STAGE_TOLERANCE
     lo, hi = 1, 1 << 40
-    assert not _takes_python_path(monkeypatch, p, lo)
-    assert _takes_python_path(monkeypatch, p, hi)
+    assert _fits_int64(p, tol, lo) and not _fits_int64(p, tol, hi)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _takes_python_path(monkeypatch, p, mid) else (mid, hi)
+        lo, hi = (mid, hi) if _fits_int64(p, tol, mid) else (lo, mid)
     a, b = p.numerator, p.denominator
-    tol = STAGE_TOLERANCE
     for top in (lo, hi):
         # the extreme rows, the rows at p, and rows just off the band's edges
         at_p = a * top // b
@@ -340,12 +345,10 @@ def test_int64_band_decision_stops_at_the_last_count_that_fits(monkeypatch, p):
         rows = [(0, top), (top, top), (at_p, top), (at_p + 1, top), (top // 2, top)]
         rows += [(min(top, max(0, at_p + s * (edge + e))), top)
                  for s in (1, -1) for e in (-1, 0, 1, 2)]
-        nums, dens, marked = _stacked(rows)
-        want = [not _band_ok([n], [d], p, tol) for n, d in rows]
-        want.append(not _band_ok([n for n, _ in rows], [d for _, d in rows], p, tol))
-        assert rho_transform._band_fails(nums, dens, marked, p, tol).tolist() == want
+        got = _band_fails(*_stacked(rows), p, tol).tolist()
+        assert got == _per_row_and_whole(rows, p, tol)
     # one past the last count that fits, the extreme row's deviation term
-    # wraps in int64, so the Python path is not a needless one
+    # wraps in int64, so Python ints there are not a needless cost
     dev = np.array([max(a, b - a) * hi], dtype=np.int64)
     scale = 10 * tol.denominator ** 2
     assert int((scale * dev * dev)[0]) != scale * (max(a, b - a) * hi) ** 2
@@ -531,20 +534,53 @@ def test_handed_on_words_and_counts_are_the_sets(monkeypatch):
     family = parse_family("omega,prog(0,3),prog(1,4)")
     oracle = ComposedOracle(BernoulliOracle(Fraction(1, 8), 5), ops, eff, cfg)
     build_chain(family, oracle, cfg)
-    # one count of the family, then one per proposal: 4 legs and the
-    # composed set at each of the 3 stages, each accepted at once here
-    assert len(counts) == 1 + 3 * 5 == len(handed) // 2 + 1
-    # every validation's targets and traces; only stage 1's outer one got
-    # the family itself, and counted it
-    counted = [c for c in handed if isinstance(c, Counted)]
-    assert len(handed) - len(counted) == 1
-    assert len(counted) >= 3 * 5 * 2 - 1
+    # one count of the family, then one per leg proposal: 4 legs at each
+    # of the 3 stages, each accepted at once here; the composed set is
+    # validated on its last leg's traces, not counted again
+    assert len(counts) == 1 + 3 * 4
+    # every validation's targets and traces: 4 legs and the composed set
+    # at each stage
+    assert len(handed) == 2 * 3 * 5
+    assert all(isinstance(c, Counted) for c in handed)
     checkpoints = build_checkpoints(H)
-    for c in counted:
+    for c in handed:
         # recounted from each set's own words, built afresh from its tree
         fresh = np.stack([R.packed(H) for R in c])
         assert np.array_equal(c.counts, _prefix_counts(fresh, checkpoints))
         assert all(agree_below(row, want, H) for row, want in zip(c.words, fresh))
+
+
+_dense_members = st.one_of(
+    st.tuples(st.just("prog"), st.integers(0, 300), st.integers(1, 4)),
+    st.tuples(st.just("bern"), st.integers(8, 31), st.integers(0, 99)),
+)
+
+
+# a complement as the last op hands on the targets' words less leg a's, a
+# square its leg b's traces, and the plan of 1/8 does both below its top
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_dense_members, min_size=1, max_size=4),
+       st.sampled_from(["bernoulli", "round-robin", ("complement",), ("square",),
+                        ("complement", "square", "square")]),
+       st.integers(0, 99), st.integers(0, 3))
+def test_a_proposals_traces_are_its_meet_with_the_targets(members, kind, seed, attempt):
+    H = 20_000
+    cfg = small_cfg(horizon=H)
+    family = [_spec_set(m, H) for m in members]
+    if kind == "round-robin":
+        oracle, family = RoundRobinOracle(), family[:1]
+    elif kind == "bernoulli":
+        oracle = BernoulliOracle(Fraction(1, 3), seed)
+    else:
+        # the legs are validated at 1/8; the composed p is not read here
+        oracle = ComposedOracle(BernoulliOracle(Fraction(1, 8), seed), kind, HALF, cfg)
+    targets = Counted(family, H)
+    S, traces = oracle.propose(1, attempt, targets)
+    assert isinstance(traces, Counted) and traces.horizon == H
+    fresh = np.stack([intersect(S, t).packed(H) for t in family])
+    assert np.array_equal(traces.counts, _prefix_counts(fresh, build_checkpoints(H)))
+    assert len(traces) == len(family)
+    assert all(agree_below(row, want, H) for row, want in zip(traces.words, fresh))
 
 
 def test_transform_rejects_bad_rho():
@@ -578,7 +614,8 @@ class _ScriptedOracle(SplitterOracle):
 
     def propose(self, stage, attempt, targets):
         self.asked.append((stage, attempt))
-        return self.proposals[min(len(self.asked), len(self.proposals)) - 1]
+        S = self.proposals[min(len(self.asked), len(self.proposals)) - 1]
+        return S, targets.meet(S)
 
 
 def test_oracle_rejected_every_time_is_exhausted():
@@ -618,15 +655,15 @@ def _validated_by_reports(oracle, targets, horizon):
     with the band rule in rational arithmetic on each report's tail rows:
     the reference that ``_accepted_proposal`` must agree with."""
     p, tol = oracle.p, STAGE_TOLERANCE
+    counted = Counted(targets, horizon)
     failures = []
     for attempt in range(MAX_ATTEMPTS):
-        S = oracle.propose(1, attempt * 1000, targets)
+        S, _ = oracle.propose(1, attempt * 1000, counted)
         for R in targets:
             rep = density_report(S, R, horizon, target=p)
             tail = bisect_left(rep.checkpoints, rep.tail_from)
             rows = zip(rep.numerators[tail:], rep.denominators[tail:])
-            if not all((Fraction(n, d) - p) ** 2 * d <= max(tol ** 2 * d, Fraction(61, 10))
-                       for n, d in rows):
+            if not _rule_holds(rows, p, tol):
                 failures.append((1, attempt, rep.to_json()))
                 break
         else:
@@ -699,7 +736,7 @@ def test_validator_agrees_with_a_report_per_member(horizon, members, proposals):
     family = [_spec_set(m, horizon) for m in members]
     sets = [_spec_set(p, horizon) for p in proposals]
     fast, slow = _ScriptedOracle(*sets), _ScriptedOracle(*sets)
-    got = _outcome(lambda: _accepted_proposal(fast, 1, 0, family,
+    got = _outcome(lambda: _accepted_proposal(fast, 1, 0, Counted(family, horizon),
                                               small_cfg(horizon=horizon))[0])
     want = _outcome(lambda: _validated_by_reports(slow, family, horizon))
     assert got == want
@@ -712,6 +749,6 @@ def test_a_thin_target_first_reached_by_a_later_proposal_raises_then():
     H = 3_000
     oracle = _ScriptedOracle(Progression(0, 4), Progression(0, 2))
     with pytest.raises(ValueError, match="X has only 5 points"):
-        _accepted_proposal(oracle, 1, 0, [OMEGA, _spec_set(("thin", 5), H)],
+        _accepted_proposal(oracle, 1, 0, Counted([OMEGA, _spec_set(("thin", 5), H)], H),
                            small_cfg(horizon=H))
     assert oracle.asked == [(1, 0), (1, 1000)]
