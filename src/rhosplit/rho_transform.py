@@ -13,9 +13,8 @@ this arithmetic exactly, before any set is built, and
 Oracles are validated and resampled rather than trusted: a proposal
 enters a chain only after its tail ratios pass a count-aware band check
 against every current family member.  An oracle hands back each proposal
-with its traces on the targets, words and counts (``Counted``), and those
-traces are the targets of the next validation, so each set is counted
-once.
+with its traces on the targets as words and counts (``Counted``), which
+are the targets of the next validation, so each set is counted once.
 """
 
 from __future__ import annotations
@@ -184,34 +183,41 @@ def squaring_plan(rho) -> tuple[list[str], Fraction]:
 # -- oracles -----------------------------------------------------------------
 
 
-class Counted(tuple):
-    """Sets with their packed words at a horizon, one read-only row per
-    set, and each row's int64 counts at the horizon's checkpoints
-    (``build_checkpoints``): what a validation against the sets reads.
-    Without words, they are packed and counted here."""
+class Counted:
+    """The traces P ∩ X of a family's members X on a path set P: one
+    read-only row of packed words at a horizon per member, and each row's
+    int64 counts at the horizon's checkpoints (``build_checkpoints``).
+    A trace is a set only once ``trace`` builds it.  Without words, the
+    family (P = omega) is packed and counted here."""
 
-    def __new__(cls, sets: Sequence[OmegaSet], horizon: int,
-                words: np.ndarray | None = None, counts: np.ndarray | None = None):
-        self = super().__new__(cls, sets)
+    def __init__(self, family: Sequence[OmegaSet], horizon: int, path: OmegaSet = OMEGA,
+                 words: np.ndarray | None = None, counts: np.ndarray | None = None):
         if words is None:
-            words = np.stack([R.packed(horizon) for R in self])
+            words = np.stack([X.packed(horizon) for X in family])
             counts = _prefix_counts(words, build_checkpoints(horizon))
         words.flags.writeable = False
-        self.horizon, self.words, self.counts = horizon, words, counts
-        return self
+        self.family, self.path, self.horizon = tuple(family), path, horizon
+        self.words, self.counts = words, counts
 
-    def meet(self, S: OmegaSet) -> Counted:
-        """S's traces [S ∩ t] on these sets: S's words ANDed into every
-        row, and every row counted in one call."""
-        words = np.bitwise_and(self.words, S.packed(self.horizon))
-        return Counted([intersect(S, t) for t in self], self.horizon, words,
-                       _prefix_counts(words, build_checkpoints(self.horizon)))
+    def trace(self, i: int) -> OmegaSet:
+        """Row i's set, P ∩ family[i], built on each call."""
+        X = self.family[i]
+        return X if self.path is OMEGA else intersect(self.path, X)
+
+    def meet(self, S: OmegaSet, words: np.ndarray | None = None,
+             counts: np.ndarray | None = None) -> Counted:
+        """S's traces on these, the family's on the path P ∩ S: unless
+        the caller holds their words and counts, S's words are ANDed into
+        every row and every row is counted in one call."""
+        if words is None:
+            words = np.bitwise_and(self.words, S.packed(self.horizon))
+            counts = _prefix_counts(words, build_checkpoints(self.horizon))
+        return Counted(self.family, self.horizon, intersect(self.path, S), words, counts)
 
 
 class SplitterOracle:
     """Source of candidate p-splitters for the current family.  ``propose``
-    returns a proposal S with its traces on the targets, ``targets.meet(S)``
-    or the same words and counts found otherwise."""
+    returns a proposal S with its traces on the targets, ``targets.meet(S)``."""
 
     p: Fraction
 
@@ -244,10 +250,14 @@ class RoundRobinOracle(SplitterOracle):
         self.p = HALF
 
     def propose(self, stage, attempt, targets):
-        if len(targets) != 1:
+        if len(targets.family) != 1:
             raise ValueError("round-robin needs a single-target family")
-        S = StrideSelection(targets[0], 2, 0)
-        return S, targets.meet(S)
+        S = StrideSelection(targets.trace(0), 2, 0)
+        traces = targets.meet(S)
+        # S holds its own words; at stage 1 its source is the caller's member
+        if targets.path is not OMEGA:
+            S.source.release_words()
+        return S, traces
 
 
 class ComposedOracle(SplitterOracle):
@@ -259,8 +269,8 @@ class ComposedOracle(SplitterOracle):
 
     Nothing is counted twice: leg a's validation hands on its traces on
     the targets, which are leg b's targets, and the proposal's traces are
-    leg b's, or for a complement the targets' words and counts less leg
-    a's."""
+    the targets met with it on leg b's words and counts, or for a
+    complement on the targets' less leg a's."""
 
     def __init__(self, inner: SplitterOracle, ops: Sequence[str],
                  effective_p: Fraction, cfg: ChainConfig):
@@ -293,8 +303,7 @@ class ComposedOracle(SplitterOracle):
         out.packed(self.cfg.horizon)
         for leg in legs:
             leg.release_words()
-        return out, Counted([intersect(out, t) for t in targets],
-                            targets.horizon, words, counts)
+        return out, targets.meet(out, words, counts)
 
 
 # -- validation --------------------------------------------------------------
@@ -370,16 +379,16 @@ def _accepted_proposal(oracle: SplitterOracle, stage: int, salt: int,
     for attempt in range(MAX_ATTEMPTS):
         S, traces = oracle.propose(stage, salt + attempt * 1000, targets)
         fails = _band_fails(traces.counts, dens, tails, p, STAGE_TOLERANCE)
-        for i, R in enumerate(targets):
+        for i, fail in enumerate(fails):
             # a finite or thin target raises when the walk first reaches
             # it, as a report per target would
             if i == reached:
-                require_infinite(R, "X")
+                require_infinite(targets.trace(i), "X")
                 require_points(int(dens[i, -1]), H)
                 reached += 1
-            if fails[i]:
-                failures.append(
-                    (stage, attempt, density_report(S, R, H, target=p).to_json()))
+            if fail:
+                report = density_report(S, targets.trace(i), H, target=p)
+                failures.append((stage, attempt, report.to_json()))
                 break
         else:
             return S, traces
@@ -415,9 +424,9 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
 
     The family is counted once, here.  Each accepted stage is oracle
     output that passed the band check against every live member; the
-    oracle hands it on with the family's traces, words and counts, the
-    next stage's targets.  The exact identity "stage-m family =
-    {nested[m] ∩ X}" is checked bitwise at the horizon on those words.
+    oracle hands it on with the family's traces, the next stage's
+    targets, whose words are checked against the exact identity "stage-m
+    family = {nested[m] ∩ X}", with nested[m] built from the stages.
     The PRF's first round is tabulated below the horizon first
     (``tabulate_first_round``).
     """
@@ -427,7 +436,6 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
         require_infinite(member, "family member")
     if cfg.depth < 1:
         raise ValueError("depth must be at least 1")
-    family = tuple(family)
     # the chain's Bernoulli proposals and legs are filled over [0, H)
     tabulate_first_round(cfg.horizon)
     targets = Counted(family, cfg.horizon)
@@ -435,23 +443,14 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     nested: list[OmegaSet] = [OMEGA]
     differences: list[OmegaSet | None] = [None]
     for stage_idx in range(1, cfg.depth + 1):
-        S, traces = _accepted_proposal(oracle, stage_idx, 0, targets, cfg)
+        S, targets = _accepted_proposal(oracle, stage_idx, 0, targets, cfg)
         stages.append(S)
         nested.append(intersect(nested[-1], S))
         differences.append(difference(nested[-2], nested[-1]))
-        for words, member in zip(traces.words, family):
-            expect = intersect(nested[-1], member).packed(cfg.horizon)
-            if not agree_below(words, expect, cfg.horizon):
-                raise AssertionError(
-                    f"trace identity failed at stage {stage_idx}"
-                )
-        # the new traces' words are in hand, so any the previous stage's
-        # sets hold, which the new traces' trees keep alive, are dead
-        # weight; the family's members are the caller's and keep theirs
-        if stage_idx > 1:
-            for R in targets:
-                R.release_words()
-        targets = traces
+        nested_words = nested[-1].packed(cfg.horizon)
+        for words, member in zip(targets.words, targets.family):
+            if not agree_below(words, member.packed(cfg.horizon) & nested_words, cfg.horizon):
+                raise AssertionError(f"trace identity failed at stage {stage_idx}")
     return SplitChain(tuple(stages), tuple(nested), tuple(differences), oracle.p)
 
 

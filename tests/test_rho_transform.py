@@ -21,7 +21,7 @@ from rhosplit import (
     transform_splitter,
 )
 from rhosplit import rho_transform
-from rhosplit.omega_sets import _prefix_counts, agree_below, parse_family
+from rhosplit.omega_sets import FiniteSetError, _prefix_counts, agree_below, parse_family
 from rhosplit.density import build_checkpoints, density_report
 from rhosplit.rho_transform import (
     MAX_ATTEMPTS,
@@ -407,6 +407,18 @@ def test_chain_partition_law_and_telescoping():
         assert prev == cur + diff
 
 
+def test_round_robin_releases_the_traces_it_built_not_the_member():
+    # from stage 2 on, each stage selects from a trace the oracle built,
+    # and that trace's words are dead weight once the stage holds its own
+    H = 50_000
+    member = BernoulliSet(Fraction(1, 3), 5)
+    chain = build_chain([member], RoundRobinOracle(), small_cfg(depth=4, horizon=H))
+    assert chain.stages[1].source is member
+    assert member._mat is not None and member._built >= H
+    for S in chain.stages[2:]:
+        assert S.source is not member and S.source._mat is None
+
+
 def test_chain_band_for_omega():
     cfg = small_cfg(horizon=10 ** 6)
     chain = build_chain([OMEGA], BernoulliOracle(HALF, 7), cfg)
@@ -544,10 +556,32 @@ def test_handed_on_words_and_counts_are_the_sets(monkeypatch):
     assert all(isinstance(c, Counted) for c in handed)
     checkpoints = build_checkpoints(H)
     for c in handed:
-        # recounted from each set's own words, built afresh from its tree
-        fresh = np.stack([R.packed(H) for R in c])
+        # recounted from each trace's own words, built afresh from its tree
+        fresh = np.stack([c.trace(i).packed(H) for i in range(len(c.family))])
         assert np.array_equal(c.counts, _prefix_counts(fresh, checkpoints))
         assert all(agree_below(row, want, H) for row, want in zip(c.words, fresh))
+
+
+def test_meet_builds_one_set_not_one_per_row(monkeypatch):
+    H = 5_000
+    family = parse_family("omega,prog(0,2),prog(1,2),prog(0,3),prog(1,4)")
+    targets = Counted(family, H)
+    built = []
+
+    def spy(a, b):
+        built.append((a, b))
+        return intersect(a, b)
+
+    monkeypatch.setattr(rho_transform, "intersect", spy)
+    S = BernoulliSet(Fraction(1, 3), 2)
+    traces = targets.meet(S)
+    # the path narrowed by S is the one set built; no row becomes a set
+    assert built == [(OMEGA, S)] and traces.path is not OMEGA
+    assert traces.family == targets.family
+    T = BernoulliSet(Fraction(1, 3), 3)
+    on_t = traces.meet(T, traces.words, traces.counts)
+    assert len(built) == 2 and built[1] == (traces.path, T)
+    assert on_t.words is traces.words and on_t.counts is traces.counts
 
 
 _dense_members = st.one_of(
@@ -577,10 +611,13 @@ def test_a_proposals_traces_are_its_meet_with_the_targets(members, kind, seed, a
     targets = Counted(family, H)
     S, traces = oracle.propose(1, attempt, targets)
     assert isinstance(traces, Counted) and traces.horizon == H
+    assert traces.family == tuple(family)
     fresh = np.stack([intersect(S, t).packed(H) for t in family])
     assert np.array_equal(traces.counts, _prefix_counts(fresh, build_checkpoints(H)))
-    assert len(traces) == len(family)
-    assert all(agree_below(row, want, H) for row, want in zip(traces.words, fresh))
+    # the handed-on rows are the words of the traces' own sets, too
+    for i, row in enumerate(traces.words):
+        assert agree_below(row, fresh[i], H)
+        assert agree_below(row, traces.trace(i).packed(H), H)
 
 
 def test_transform_rejects_bad_rho():
@@ -594,7 +631,7 @@ def test_oracle_validation():
         BernoulliOracle(Fraction(1), 0)
     rr = RoundRobinOracle()
     with pytest.raises(ValueError):
-        rr.propose(1, 0, [OMEGA, OMEGA])
+        rr.propose(1, 0, Counted([OMEGA, OMEGA], 1_000))
     # the transform takes any oracle whose density is its chain density
     with pytest.raises(ValueError, match="rho-to-half needs an oracle with p = 3/5"):
         transform_splitter([OMEGA], "rho-to-half", Fraction(3, 5), rr, small_cfg())
@@ -741,6 +778,18 @@ def test_validator_agrees_with_a_report_per_member(horizon, members, proposals):
     want = _outcome(lambda: _validated_by_reports(slow, family, horizon))
     assert got == want
     assert fast.asked == slow.asked
+
+
+def test_a_finite_trace_first_reached_at_a_later_stage_raises_then():
+    # the evens below 2H pass stage 1 against omega and prog(1,3), since
+    # the horizon sees no more of them; at stage 2 the trace on omega is
+    # that finite set, and the walk raises when it first reaches it
+    H = 3_000
+    finite_evens = ExplicitSet([k % 2 == 0 for k in range(2 * H)], (False,))
+    oracle = _ScriptedOracle(finite_evens, Progression(0, 2))
+    with pytest.raises(FiniteSetError, match="X is finite-flagged"):
+        build_chain([OMEGA, Progression(1, 3)], oracle, small_cfg(depth=3, horizon=H))
+    assert oracle.asked == [(1, 0), (2, 0)]
 
 
 def test_a_thin_target_first_reached_by_a_later_proposal_raises_then():
