@@ -59,21 +59,23 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# The readers below check the grammar -?[0-9]+ and -?[0-9]+/[0-9]+ with
+# str methods: isdigit() on an ASCII string holds exactly for one or more
+# of 0-9, and the ASCII check keeps out "٣" and "²", which isdigit() takes.
 
 
 def parse_rational(text) -> Fraction:
     """Exact Fraction from an untrusted "p/q" or "p" string, the forms
     ``str(Fraction)`` writes.  Anything else is a ValueError: a float, an
     exponent (Fraction would build 10**e for it), a zero denominator."""
-    m = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
-    den = int(m[2] or 1) if m else 0
-    if not den:
-        raise ValueError(f"not an exact rational p/q: {text!r}")
-    return Fraction(int(m[1]), den)
-
-
-_INTEGER = re.compile(r"-?[0-9]+")
+    if isinstance(text, str) and text.isascii():
+        p, slash, q = text.partition("/")
+        if p.removeprefix("-").isdigit():
+            if not slash:
+                return Fraction(int(p))
+            if q.isdigit() and (den := int(q)):
+                return Fraction(int(p), den)
+    raise ValueError(f"not an exact rational p/q: {text!r}")
 
 
 def parse_int(value) -> int:
@@ -82,14 +84,15 @@ def parse_int(value) -> int:
     truncate, or a string such as "2_765" or " 7", which int() accepts."""
     if type(value) is int:
         return value
-    if isinstance(value, str) and _INTEGER.fullmatch(value):
+    if isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
         return int(value)
     raise ValueError(f"not an exact integer: {value!r}")
 
 
-def half_offset(eps: Fraction, sign: int) -> Fraction:
-    """1/2 + eps (sign 1) or 1/2 - eps (sign -1), as one Fraction."""
-    return Fraction(eps.denominator + 2 * sign * eps.numerator, 2 * eps.denominator)
+def half_offset(eps: Fraction, sign: int) -> tuple[int, int]:
+    """1/2 + eps (sign 1) or 1/2 - eps (sign -1), as an unreduced pair
+    (num, den) with den > 0."""
+    return eps.denominator + 2 * sign * eps.numerator, 2 * eps.denominator
 
 
 def in_half_band(count: int, size: int, eps: Fraction) -> bool:

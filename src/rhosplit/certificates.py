@@ -5,7 +5,10 @@ escape arguments together with every inequality step.  Each chain is
 written once, as a rule in ``_RULES``: the emitters assemble their
 certificates with ``emit_certificate`` and the verifier re-derives every
 step from the raw cardinalities with the same rule, so any tampering with
-a single number is caught by exact arithmetic.  The verifier also checks
+a single number is caught by exact arithmetic.  The rules write each
+term as an unreduced integer pair (num, den) with den > 0; only the
+record holds Fractions, and the verifier decides every equality and
+inequality on integers by cross-multiplication.  The verifier also checks
 the recorded chain on its own terms: it starts at the certified ratio,
 each step's right side is the next step's left side, every relation
 points the way of the conclusion, and it ends at a bound outside the
@@ -15,6 +18,7 @@ band, so a wrong rule cannot make it accept an unsound chain.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -31,13 +35,17 @@ __all__ = [
     "CERT_KINDS",
 ]
 
-_REL = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "=": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
+_REL = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+        ">=": operator.ge, ">": operator.gt}
+
+
+def _holds(a: tuple[int, int], rel: str, b: tuple[int, int]) -> bool:
+    """a rel b for rationals written as pairs (num, den) with den > 0."""
+    return _REL[rel](a[0] * b[1], b[0] * a[1])
+
+
+def _pair(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
 
 
 class Step(NamedTuple):
@@ -46,7 +54,7 @@ class Step(NamedTuple):
     rhs: Fraction
 
     def holds(self) -> bool:
-        return _REL[self.rel](self.lhs, self.rhs)
+        return _holds(_pair(self.lhs), self.rel, _pair(self.rhs))
 
     def to_json(self) -> dict:
         return {"lhs": str(self.lhs), "rel": self.rel, "rhs": str(self.rhs)}
@@ -62,8 +70,14 @@ def _read_chain(steps, bound) -> tuple[tuple[Step, ...], Fraction]:
         lhs = value if out and s["lhs"] == text else parse_rational(s["lhs"])
         text = s["rhs"]
         value = parse_rational(text)
-        out.append(Step(lhs, s["rel"], value))
+        out.append(Step(lhs, _text(s["rel"], "rel"), value))
     return tuple(out), value if out and bound == text else parse_rational(bound)
+
+
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string: {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -99,22 +113,24 @@ class Certificate:
     @classmethod
     def from_json(cls, obj: Mapping) -> "Certificate":
         # certificates are untrusted JSON: a wrong shape (a list where an
-        # object belongs, a number where a list does), an integer that is
-        # not a JSON int or a "-?[0-9]+" string, or a rational that is not
-        # a "p/q" string is a ValueError
+        # object belongs, a number where a list does), a kind or relation
+        # that is not a string, an integer that is not a JSON int or a
+        # "-?[0-9]+" string, or a rational that is not a "p/q" string (an
+        # eps_prime may also be absent or null) is a ValueError
         try:
             cards, bounds = obj["cardinalities"], obj.get("boundaries", [])
             if not isinstance(cards, dict) or not isinstance(bounds, list):
                 raise ValueError("cardinalities must be an object and boundaries a list")
             steps, bound = _read_chain(obj["steps"], obj["conclusion"]["bound"])
+            eps_prime = obj.get("eps_prime")
             return cls(
-                kind=obj["kind"],
+                kind=_text(obj["kind"], "kind"),
                 index=parse_int(obj["index"]),
                 eps=parse_rational(obj["eps"]),
-                eps_prime=parse_rational(obj["eps_prime"]) if obj.get("eps_prime") else None,
+                eps_prime=None if eps_prime is None else parse_rational(eps_prime),
                 cardinalities={k: parse_int(v) for k, v in cards.items()},
                 steps=steps,
-                conclusion_rel=obj["conclusion"]["rel"],
+                conclusion_rel=_text(obj["conclusion"]["rel"], "rel"),
                 conclusion_bound=bound,
                 boundaries=tuple(map(parse_int, bounds)),
             )
@@ -154,28 +170,36 @@ def _need(cards: Mapping[str, int], *keys: str):
     return [cards[k] for k in keys]
 
 
-def _chain(terms, rels) -> tuple[Step, ...]:
-    """Steps terms[0] rels[0] terms[1], terms[1] rels[1] terms[2], ..."""
-    return tuple(Step(a, rel, b) for a, rel, b in zip(terms, rels, terms[1:]))
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """The pair (num, den), refused as Fraction(num, den) refuses den 0."""
+    if not den:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    return num, den
+
+
+def _chain(terms, rels) -> tuple:
+    """Steps (terms[0], rels[0], terms[1]), (terms[1], rels[1], terms[2]),
+    ...; the terms are pairs, checked in order for a zero denominator."""
+    for term in terms:
+        _ratio(*term)
+    return tuple(zip(terms, rels, terms[1:]))
 
 
 def _game_rule(kind, n, eps, eps_prime, cards):
     b, size, c, num, den = _need(
         cards, "prefix_count", "interval_size", "s_in_interval", "ratio_num", "ratio_den",
     )
-    realized = Fraction(num, den)
+    realized = _ratio(num, den)
     if kind == "game-case1":
         if 2 * c <= size:
             raise ValueError("case-1 certificate without |S∩I_n| > |I_n|/2")
         bound = half_offset(eps, 1)
-        terms = (realized, Fraction(c, b + c), Fraction(size, 2 * b + size),
-                 Fraction(2 ** n, 2 ** n + 2), bound)
+        terms = (realized, (c, b + c), (size, 2 * b + size), (2 ** n, 2 ** n + 2), bound)
         return _chain(terms, (">=", ">", ">", ">=")), ">=", bound
     if 2 * c > size:
         raise ValueError("case-2 certificate without |S∩I_n| <= |I_n|/2")
     bound = half_offset(eps, -1)
-    terms = (realized, Fraction(b, size - c), Fraction(2 * b, size),
-             Fraction(2, 2 ** n), bound)
+    terms = (realized, (b, size - c), (2 * b, size), (2, 2 ** n), bound)
     return _chain(terms, ("<=", "<=", "<", "<=")), "<=", bound
 
 
@@ -188,16 +212,16 @@ def _escape_rule(kind, k, eps, eps_prime, cards):
         raise ValueError(f"{kind} needs eps_prime")
     if not in_half_band(e, size, eps_prime):
         raise ValueError("escape count violates the per-interval band")
-    # with 1/2 - eps' = low / 2q, every term is one Fraction of integers:
+    # with 1/2 - eps' = low / 2q, every term is one pair of integers:
     # t = (1/2 - eps')|I_k| gives t / (b + t) = low |I_k| / (2qb + low |I_k|)
     q = eps_prime.denominator
     low = q - 2 * eps_prime.numerator
     t = low * size
 
     def c(j):  # 1 / (2^-j / (1/2 - eps') + 1)
-        return Fraction(low << j, 2 * q + (low << j))
+        return low << j, 2 * q + (low << j)
 
-    terms = [Fraction(e, xc), Fraction(e, b + e), Fraction(t, 2 * q * b + t), c(k)]
+    terms = [(e, xc), (e, b + e), (t, 2 * q * b + t), c(k)]
     rels = [">=", ">", ">", ">="]
     if slalom:
         m = block[0]
@@ -211,7 +235,8 @@ def _escape_rule(kind, k, eps, eps_prime, cards):
 
 
 # the one definition of each chain: kind -> rule from (kind, index, eps,
-# eps_prime, cardinalities) to (steps, conclusion_rel, conclusion_bound)
+# eps_prime, cardinalities) to (steps, conclusion_rel, conclusion_bound),
+# each step a triple (lhs, rel, rhs) and every term a pair (num, den)
 _RULES = {
     "game-case1": _game_rule,
     "game-case2": _game_rule,
@@ -228,30 +253,30 @@ def emit_certificate(kind: str, index: int, eps: Fraction,
                      boundaries) -> Certificate:
     """Assemble the certificate of ``kind`` from its rule; every step must hold."""
     steps, rel, bound = _RULES[kind](kind, index, eps, eps_prime, cardinalities)
-    cert = Certificate(kind, index, eps, eps_prime, cardinalities, steps, rel,
-                       bound, tuple(boundaries))
     for step in steps:
-        assert step.holds(), f"emitted step fails: {step}"
-    return cert
+        assert _holds(*step), f"emitted step fails: {step}"
+    record = tuple(Step(Fraction(*a), r, Fraction(*b)) for a, r, b in steps)
+    return Certificate(kind, index, eps, eps_prime, cardinalities, record, rel,
+                       Fraction(*bound), tuple(boundaries))
 
 
-def _unsound(cert: Certificate, ratio: Fraction) -> str | None:
-    """Why the recorded chain fails to carry ratio to an escape, if it does."""
-    steps = cert.steps
-    if not steps or steps[0].lhs != ratio:
+def _unsound(cert: Certificate, steps, bound, ratio) -> str | None:
+    """Why the recorded chain, given as pairs, fails to carry ratio to an
+    escape, if it does."""
+    if not steps or not _holds(steps[0][0], "=", ratio):
         return "chain does not start at the certified ratio"
     for i, (a, b) in enumerate(zip(steps, steps[1:])):
-        if a.rhs != b.lhs:
+        if not _holds(a[2], "=", b[0]):
             return f"chain breaks between steps {i} and {i + 1}"
-    if steps[-1].rhs != cert.conclusion_bound:
+    if not _holds(steps[-1][2], "=", bound):
         return "chain does not end at the conclusion bound"
     way = _DIRECTION.get(cert.conclusion_rel)
-    if way is None or any(_DIRECTION.get(s.rel) != way for s in steps):
+    if way is None or any(_DIRECTION.get(rel) != way for _, rel, _ in steps):
         return "a step points against the conclusion"
-    if cert.conclusion_rel == way and all(s.rel != way for s in steps):
+    if cert.conclusion_rel == way and all(rel != way for _, rel, _ in steps):
         return "strict conclusion from a chain of non-strict steps"
-    if (cert.conclusion_bound < half_offset(cert.eps, 1) if way == ">"
-            else cert.conclusion_bound > half_offset(cert.eps, -1)):
+    if (_holds(bound, "<", half_offset(cert.eps, 1)) if way == ">"
+            else _holds(bound, ">", half_offset(cert.eps, -1))):
         return "conclusion bound lies inside the band"
     return None
 
@@ -298,23 +323,27 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
         # chain's endpoints are checked on their own
         num, den = (("ratio_num", "ratio_den") if cert.kind.startswith("game-")
                     else ("escape_count", "x_count"))
-        ratio = Fraction(cards[num], cards[den])
+        ratio = _ratio(cards[num], cards[den])
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         return _fail(f"cannot reconstruct chain: {exc}")
     if len(steps) != len(cert.steps):
         return _fail(f"expected {len(steps)} steps, found {len(cert.steps)}")
-    for i, (exp, got) in enumerate(zip(steps, cert.steps)):
-        if exp != got:
-            side = next(f for f in ("lhs", "rel", "rhs")
-                        if getattr(exp, f) != getattr(got, f))
-            return _fail(f"step {i} disagrees with recomputation at its {side}")
-        if not got.holds():
-            return _fail(f"step {i} inequality fails: {got}")
-    if cert.conclusion_rel != rel or cert.conclusion_bound != bound:
+    recorded = [(_pair(s.lhs), s.rel, _pair(s.rhs)) for s in cert.steps]
+    for i, (exp, got) in enumerate(zip(steps, recorded)):
+        if not _holds(exp[0], "=", got[0]):
+            return _fail(f"step {i} disagrees with recomputation at its lhs")
+        if exp[1] != got[1]:
+            return _fail(f"step {i} disagrees with recomputation at its rel")
+        if not _holds(exp[2], "=", got[2]):
+            return _fail(f"step {i} disagrees with recomputation at its rhs")
+        if not _holds(*got):
+            return _fail(f"step {i} inequality fails: {cert.steps[i]}")
+    recorded_bound = _pair(cert.conclusion_bound)
+    if cert.conclusion_rel != rel or not _holds(recorded_bound, "=", bound):
         return _fail("conclusion does not match the chain")
     # sanity: within-interval counts cannot exceed the interval
     for key in ("s_in_interval", "escape_count"):
         if key in cards and size is not None and cards[key] > size:
             return _fail(f"{key} exceeds the interval size")
-    reason = _unsound(cert, ratio)
+    reason = _unsound(cert, recorded, recorded_bound, ratio)
     return _fail(reason) if reason else VerifyResult(True)

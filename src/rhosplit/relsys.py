@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import and_
 
 from ._util import as_fraction
 from .omega_sets import OmegaSet
@@ -40,18 +42,32 @@ __all__ = [
 @dataclass(frozen=True)
 class FiniteRelSys:
     """A relational system (X, rel, Y) with rel as a row-major boolean
-    matrix: rel[i][j] iff x_i is related below y_j."""
+    matrix: rel[i][j] iff x_i is related below y_j.  The same relation is
+    kept as bitmasks: bit j of row_masks[i] and bit i of col_masks[j] are
+    set iff rel[i][j]."""
 
     x_labels: tuple[str, ...]
     y_labels: tuple[str, ...]
     rel: tuple[tuple[bool, ...], ...]
+    row_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    col_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rel) != len(self.x_labels):
             raise ValueError("relation has wrong number of rows")
-        for row in self.rel:
-            if len(row) != len(self.y_labels):
+        ny = len(self.y_labels)
+        rows, cols = [], [0] * ny
+        for i, row in enumerate(self.rel):
+            if len(row) != ny:
                 raise ValueError("relation has wrong number of columns")
+            mask = 0
+            for j, related in enumerate(row):
+                if related:
+                    mask |= 1 << j
+                    cols[j] |= 1 << i
+            rows.append(mask)
+        object.__setattr__(self, "row_masks", tuple(rows))
+        object.__setattr__(self, "col_masks", tuple(cols))
 
     @property
     def nx(self) -> int:
@@ -61,19 +77,23 @@ class FiniteRelSys:
     def ny(self) -> int:
         return len(self.y_labels)
 
+    def _fault(self) -> str | None:
+        """The first empty row, else the first column related to every row."""
+        rows = self.row_masks
+        if 0 in rows:
+            return f"domain condition fails: row {self.x_labels[rows.index(0)]!r} is empty"
+        common = reduce(and_, rows, (1 << self.ny) - 1)
+        if common:
+            j = (common & -common).bit_length() - 1
+            return f"column {self.y_labels[j]!r} dominates every point"
+        return None
+
     def validate(self):
         """Total domain (every row related to something) and no single
         dominating column."""
-        for i, row in enumerate(self.rel):
-            if not any(row):
-                raise ValueError(
-                    f"domain condition fails: row {self.x_labels[i]!r} is empty"
-                )
-        for j in range(self.ny):
-            if all(self.rel[i][j] for i in range(self.nx)):
-                raise ValueError(
-                    f"column {self.y_labels[j]!r} dominates every point"
-                )
+        fault = self._fault()
+        if fault is not None:
+            raise ValueError(fault)
 
     def to_json(self) -> dict:
         return {
@@ -97,15 +117,10 @@ class FiniteRelSys:
         return cls(tuple(xs), tuple(ys), tuple(tuple(ch == "1" for ch in row) for row in rows))
 
 
-def _mask(bits) -> int:
-    """The integer whose bit i is set iff bits[i] is true."""
-    return sum(1 << i for i, b in enumerate(bits) if b)
-
-
 def bounding_number(R: FiniteRelSys) -> int:
     """Smallest size of a subset of X that no single y bounds entirely."""
     R.validate()
-    masks = [_mask(row) for row in R.rel]
+    masks = R.row_masks
     for k in range(1, R.nx + 1):
         for combo in combinations(range(R.nx), k):
             acc = masks[combo[0]]
@@ -119,7 +134,7 @@ def bounding_number(R: FiniteRelSys) -> int:
 def dominating_number(R: FiniteRelSys) -> int:
     """Smallest size of a subset of Y covering every x (exact set cover)."""
     R.validate()
-    cols = [_mask(col) for col in zip(*R.rel)]
+    cols = R.col_masks
     full = (1 << R.nx) - 1
 
     # greedy upper bound
@@ -290,21 +305,16 @@ def zero_split_check(R: OmegaSet, x: OmegaSet, N: int,
 def random_system(rng: random.Random, nx: int, ny: int) -> FiniteRelSys:
     """Random valid system by rejection sampling: each pair is related
     with probability 1/2."""
+    xs = tuple(f"x{i}" for i in range(nx))
+    ys = tuple(f"y{j}" for j in range(ny))
     for _ in range(1000):
         rel = tuple(
             tuple(rng.random() < 0.5 for _ in range(ny))
             for _ in range(nx)
         )
-        sys_ = FiniteRelSys(
-            tuple(f"x{i}" for i in range(nx)),
-            tuple(f"y{j}" for j in range(ny)),
-            rel,
-        )
-        try:
-            sys_.validate()
+        sys_ = FiniteRelSys(xs, ys, rel)
+        if sys_._fault() is None:
             return sys_
-        except ValueError:
-            continue
     raise RuntimeError("could not sample a valid system")
 
 

@@ -17,7 +17,7 @@ from rhosplit import (
     verify_certificate,
 )
 from rhosplit.adversary import Slalom
-from rhosplit.certificates import CERT_KINDS, Certificate, Step
+from rhosplit.certificates import CERT_KINDS, Certificate
 from rhosplit.omega_sets import FiniteSetError
 
 HALF = Fraction(1, 2)
@@ -348,6 +348,10 @@ def test_every_emitted_chain_is_sound(minimal16):
         assert verify_certificate(cert), cert.kind
 
 
+# the forged rules read and write a rule's chain: steps (lhs, rel, rhs)
+# whose terms are pairs (num, den)
+
+
 def _drop(i):
     # steps without steps[i], for negative i too
     return lambda steps, rel, bound: (steps[:i] + steps[i:][1:], rel, bound)
@@ -356,16 +360,17 @@ def _drop(i):
 def _backwards(steps, rel, bound):
     # a true step that points against the conclusion
     back = "<=" if rel[0] == ">" else ">="
-    return steps + (Step(bound, back, bound),), rel, bound
+    return steps + ((bound, back, bound),), rel, bound
 
 
 def _into_band(steps, rel, bound):
-    return steps + (Step(bound, rel, HALF),), rel, HALF
+    half = (1, 2)
+    return steps + ((bound, rel, half),), rel, half
 
 
 def _strict_from_weak(steps, rel, bound):
-    r = steps[0].lhs
-    return (Step(r, rel, r),), rel[0], r
+    r = steps[0][0]
+    return ((r, rel, r),), rel[0], r
 
 
 @pytest.mark.parametrize("forge,reason", [

@@ -3,6 +3,7 @@ replace, and the verifier's comparison path on recorded chains."""
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from rhosplit import (
     laver_escape,
     verify_certificate,
 )
-from rhosplit._util import half_offset, in_half_band, parse_int
+from rhosplit._util import half_offset, in_half_band, parse_int, parse_rational
 from rhosplit.adversary import _check_band
 from rhosplit.certificates import CERT_KINDS, Certificate, _RULES
 
@@ -59,7 +60,10 @@ def fraction_escape_terms(k, eps, epsp, b, size, e, xc, m=None):
 
 
 def chain_terms(steps):
-    return [s.lhs for s in steps] + [steps[-1].rhs]
+    """The Fractions of a rule's chain of pairs, each den checked > 0."""
+    pairs = [lhs for lhs, _, _ in steps] + [steps[-1][2]]
+    assert all(den > 0 for _, den in pairs)
+    return [Fraction(*pair) for pair in pairs]
 
 
 @st.composite
@@ -108,8 +112,8 @@ def test_laver_block_threshold_equals_the_fraction_formula(minimal16, pair):
 def test_band_helper_equals_the_fraction_band(count, size, eps):
     count %= 2 * size + 1
     assert in_half_band(count, size, eps) == fraction_in_band(count, size, eps)
-    assert half_offset(eps, 1) == HALF + eps
-    assert half_offset(eps, -1) == HALF - eps
+    assert Fraction(*half_offset(eps, 1)) == HALF + eps
+    assert Fraction(*half_offset(eps, -1)) == HALF - eps
 
 
 def test_band_helper_is_false_on_an_empty_interval():
@@ -150,7 +154,7 @@ def test_escape_rule_terms_equal_the_fraction_formulas(pair, k, b, size, e, xc, 
         return
     steps, rel, bound = _RULES[kind](kind, k, eps, epsp, cards)
     assert chain_terms(steps) == expected
-    assert (rel, bound) == (">=", HALF + eps)
+    assert (rel, Fraction(*bound)) == (">=", HALF + eps)
 
 
 @given(eps_pairs(), st.integers(0, 40), st.integers(0, 10 ** 20),
@@ -162,7 +166,8 @@ def test_game_rule_bounds_equal_half_plus_or_minus_eps(pair, n, b, size, c, den)
     cards = {"prefix_count": b, "interval_size": size, "s_in_interval": c,
              "ratio_num": c, "ratio_den": den}
     steps, rel, bound = _RULES[kind](kind, n, eps, None, cards)
-    assert bound == steps[-1].rhs == (HALF + eps if kind == "game-case1" else HALF - eps)
+    assert bound == steps[-1][2]
+    assert chain_terms(steps)[-1] == (HALF + eps if kind == "game-case1" else HALF - eps)
 
 
 # -- the comparison path on recorded chains ---------------------------------
@@ -201,26 +206,107 @@ def test_non_canonical_equal_sides_still_verify(minimal16):
         assert result, (cert.kind, result)
 
 
-def _bump(text, delta):
-    p, slash, q = text.partition("/")
-    return f"{int(p) + delta}{slash}{q}"
+def _get(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def _set(payload, path, value):
+    *outer, key = path
+    _get(payload, outer)[key] = value
+
+
+def _term_paths(payload):
+    """The path of every recorded term: each step's sides, then the bound."""
+    for i in range(len(payload["steps"])):
+        yield ("steps", i, "lhs")
+        yield ("steps", i, "rhs")
+    yield ("conclusion", "bound")
+
+
+def _moves(text, delta):
+    """The term text with its numerator, then its denominator, moved by
+    delta, where that changes its value and leaves a positive denominator."""
+    p, _, q = text.partition("/")
+    num, den = int(p), int(q or 1)
+    for n, d in ((num + delta, den), (num, den + delta)):
+        if d > 0 and Fraction(n, d) != Fraction(num, den):
+            yield f"{n}/{d}"
 
 
 @pytest.mark.parametrize("delta", [1, -1])
 def test_every_side_and_bound_tampering_is_rejected(minimal16, delta):
+    # a term's numerator or denominator moved by one is caught at its
+    # step and side, or as a conclusion off the chain for the bound
     for cert in certificates_of_every_kind(minimal16):
         text = cert.dumps()
-        for i in range(len(cert.steps)):
-            for side in ("lhs", "rhs"):
+        for path in _term_paths(json.loads(text)):
+            reason = (f"step {path[1]} disagrees with recomputation at its {path[2]}"
+                      if path[0] == "steps" else "conclusion does not match the chain")
+            moves = list(_moves(_get(json.loads(text), path), delta))
+            assert moves, (cert.kind, path)
+            for moved in moves:
                 payload = json.loads(text)
-                payload["steps"][i][side] = _bump(payload["steps"][i][side], delta)
+                _set(payload, path, moved)
                 result = verify_certificate(Certificate.from_json(payload))
-                assert result.reason == \
-                    f"step {i} disagrees with recomputation at its {side}", cert.kind
-        payload = json.loads(text)
-        payload["conclusion"]["bound"] = _bump(payload["conclusion"]["bound"], delta)
+                assert result.reason == reason, (cert.kind, path, moved)
+
+
+def _tamperings(text):
+    """Every single-count +-1 tampering of a certificate, and every term
+    moved by one in its numerator or denominator."""
+    payload = json.loads(text)
+    for delta in (1, -1):
+        for key, value in payload["cardinalities"].items():
+            bad = json.loads(text)
+            bad["cardinalities"][key] = str(int(value) + delta)
+            yield bad
+        for path in _term_paths(payload):
+            for moved in _moves(_get(payload, path), delta):
+                bad = json.loads(text)
+                _set(bad, path, moved)
+                yield bad
+
+
+@pytest.mark.parametrize("k", [2, 3, 10 ** 20])
+def test_a_term_written_as_an_equal_kp_over_kq_still_verifies(minimal16, k):
+    for cert in certificates_of_every_kind(minimal16):
+        text = cert.dumps()
+        for path in _term_paths(json.loads(text)):
+            payload = json.loads(text)
+            p, _, q = _get(payload, path).partition("/")
+            _set(payload, path, f"{k * int(p)}/{k * int(q or 1)}")
+            result = verify_certificate(Certificate.from_json(payload))
+            assert result, (cert.kind, path, result)
+
+
+def test_verifying_builds_no_fraction(minimal16, monkeypatch):
+    # the rules write pairs and the verifier cross-multiplies: with
+    # certificates.Fraction unusable, verdicts do not change
+    from rhosplit import certificates
+
+    texts = [cert.dumps() for cert in certificates_of_every_kind(minimal16)]
+
+    def no_fraction(*args):
+        raise AssertionError(f"verification built Fraction{args}")
+
+    monkeypatch.setattr(certificates, "Fraction", no_fraction)
+    for text in texts:
+        assert verify_certificate(Certificate.loads(text))
+        for bad in _tamperings(text):
+            assert not verify_certificate(Certificate.from_json(bad)), bad
+
+
+def test_a_zero_ratio_denominator_is_refused_as_fraction_refuses_it(minimal16):
+    for cert in certificates_of_every_kind(minimal16):
+        num, den = (("ratio_num", "ratio_den") if cert.kind.startswith("game-")
+                    else ("escape_count", "x_count"))
+        payload = json.loads(cert.dumps())
+        payload["cardinalities"][den] = "0"
         result = verify_certificate(Certificate.from_json(payload))
-        assert result.reason == "conclusion does not match the chain", cert.kind
+        assert result.reason == \
+            f"cannot reconstruct chain: Fraction({cert.cardinalities[num]}, 0)", cert.kind
 
 
 @pytest.mark.parametrize("boundaries,reason", [
@@ -239,7 +325,64 @@ def test_boundary_reasons(minimal16, boundaries, reason):
     assert verify_certificate(Certificate.from_json(payload)).reason == reason
 
 
-# -- the strict integer reader ----------------------------------------------
+# -- the strict readers -----------------------------------------------------
+
+# the readers' grammar as regexes, kept here as the reference
+_REF_INTEGER = re.compile(r"-?[0-9]+")
+_REF_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def reference_parse_int(value):
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _REF_INTEGER.fullmatch(value):
+        return int(value)
+    raise ValueError(f"not an exact integer: {value!r}")
+
+
+def reference_parse_rational(text):
+    m = _REF_RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    den = int(m[2] or 1) if m else 0
+    if not den:
+        raise ValueError(f"not an exact rational p/q: {text!r}")
+    return Fraction(int(m[1]), den)
+
+
+def _outcome(read, value):
+    try:
+        out = read(value)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return "read", type(out), out
+
+
+def assert_same_grammar(value):
+    assert _outcome(parse_int, value) == _outcome(reference_parse_int, value)
+    assert _outcome(parse_rational, value) == _outcome(reference_parse_rational, value)
+
+
+@pytest.mark.parametrize("value", [
+    "٣", "²", "1_0", " 7", "7\n", "-", "--1", "+1", "-0", "007", "1/0", "1/00",
+    "1/-2", "1/2/3", "", "/", "1/", "/2", "-3/4", "12/٣", True, 1.0, None, 7, -7,
+])
+def test_readers_keep_the_reference_grammar_on_examples(value):
+    assert_same_grammar(value)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(st.text(alphabet="0123456789-/+_ .e\n٣²", max_size=8),
+                 st.text(max_size=6),
+                 st.from_regex(_REF_RATIONAL, fullmatch=True)))
+def test_readers_keep_the_reference_grammar(value):
+    assert_same_grammar(value)
+
+
+def test_a_json_int_is_an_integer_but_not_a_rational():
+    assert parse_int(7) == 7
+    for value in (7, True, 1.0, None):
+        with pytest.raises(ValueError, match="^not an exact rational p/q: "):
+            parse_rational(value)
+
 
 
 @pytest.mark.parametrize("value", [4.9, 4.0, True, False, "2_765", " 7", "7 ",

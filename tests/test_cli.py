@@ -213,6 +213,8 @@ def test_verify_cert_rejects_growth_broken_past_the_index(tmp_path):
 
 @pytest.mark.parametrize("field,value", [
     ("cardinalities", []), ("steps", 5), ("conclusion", []),
+    # a kind that is not a string is malformed, not an unknown kind
+    ("kind", []), ("kind", {}), ("kind", 5),
 ])
 def test_verify_cert_bad_shape_is_a_usage_error(tmp_path, field, value):
     cert = _seeded_cert()
@@ -220,6 +222,20 @@ def test_verify_cert_bad_shape_is_a_usage_error(tmp_path, field, value):
     code, rep, err = _verify_cert_file(tmp_path, [cert])
     assert (code, rep) == (2, None)
     assert err.startswith("error: malformed certificate: ")
+
+
+@pytest.mark.parametrize("path", [("steps", 0, "rel"), ("conclusion", "rel")])
+@pytest.mark.parametrize("value", [[">="], {}, 5, None])
+def test_verify_cert_non_string_relation_is_a_usage_error(tmp_path, path, value):
+    cert = _seeded_cert()
+    *outer, key = path
+    node = cert
+    for k in outer:
+        node = node[k]
+    node[key] = value
+    code, rep, err = _verify_cert_file(tmp_path, [cert])
+    assert (code, rep) == (2, None)
+    assert err.startswith("error: malformed certificate: rel must be a string: ")
 
 
 def test_verify_cert_non_object_entry_is_a_usage_error(tmp_path):
@@ -527,6 +543,13 @@ def test_missing_mode_input_is_a_usage_error(argv, flag):
     (("steps", 0, "rhs"), "1/0"),
     (("steps", 1, "lhs"), "1e-5"),
     (("conclusion", "bound"), "0.25"),
+    # an eps_prime is absent, null or a "p/q" string; a falsy value of
+    # another type is malformed, not "no eps_prime"
+    (("eps_prime",), 0),
+    (("eps_prime",), ""),
+    (("eps_prime",), False),
+    (("eps_prime",), []),
+    (("eps_prime",), {}),
 ])
 def test_verify_cert_untrusted_rational_is_a_usage_error(tmp_path, path, value):
     cert = _seeded_cert()

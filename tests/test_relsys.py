@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rhosplit import (
     FiniteRelSys,
@@ -49,6 +50,113 @@ def brute_dominating(R):
             if all(any(R.rel[i][j] for j in combo) for i in range(R.nx)):
                 return k
     return None
+
+
+# -- the per-cell definitions that the bitmasks replace, kept as the reference
+
+
+def reference_fault(R):
+    for i, row in enumerate(R.rel):
+        if not any(row):
+            return f"domain condition fails: row {R.x_labels[i]!r} is empty"
+    for j in range(R.ny):
+        if all(R.rel[i][j] for i in range(R.nx)):
+            return f"column {R.y_labels[j]!r} dominates every point"
+    return None
+
+
+def _cell_mask(bits):
+    return sum(1 << i for i, b in enumerate(bits) if b)
+
+
+def reference_bounding(R):
+    masks = [_cell_mask(row) for row in R.rel]
+    for k in range(1, R.nx + 1):
+        for combo in combinations(range(R.nx), k):
+            acc = masks[combo[0]]
+            for i in combo[1:]:
+                acc &= masks[i]
+            if acc == 0:
+                return k
+    raise AssertionError("validated system must have an unbounded subset")
+
+
+def reference_dominating(R):
+    cols = [_cell_mask(col) for col in zip(*R.rel)]
+    full = (1 << R.nx) - 1
+    covered, used = 0, 0
+    while covered != full:
+        best = max(range(R.ny), key=lambda j: bin(cols[j] & ~covered).count("1"))
+        covered |= cols[best]
+        used += 1
+    best_size = used
+
+    def search(covered, used):
+        nonlocal best_size
+        if covered == full:
+            best_size = min(best_size, used)
+            return
+        if used + 1 >= best_size:
+            return
+        i = next(b for b in range(R.nx) if not covered & (1 << b))
+        for j in range(R.ny):
+            if cols[j] & (1 << i):
+                search(covered | cols[j], used + 1)
+
+    search(0, 0)
+    return best_size
+
+
+def reference_random_system(rng, nx, ny):
+    for _ in range(1000):
+        rel = tuple(tuple(rng.random() < 0.5 for _ in range(ny)) for _ in range(nx))
+        R = FiniteRelSys(tuple(f"x{i}" for i in range(nx)),
+                         tuple(f"y{j}" for j in range(ny)), rel)
+        if reference_fault(R) is None:
+            return R
+    raise RuntimeError("could not sample a valid system")
+
+
+def _outcome(f, R):
+    try:
+        return "value", f(R)
+    except (AssertionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def systems(draw):
+    """Any relation up to 6x6, valid or not, with no rows or no columns too."""
+    nx, ny = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rel = tuple(tuple(draw(st.booleans()) for _ in range(ny)) for _ in range(nx))
+    return FiniteRelSys(tuple(f"a{i}" for i in range(nx)),
+                        tuple(f"b{j}" for j in range(ny)), rel)
+
+
+@settings(max_examples=500)
+@given(systems())
+def test_masks_decide_as_the_per_cell_definitions(R):
+    fault = reference_fault(R)
+    if fault is None:
+        R.validate()
+        assert _outcome(bounding_number, R) == _outcome(reference_bounding, R)
+        assert dominating_number(R) == reference_dominating(R)
+    else:
+        for f in (FiniteRelSys.validate, bounding_number, dominating_number):
+            assert _outcome(f, R) == ("ValueError", fault)
+
+
+@given(st.integers(0, 2 ** 32), st.integers(0, 6), st.integers(0, 6))
+def test_random_system_draws_as_the_per_cell_sampler(seed, nx, ny):
+    rng, ref = random.Random(seed), random.Random(seed)
+    try:
+        expected = reference_random_system(ref, nx, ny)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            random_system(rng, nx, ny)
+    else:
+        assert random_system(rng, nx, ny) == expected
+    assert rng.getstate() == ref.getstate()
 
 
 def test_identity_system_numbers():
