@@ -245,7 +245,20 @@ def _cmd_partition(args) -> tuple[int, dict]:
     return (0 if violation is None else 1), report
 
 
+def _require_inputs(args, option: str, needs: dict) -> None:
+    """Refuse a mode, the value of --option, run without the options
+    that ``needs`` names for it."""
+    mode = getattr(args, option)
+    missing = [f"--{a}" for a in needs.get(mode, ()) if getattr(args, a) is None]
+    if missing:
+        raise ValueError(f"{args.command} --{option} {mode} needs {' and '.join(missing)}")
+
+
+_DENSITY_INPUTS = {"rho": ("rho",), "eps_band": ("eps",)}
+
+
 def _cmd_density(args) -> tuple[int, dict]:
+    _require_inputs(args, "kind", _DENSITY_INPUTS)
     S, X = parse_set(args.S), parse_set(args.X)
     extra = {}
     if args.prefix is not None:
@@ -337,9 +350,7 @@ _PRESERVE_INPUTS = {
 
 
 def _cmd_preserve(args) -> tuple[int, dict]:
-    missing = [f"--{a}" for a in _PRESERVE_INPUTS[args.op] if getattr(args, a) is None]
-    if missing:
-        raise ValueError(f"preserve --op {args.op} needs {' and '.join(missing)}")
+    _require_inputs(args, "op", _PRESERVE_INPUTS)
     horizon_k = args.horizon_k
     if horizon_k < 1:
         raise ValueError("--horizon-k must be at least 1")

@@ -79,6 +79,8 @@ def build_checkpoints(horizon: int, stride: int | None = None,
     """Checkpoint schedule; always includes the horizon."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
+    if stride is not None and stride < 1:
+        raise ValueError("stride must be at least 1")
     if geometric:
         cps, n = [], 1
         while n < horizon:

@@ -78,7 +78,8 @@ class FiniteRelSys:
         return len(self.y_labels)
 
     def _fault(self) -> str | None:
-        """The first empty row, else the first column related to every row."""
+        """The first empty row, else the first column related to every row,
+        else an empty X, of which no subset is unbounded."""
         rows = self.row_masks
         if 0 in rows:
             return f"domain condition fails: row {self.x_labels[rows.index(0)]!r} is empty"
@@ -86,11 +87,13 @@ class FiniteRelSys:
         if common:
             j = (common & -common).bit_length() - 1
             return f"column {self.y_labels[j]!r} dominates every point"
+        if not rows:
+            return "X has no points"
         return None
 
     def validate(self):
-        """Total domain (every row related to something) and no single
-        dominating column."""
+        """Total domain (every row related to something), no single
+        dominating column, and at least one point in X."""
         fault = self._fault()
         if fault is not None:
             raise ValueError(fault)

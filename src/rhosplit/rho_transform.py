@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .density import build_checkpoints, density_report, require_points, split_ve
 from .omega_sets import (
     OMEGA,
     BernoulliSet,
+    CombineNode,
     OmegaSet,
     StrideSelection,
     _prefix_counts,
@@ -272,12 +274,8 @@ class ComposedOracle(SplitterOracle):
     the targets met with it on leg b's words and counts, or for a
     complement on the targets' less leg a's."""
 
-    def __init__(self, inner: SplitterOracle, ops: Sequence[str],
-                 effective_p: Fraction, cfg: ChainConfig):
-        self.inner = inner
-        self.ops = tuple(ops)
-        self.p = effective_p
-        self.cfg = cfg
+    def __init__(self, inner: SplitterOracle, ops: Sequence[str], effective_p: Fraction):
+        self.inner, self.ops, self.p = inner, tuple(ops), effective_p
 
     def propose(self, stage, attempt, targets):
         return self._build(len(self.ops), stage, attempt * 2 + 1, targets)
@@ -286,7 +284,7 @@ class ComposedOracle(SplitterOracle):
         """The set of the plan's first ``level`` ops and its traces on the
         targets, as a ``Counted``."""
         if level == 0:
-            return _accepted_proposal(self.inner, stage, salt, targets, self.cfg)
+            return _accepted_proposal(self.inner, stage, salt, targets)
         a, on_a = self._build(level - 1, stage, salt * 3 + 1, targets)
         if self.ops[level - 1] == "complement":
             out, legs = complement(a), (a,)
@@ -300,7 +298,7 @@ class ComposedOracle(SplitterOracle):
         # the combination's words are read next anyway; once they exist no
         # one reads the legs', so words are held for one leg per level of
         # the plan, not for all of its 2^L legs
-        out.packed(self.cfg.horizon)
+        out.packed(targets.horizon)
         for leg in legs:
             leg.release_words()
         return out, targets.meet(out, words, counts)
@@ -358,7 +356,7 @@ def _band_fails(nums: np.ndarray, dens: np.ndarray, rows: np.ndarray,
 
 
 def _accepted_proposal(oracle: SplitterOracle, stage: int, salt: int,
-                       targets: Counted, cfg: ChainConfig) -> tuple[OmegaSet, Counted]:
+                       targets: Counted) -> tuple[OmegaSet, Counted]:
     """The first proposal whose tail rows pass ``_band_fails``'s rule
     against every target, the targets checked in order, after at most
     MAX_ATTEMPTS proposals, with the traces [S ∩ t] that the oracle hands
@@ -368,7 +366,7 @@ def _accepted_proposal(oracle: SplitterOracle, stage: int, salt: int,
     of ``_band_fails``, so nothing is counted here.  A rejected proposal's
     diagnostics are the density report against the target it failed.
     """
-    H, p = cfg.horizon, oracle.p
+    H, p = targets.horizon, oracle.p
     dens = targets.counts
     # every target's tail rows, as ``tail_rows`` finds them: the rows with
     # a point (den > 0) from tail_from = ceil(H / 2) on, of which the last
@@ -425,10 +423,10 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     The family is counted once, here.  Each accepted stage is oracle
     output that passed the band check against every live member; the
     oracle hands it on with the family's traces, the next stage's
-    targets, whose words are checked against the exact identity "stage-m
-    family = {nested[m] ∩ X}", with nested[m] built from the stages.
-    The PRF's first round is tabulated below the horizon first
-    (``tabulate_first_round``).
+    targets.  Their path is nested[m], checked to be the node
+    nested[m-1] ∩ S_m, and their words are checked against the exact
+    identity "stage-m family = {nested[m] ∩ X}".  The PRF's first round
+    is tabulated below the horizon first (``tabulate_first_round``).
     """
     if not family:
         raise ValueError("family must be non-empty")
@@ -439,17 +437,20 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     # the chain's Bernoulli proposals and legs are filled over [0, H)
     tabulate_first_round(cfg.horizon)
     targets = Counted(family, cfg.horizon)
-    stages: list[OmegaSet] = [OMEGA]
-    nested: list[OmegaSet] = [OMEGA]
+    stages, nested = [OMEGA], [OMEGA]
     differences: list[OmegaSet | None] = [None]
     for stage_idx in range(1, cfg.depth + 1):
-        S, targets = _accepted_proposal(oracle, stage_idx, 0, targets, cfg)
+        S, targets = _accepted_proposal(oracle, stage_idx, 0, targets)
+        path = targets.path
+        if not (isinstance(path, CombineNode) and path.op == "inter"
+                and path.children[0] is nested[-1] and path.children[1] is S):
+            raise AssertionError(f"traces' path is not nested[m-1] & S at stage {stage_idx}")
         stages.append(S)
-        nested.append(intersect(nested[-1], S))
-        differences.append(difference(nested[-2], nested[-1]))
-        nested_words = nested[-1].packed(cfg.horizon)
+        nested.append(path)
+        differences.append(difference(nested[-2], path))
+        path_words = path.packed(cfg.horizon)
         for words, member in zip(targets.words, targets.family):
-            if not agree_below(words, member.packed(cfg.horizon) & nested_words, cfg.horizon):
+            if not agree_below(words, member.packed(cfg.horizon) & path_words, cfg.horizon):
                 raise AssertionError(f"trace identity failed at stage {stage_idx}")
     return SplitChain(tuple(stages), tuple(nested), tuple(differences), oracle.p)
 
@@ -537,10 +538,7 @@ def plan_transform(direction: str, rho, depth: int,
 def _union_of_levels(chain: SplitChain, levels: Sequence[int]) -> OmegaSet:
     if not levels:
         raise TransformError("empty level selection; increase the depth")
-    out = chain.differences[levels[0]]
-    for m in levels[1:]:
-        out = union(out, chain.differences[m])
-    return out
+    return reduce(union, [chain.differences[m] for m in levels])
 
 
 def transform_splitter(family: Sequence[OmegaSet], direction: str, rho,
@@ -561,7 +559,7 @@ def transform_splitter(family: Sequence[OmegaSet], direction: str, rho,
                              plan.residual_trace)
     # a reached fallback has squared at least once, so it has ops
     if plan.ops:
-        oracle = ComposedOracle(oracle, plan.ops, plan.effective_p, cfg)
+        oracle = ComposedOracle(oracle, plan.ops, plan.effective_p)
     chain = build_chain(family, oracle, cfg)
     splitter = _union_of_levels(chain, plan.selection)
     verdicts = [split_verdict("rho", splitter, member, cfg.horizon, rho=plan.target,

@@ -526,6 +526,8 @@ def test_density_ill_typed_descriptor_is_a_usage_error(text, signature):
     (["preserve", "--op", "nwd-escape", "--X", "omega"], "--pair"),
     (["preserve", "--op", "witness-above"], "--X"),
     (["preserve", "--op", "reap-map"], "--S"),
+    (["density", "--S", "prog(0,2)", "--horizon", "100", "--kind", "rho"], "--rho"),
+    (["density", "--S", "prog(0,2)", "--horizon", "100", "--kind", "eps_band"], "--eps"),
 ])
 def test_missing_mode_input_is_a_usage_error(argv, flag):
     err = io.StringIO()
@@ -668,6 +670,16 @@ def test_density_prefix_requires_positive_horizon():
         assert err.getvalue() == "error: prefix horizon must be at least 1\n"
 
 
+def test_density_stride_below_one_is_a_usage_error():
+    for stride in ("0", "-5"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = invoke(["density", "--S", "prog(0,2)", "--horizon", "100",
+                                "--stride", stride])
+        assert (code, out) == (2, "")
+        assert err.getvalue() == "error: stride must be at least 1\n"
+
+
 @pytest.mark.parametrize("guards", [
     {"0": {"index": 0.9, "kind": "full"}},  # a float index
     {"0": {"index": 0, "kind": "first", "s": 1.7}},  # a float run length
@@ -695,6 +707,17 @@ def test_relsys_file_of_a_wrong_shape_is_a_usage_error(tmp_path):
         code, out = invoke(["relsys", "--file", str(path)])
     assert (code, out) == (2, "")
     assert err.getvalue() == "error: malformed system: X must be a list of strings\n"
+
+
+def test_relsys_file_of_the_empty_system_is_a_usage_error(tmp_path):
+    # well formed, but no subset of X is left for the bounding number
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"X": [], "Y": [], "rel": []}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(["relsys", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err.getvalue() == "error: X has no points\n"
 
 
 def test_relsys_reap_rho_names_its_band():

@@ -181,6 +181,13 @@ def test_build_checkpoints():
     assert geo == [1, 2, 4, 8, 16, 32, 64, 100]
 
 
+@pytest.mark.parametrize("stride", [0, -5])
+def test_build_checkpoints_refuses_a_stride_below_one(stride):
+    for geometric in (False, True):
+        with pytest.raises(ValueError, match="stride must be at least 1"):
+            build_checkpoints(1000, stride, geometric)
+
+
 @st.composite
 def _count_rows(draw):
     cps = sorted(draw(st.sets(st.integers(1, 10 ** 6), min_size=1, max_size=12)))

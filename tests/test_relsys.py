@@ -62,6 +62,8 @@ def reference_fault(R):
     for j in range(R.ny):
         if all(R.rel[i][j] for i in range(R.nx)):
             return f"column {R.y_labels[j]!r} dominates every point"
+    if R.nx == 0:
+        return "X has no points"
     return None
 
 

@@ -530,8 +530,8 @@ def test_handed_on_words_and_counts_are_the_sets(monkeypatch):
     handed = []
     validate = rho_transform._accepted_proposal
 
-    def spy(oracle, stage, salt, targets, cfg):
-        S, traces = validate(oracle, stage, salt, targets, cfg)
+    def spy(oracle, stage, salt, targets):
+        S, traces = validate(oracle, stage, salt, targets)
         handed.extend([targets, traces])
         return S, traces
 
@@ -544,7 +544,7 @@ def test_handed_on_words_and_counts_are_the_sets(monkeypatch):
     monkeypatch.setattr(rho_transform, "_accepted_proposal", spy)
     monkeypatch.setattr(rho_transform, "_prefix_counts", count)
     family = parse_family("omega,prog(0,3),prog(1,4)")
-    oracle = ComposedOracle(BernoulliOracle(Fraction(1, 8), 5), ops, eff, cfg)
+    oracle = ComposedOracle(BernoulliOracle(Fraction(1, 8), 5), ops, eff)
     build_chain(family, oracle, cfg)
     # one count of the family, then one per leg proposal: 4 legs at each
     # of the 3 stages, each accepted at once here; the composed set is
@@ -599,7 +599,6 @@ _dense_members = st.one_of(
        st.integers(0, 99), st.integers(0, 3))
 def test_a_proposals_traces_are_its_meet_with_the_targets(members, kind, seed, attempt):
     H = 20_000
-    cfg = small_cfg(horizon=H)
     family = [_spec_set(m, H) for m in members]
     if kind == "round-robin":
         oracle, family = RoundRobinOracle(), family[:1]
@@ -607,7 +606,7 @@ def test_a_proposals_traces_are_its_meet_with_the_targets(members, kind, seed, a
         oracle = BernoulliOracle(Fraction(1, 3), seed)
     else:
         # the legs are validated at 1/8; the composed p is not read here
-        oracle = ComposedOracle(BernoulliOracle(Fraction(1, 8), seed), kind, HALF, cfg)
+        oracle = ComposedOracle(BernoulliOracle(Fraction(1, 8), seed), kind, HALF)
     targets = Counted(family, H)
     S, traces = oracle.propose(1, attempt, targets)
     assert isinstance(traces, Counted) and traces.horizon == H
@@ -682,6 +681,76 @@ def test_oracle_resampled_after_a_rejection():
     chain = build_chain([OMEGA], oracle, small_cfg(depth=1))
     assert oracle.asked == [(1, 0), (1, 1000)]
     assert chain.stages[1] is oracle.proposals[1]
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "composed", "round-robin"])
+def test_each_nested_set_is_the_accepted_traces_path(monkeypatch, kind):
+    if kind == "round-robin":
+        family, oracle = [BernoulliSet(Fraction(1, 3), 5)], RoundRobinOracle()
+    else:
+        family = parse_family("omega,prog(0,3),prog(1,4)")
+        oracle = BernoulliOracle(HALF, 5)
+    if kind == "composed":
+        # 1/8 falls back through a complement and two squarings
+        ops, eff = squaring_plan(Fraction(1, 8))
+        oracle = ComposedOracle(BernoulliOracle(Fraction(1, 8), 5), ops, eff)
+    accepted = []
+    validate = rho_transform._accepted_proposal
+
+    def spy(o, stage, salt, targets):
+        S, traces = validate(o, stage, salt, targets)
+        if o is oracle:  # a stage, not one of its legs
+            accepted.append((S, traces.path))
+        return S, traces
+
+    monkeypatch.setattr(rho_transform, "_accepted_proposal", spy)
+    chain = build_chain(family, oracle, small_cfg(depth=3, horizon=20_000))
+    assert len(accepted) == 3
+    for m, (S, path) in enumerate(accepted, 1):
+        assert chain.stages[m] is S and chain.nested[m] is path
+        assert path.children == (chain.nested[m - 1], S)
+
+
+def test_a_round_robin_chain_holds_no_path_words_but_its_nested_sets(monkeypatch):
+    # each stage packs its proposal, a stride over the trace P ∩ X, and so
+    # packs the path P; that P is the chain's nested set, not a copy of it
+    paths = []
+    init = Counted.__init__
+
+    def spy(self, family, horizon, path=OMEGA, *rest):
+        init(self, family, horizon, path, *rest)
+        paths.append(path)
+
+    monkeypatch.setattr(Counted, "__init__", spy)
+    chain = build_chain([BernoulliSet(Fraction(1, 3), 5)], RoundRobinOracle(),
+                        small_cfg(depth=6, horizon=50_000))
+    held = {id(P) for P in paths if P._mat is not None}
+    assert held == {id(N) for N in chain.nested}
+
+
+class _MisPathOracle(SplitterOracle):
+    """Proposes the evens with their traces' true words and counts, on a
+    path that is a set equal to targets.path ∩ S but not that node."""
+
+    def __init__(self, path_of):
+        self.p = HALF
+        self.path_of = path_of
+
+    def propose(self, stage, attempt, targets):
+        S = Progression(0, 2)
+        traces = targets.meet(S)
+        return S, Counted(targets.family, targets.horizon, self.path_of(targets.path, S),
+                          traces.words, traces.counts)
+
+
+@pytest.mark.parametrize("path_of", [
+    lambda P, S: S,
+    lambda P, S: intersect(S, P),
+    lambda P, S: intersect(P, Progression(0, 2)),
+], ids=["the-proposal", "children-swapped", "an-equal-proposal"])
+def test_a_path_that_is_not_the_chains_intersection_is_refused(path_of):
+    with pytest.raises(AssertionError, match="path is not nested"):
+        build_chain([OMEGA, Progression(0, 3)], _MisPathOracle(path_of), small_cfg(depth=1))
 
 
 # -- the validator against one density report per (proposal, member) --------
@@ -773,8 +842,7 @@ def test_validator_agrees_with_a_report_per_member(horizon, members, proposals):
     family = [_spec_set(m, horizon) for m in members]
     sets = [_spec_set(p, horizon) for p in proposals]
     fast, slow = _ScriptedOracle(*sets), _ScriptedOracle(*sets)
-    got = _outcome(lambda: _accepted_proposal(fast, 1, 0, Counted(family, horizon),
-                                              small_cfg(horizon=horizon))[0])
+    got = _outcome(lambda: _accepted_proposal(fast, 1, 0, Counted(family, horizon))[0])
     want = _outcome(lambda: _validated_by_reports(slow, family, horizon))
     assert got == want
     assert fast.asked == slow.asked
@@ -798,6 +866,5 @@ def test_a_thin_target_first_reached_by_a_later_proposal_raises_then():
     H = 3_000
     oracle = _ScriptedOracle(Progression(0, 4), Progression(0, 2))
     with pytest.raises(ValueError, match="X has only 5 points"):
-        _accepted_proposal(oracle, 1, 0, Counted([OMEGA, _spec_set(("thin", 5), H)], H),
-                           small_cfg(horizon=H))
+        _accepted_proposal(oracle, 1, 0, Counted([OMEGA, _spec_set(("thin", 5), H)], H))
     assert oracle.asked == [(1, 0), (1, 1000)]
