@@ -89,6 +89,11 @@ def parse_int(value) -> int:
     raise ValueError(f"not an exact integer: {value!r}")
 
 
+def proper_width(eps: Fraction) -> bool:
+    """Whether eps is a proper band width, 0 < eps < 1/2, on integers."""
+    return 0 < 2 * eps.numerator < eps.denominator
+
+
 def half_offset(eps: Fraction, sign: int) -> tuple[int, int]:
     """1/2 + eps (sign 1) or 1/2 - eps (sign -1), as an unreduced pair
     (num, den) with den > 0."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._util import HALF, as_fraction, in_half_band
+from ._util import HALF, as_fraction, in_half_band, proper_width
 from .certificates import Certificate, emit_certificate
 from .omega_sets import OmegaSet, require_infinite
 from .partitions import IntervalPartition, IntervalSubset, IntervalSymbolicSet
@@ -40,7 +40,7 @@ def min_index_for_eps(eps) -> int:
     n is least with 2^n >= 4b/(b - 2a), and 2b * 2^n >= (b + 2a)(2^n + 2).
     """
     eps = as_fraction(eps)
-    if not (0 < eps < HALF):
+    if not proper_width(eps):
         raise ValueError("eps must lie in (0, 1/2)")
     a, b = eps.numerator, eps.denominator
     # as in centred_thresholds: the least n with 2^n >= m is (m - 1).bit_length()
@@ -119,7 +119,7 @@ def defeat_bisector(S: OmegaSet, eps, partition: IntervalPartition,
 
 def _eps_pair(eps, eps_prime) -> tuple[Fraction, Fraction]:
     eps, eps_prime = as_fraction(eps), as_fraction(eps_prime)
-    if not (0 < eps < eps_prime < HALF):
+    if not (0 < eps < eps_prime and proper_width(eps_prime)):
         raise ValueError("need 0 < eps < eps' < 1/2")
     return eps, eps_prime
 

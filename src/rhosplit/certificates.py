@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from ._util import half_offset, in_half_band, parse_int, parse_rational
+from ._util import half_offset, in_half_band, parse_int, parse_rational, proper_width
 from .partitions import growth_violation, order_fault
 
 __all__ = [
@@ -94,9 +94,6 @@ class Certificate:
     conclusion_bound: Fraction
     boundaries: tuple[int, ...] = field(default=())
 
-    def conclusion(self) -> str:
-        return f"ratio {self.conclusion_rel} {self.conclusion_bound}"
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -158,11 +155,6 @@ def _fail(reason: str) -> VerifyResult:
     return VerifyResult(False, reason)
 
 
-def _below_half(eps: Fraction) -> bool:
-    """0 < eps < 1/2, on integers."""
-    return 0 < 2 * eps.numerator < eps.denominator
-
-
 def _need(cards: Mapping[str, int], *keys: str):
     missing = [k for k in keys if k not in cards]
     if missing:
@@ -212,16 +204,15 @@ def _escape_rule(kind, k, eps, eps_prime, cards):
         raise ValueError(f"{kind} needs eps_prime")
     if not in_half_band(e, size, eps_prime):
         raise ValueError("escape count violates the per-interval band")
-    # with 1/2 - eps' = low / 2q, every term is one pair of integers:
-    # t = (1/2 - eps')|I_k| gives t / (b + t) = low |I_k| / (2qb + low |I_k|)
-    q = eps_prime.denominator
-    low = q - 2 * eps_prime.numerator
+    # with 1/2 - eps' = low / den, every term is one pair of integers:
+    # t = (1/2 - eps')|I_k| gives t / (b + t) = low |I_k| / (den b + low |I_k|)
+    low, den = half_offset(eps_prime, -1)
     t = low * size
 
     def c(j):  # 1 / (2^-j / (1/2 - eps') + 1)
-        return low << j, 2 * q + (low << j)
+        return low << j, den + (low << j)
 
-    terms = [(e, xc), (e, b + e), (t, 2 * q * b + t), c(k)]
+    terms = [(e, xc), (e, b + e), (t, den * b + t), c(k)]
     rels = [">=", ">", ">", ">="]
     if slalom:
         m = block[0]
@@ -287,9 +278,9 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     conclusion bound."""
     if cert.kind not in _RULES:
         return _fail(f"unknown certificate kind {cert.kind!r}")
-    if not _below_half(cert.eps):
+    if not proper_width(cert.eps):
         return _fail("eps outside (0, 1/2)")
-    if cert.eps_prime is not None and not _below_half(cert.eps_prime):
+    if cert.eps_prime is not None and not proper_width(cert.eps_prime):
         return _fail("eps_prime outside (0, 1/2)")
     if cert.index < 0:
         return _fail("negative interval index")

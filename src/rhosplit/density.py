@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from ._util import HALF, as_fraction, ceil_frac
+from ._util import HALF, as_fraction, ceil_frac, in_half_band, proper_width
 from .omega_sets import CombineNode, OmegaSet, require_infinite
 
 __all__ = [
@@ -197,6 +197,12 @@ def split_verdict(kind: str, S: OmegaSet, X: OmegaSet, horizon: int, *,
     if kind not in SPLIT_KINDS:
         raise ValueError(f"unknown split kind {kind!r}")
     tolerance = as_fraction(tolerance)
+    if tolerance < 0:
+        raise ValueError("tolerance must be non-negative")
+    if kind == "rho":
+        rho = as_fraction(rho)
+        if not 0 <= rho <= 1:
+            raise ValueError("rho must lie in [0, 1]")
     require_infinite(X, "X")
     if kind == "classical":
         require_infinite(S, "S")
@@ -211,24 +217,18 @@ def split_verdict(kind: str, S: OmegaSet, X: OmegaSet, horizon: int, *,
         s_count = S.count_below(horizon)
         if s_count >= horizon:
             raise ValueError("S must be co-infinite (density below 1 at horizon)")
-    if kind == "rho":
-        target = as_fraction(rho)
-    elif kind == "eps_band":
-        target = HALF
-    elif kind == "zero":
-        target = Fraction(0)
-    else:
-        target = Fraction(1)
+    target = {"rho": rho, "eps_band": HALF, "zero": Fraction(0), "one": Fraction(1)}[kind]
     rep = density_report(S, X, horizon, stride=stride,
                          geometric=geometric, tail_window=tail_window,
                          target=target)
     details: dict = {"target": target}
     if kind == "eps_band":
         eps = as_fraction(eps)
-        if not (0 < eps < HALF):
+        if not proper_width(eps):
             raise ValueError("eps must lie in (0, 1/2)")
         # every tail ratio lies inside the band iff both tail extremes do
-        holds = HALF - eps < rep.lower_est and rep.upper_est < HALF + eps
+        holds = all(in_half_band(r.numerator, r.denominator, eps)
+                    for r in (rep.lower_est, rep.upper_est))
         details["eps"] = eps
     else:
         holds = rep.max_tail_deviation <= tolerance

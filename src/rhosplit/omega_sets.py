@@ -463,7 +463,7 @@ class ExplicitSet(OmegaSet):
     def contains(self, k: int) -> bool:
         n = self.prefix.shape[0]
         if k < n:
-            return bool(self.prefix[k])
+            return k >= 0 and bool(self.prefix[k])
         return self.tail[(k - n) % len(self.tail)]
 
     def counts_at(self, checkpoints):

@@ -11,7 +11,7 @@ beyond the explicit bit-vector cap.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -21,6 +21,7 @@ from ._util import as_fraction, ceil_frac, parse_int
 from .omega_sets import (
     OMEGA,
     CombineNode,
+    ExplicitSet,
     HorizonOverflowError,
     OmegaSet,
     TailPattern,
@@ -231,12 +232,13 @@ def build_partition(min_growth="minimal", count: int = 16,
 class IntervalSubset:
     """A subset of one interval I_k with an exact cardinality.
 
-    Every kind but explicit counts through one form, its signed span
-    (``span``): [a, b) ∩ M or [a, b) \\ M, with M omega for the
-    structured kinds (first/last/full/empty) and the base set for trace
-    and cotrace.  Structured kinds stay exact at any interval size; trace
-    kinds are exact whenever the base set counts exactly over
-    [b_k, b_{k+1}), which excludes Bernoulli sets beyond the explicit cap.
+    Every kind counts through one form, its signed span (``span``):
+    [a, b) ∩ M or [a, b) \\ M, with M omega for the structured kinds
+    (first/last/full/empty), the base set for trace and cotrace, and the
+    finite set of its elements for an explicit subset.  Structured kinds
+    stay exact at any interval size; trace kinds are exact whenever the
+    base set counts exactly over [b_k, b_{k+1}), which excludes Bernoulli
+    sets beyond the explicit cap.
     """
 
     partition: IntervalPartition = field(repr=False)
@@ -271,13 +273,14 @@ class IntervalSubset:
         return Fraction(self.count, self.size)
 
     @cached_property
-    def span(self) -> tuple[int, int, OmegaSet | None, bool]:
+    def span(self) -> tuple[int, int, OmegaSet, bool]:
         """(a, b, M, minus): the subset is [a, b) ∩ M, or [a, b) \\ M when
-        minus is set.  M is omega for the structured kinds and None for an
-        explicit subset, which keeps its sorted elements instead."""
+        minus is set.  M is omega for the structured kinds and, for an
+        explicit subset, its elements as a set of at most 2^21 bits
+        (``explicit`` caps the interval, and so hi)."""
         lo, hi, k = self.lo, self.hi, self.kind
         if k == "explicit":
-            return lo, hi, None, False
+            return lo, hi, ExplicitSet.from_elements(self.elements, hi), False
         if k in ("trace", "cotrace"):
             return lo, hi, self.base, k == "cotrace"
         if k == "first":
@@ -294,12 +297,6 @@ class IntervalSubset:
         a, b = max(a, lo), min(b, hi)
         if a >= b:
             return 0
-        if M is None:
-            elems = self.elements
-            inside = elems[bisect_left(elems, a):bisect_left(elems, b)]
-            if other is OMEGA:
-                return len(inside)
-            return sum(1 for e in inside if other.contains(e))
         n = _range_count(_meet(M, other), a, b)
         return _range_count(other, a, b) - n if minus else n
 
@@ -309,8 +306,6 @@ class IntervalSubset:
         a, b, M, minus = self.span
         if not a <= x < b:
             return False
-        if M is None:
-            return x in self.elements
         return M.contains(x) != minus
 
     def count_strictly_below(self, x: int) -> int:
@@ -322,8 +317,6 @@ class IntervalSubset:
         if not 0 <= j < self.count:
             raise IndexError(f"subset of interval {self.index} has {self.count} points")
         a, b, M, minus = self.span
-        if M is None:
-            return self.elements[j]
         if M is OMEGA:
             return a + j
         if not minus:
@@ -357,8 +350,6 @@ class IntervalSubset:
         if self.base is not None and self.base is other.base:
             return self.count if self.kind == other.kind else 0
         a, b, M, minus = other.span
-        if M is None:
-            return sum(1 for e in other.elements if self.membership(e))
         n = self._count_in(M, a, b)
         return self._count_in(OMEGA, a, b) - n if minus else n
 
@@ -525,11 +516,7 @@ class IntervalSymbolicSet(OmegaSet):
                 a, b = max(a, lo), min(b, hi)
                 if sub.count == 0 or a >= b:
                     continue
-                if M is None:
-                    for e in sub.elements:
-                        if a <= e < b:
-                            out[e - lo] = True
-                elif M is OMEGA:
+                if M is OMEGA:
                     out[a - lo:b - lo] = not minus
                 else:
                     bits = _unpack(M.packed(b), a, b)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from ._util import HALF, as_fraction, parse_int, parse_rational
+from ._util import as_fraction, half_offset, parse_int, parse_rational, proper_width
 from .omega_sets import (ExplicitSet, OmegaSet, Progression, complement,
                          require_infinite)
 from .partitions import IntervalPartition, IntervalSubset, IntervalSymbolicSet
@@ -46,6 +46,8 @@ class GoodPair:
     eps: Fraction
 
     def __post_init__(self):
+        if not proper_width(self.eps):
+            raise ValueError("eps must lie in (0, 1/2)")
         for k, sub in self.guards.items():
             if sub.index != k:
                 raise ValueError(f"guard at {k} has interval index {sub.index}")
@@ -117,19 +119,21 @@ def rel_holds(X: OmegaSet, pair: GoodPair, n: int, horizon_k: int) -> RelVerdict
     On failure, reports the least witnessing k together with both exact
     sides of the inequality.
     """
+    if n < 0:
+        raise ValueError(f"n must be non-negative: {n}")
     part = pair.partition
     bad = pair.floor_violation(horizon_k)
     if bad is not None:
         raise ValueError(f"guard ratio at interval {bad} is not above 1/4")
-    bound = HALF + pair.eps
+    # |X ∩ E_k| < (1/2 + eps) m, with 1/2 + eps = num / den, on integers
+    num, den = half_offset(pair.eps, 1)
     for k in range(n, horizon_k):
         if not pair.H.contains(k):
             continue
-        guard = pair.guard_at(k)
-        lhs = guard.intersect_set_count(X)
-        rhs = bound * (part.restrict(k, X).count + part.boundary(k))
-        if not lhs < rhs:
-            return RelVerdict(False, k, lhs, rhs)
+        lhs = pair.guard_at(k).intersect_set_count(X)
+        m = part.restrict(k, X).count + part.boundary(k)
+        if not lhs * den < num * m:
+            return RelVerdict(False, k, lhs, Fraction(num * m, den))
     return RelVerdict(True)
 
 
@@ -206,15 +210,18 @@ def nwd_escape(X: OmegaSet, pair: GoodPair, n: int, m: int,
     before = rel_holds(X, pair, n, horizon_k)
     if not before.holds:
         raise ValueError(f"relation already fails at k={before.witness_k}")
-    bound = HALF + pair.eps
+    num, den = half_offset(pair.eps, 1)
     chosen = None
     for k in range(n, horizon_k):
         if not pair.H.contains(k):
             continue
         if part.boundary(k) < m:
             continue
-        r = pair.guard_at(k).ratio()
-        if r > bound * (r + Fraction(1, 2 ** k)):
+        # r > (1/2 + eps)(r + 2^-k) for the guard ratio r = c / |I_k|,
+        # multiplied through by den |I_k| 2^k
+        guard = pair.guard_at(k)
+        c = guard.count << k
+        if c * den > num * (c + guard.size):
             chosen = k
             break
     if chosen is None:

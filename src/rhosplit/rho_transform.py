@@ -75,10 +75,12 @@ class ChainConfig:
 
 
 # the band a stage proposal must meet, the residual the converse
-# transform accepts, and the proposals an oracle gets per stage
+# transform accepts, the proposals an oracle gets per stage, and the
+# bits of the largest denominator a squaring plan may reach
 STAGE_TOLERANCE = Fraction(1, 100)
 RESIDUAL_TOLERANCE = Fraction(1, 100)
 MAX_ATTEMPTS = 12
+SQUARING_BITS = 1 << 17
 
 
 class OracleExhaustedError(RuntimeError):
@@ -163,18 +165,19 @@ def select_levels(p, target, K: int) -> tuple[list[int], Fraction]:
 
 def squaring_plan(rho) -> tuple[list[str], Fraction]:
     """Drive rho into (1/3, 2/3) by squaring, complementing when at or
-    below 1/3, in at most 64 operations; returns the operation list and
-    the final parameter."""
+    below 1/3; returns the operation list and the final parameter.  A
+    square doubles the bits of the denominator, so a plan ends within 16
+    squares or is refused once one takes it past ``SQUARING_BITS``."""
     x = as_fraction(rho)
     if not (0 < x < 1):
         raise ValueError("rho must lie in (0, 1)")
     third, two_thirds = Fraction(1, 3), Fraction(2, 3)
     ops: list[str] = []
     while not (third < x < two_thirds):
-        if len(ops) >= 64:
-            raise RuntimeError("squaring plan did not settle in 64 steps")
         if x >= two_thirds:
             x = x * x
+            if x.denominator.bit_length() > SQUARING_BITS:
+                raise ValueError(f"squaring plan needs more than {SQUARING_BITS} bits")
             ops.append("square")
         else:
             x = 1 - x
@@ -521,6 +524,8 @@ def plan_transform(direction: str, rho, depth: int,
         raise ValueError(f"unknown direction {direction!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if band_tolerance < 0:
+        raise ValueError("tolerance must be non-negative")
     forward = direction == "half-to-rho"
     p, target = (HALF, rho) if forward else (rho, HALF)
     levels, residual = select_levels(p, target, depth)

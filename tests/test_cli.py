@@ -812,3 +812,70 @@ def test_integer_text_limit_off_keeps_the_default_bound():
 def test_unknown_partition_spec_is_a_usage_error():
     code, err = invoke_err(["partition", "--partition", "3/2"])
     assert code == 2 and "unknown partition spec '3/2'" in err
+
+
+# a negative tolerance, a rho outside [0, 1] and a band width outside
+# (0, 1/2) are refused, not judged: no verdict on them can hold
+@pytest.mark.parametrize("argv, message", [
+    (["transform", "--direction", "half-to-rho", "--rho", "1/3", "--depth", "4",
+      "--horizon", "20000", "--family", "prog(0,3)", "--tolerance=-1/10"],
+     "tolerance must be non-negative"),
+    (["density", "--S", "prog(0,2)", "--horizon", "1000", "--kind", "rho",
+      "--rho", "1/2", "--tolerance=-1/10"], "tolerance must be non-negative"),
+    (["density", "--S", "prog(0,2)", "--horizon", "1000", "--kind", "rho",
+      "--rho", "3"], "rho must lie in [0, 1]"),
+    (["preserve", "--op", "witness-above", "--X", "prog(0,2)", "--eps=-1/10"],
+     "eps must lie in (0, 1/2)"),
+    (["preserve", "--op", "reap-map", "--S", "prog(0,2)", "--eps", "3"],
+     "eps must lie in (0, 1/2)"),
+])
+def test_out_of_range_parameters_are_usage_errors(argv, message):
+    code, err = invoke_err(argv)
+    assert code == 2 and message in err
+
+
+def test_rho_to_half_past_the_squaring_budget_is_a_usage_error():
+    t0 = time.perf_counter()
+    code, err = invoke_err(["transform", "--direction", "rho-to-half",
+                            "--rho", f"{2 ** 70 - 1}/{2 ** 70}", "--horizon", "1000"])
+    assert code == 2 and "more than 131072 bits" in err
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("eps", ["0", "1/2", "3", "-1/10"])
+def test_loaded_pair_eps_must_be_a_proper_width(tmp_path, eps):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"eps": eps, "H": [0]}))
+    code, err = invoke_err(["preserve", "--op", "witness-below", "--pair", str(path)])
+    assert code == 2 and "eps must lie in (0, 1/2)" in err
+
+
+@pytest.mark.parametrize("op, n", [("rel", "-5"), ("nwd-escape", "-2")])
+def test_preserve_negative_n_is_a_usage_error(tmp_path, op, n):
+    _, rep = invoke_json(["preserve", "--op", "witness-above", "--X", "prog(0,2)"])
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(rep["pair"]))
+    code, err = invoke_err(["preserve", "--op", op, "--pair", str(path),
+                            "--X", "prog(0,2)", "--n", n])
+    assert code == 2 and f"n must be non-negative: {n}" in err
+
+
+ROUND_ROBIN = ["transform", "--oracle", "round-robin", "--depth", "6", "--horizon", "50000"]
+
+
+def test_transform_round_robin_on_a_single_target():
+    code, rep = invoke_json(ROUND_ROBIN + ["--family", "prog(0,3)",
+                                           "--direction", "half-to-rho", "--rho", "1/3"])
+    assert code == 0
+    assert [v["holds_numerically"] for v in rep["result"]["verdicts"]] == [True]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--direction", "half-to-rho", "--rho", "1/3"],
+     "round-robin needs a single-target family"),
+    (["--family", "prog(0,3)", "--direction", "rho-to-half", "--rho", "1/3"],
+     "rho-to-half needs an oracle with p = 1/3"),
+])
+def test_transform_round_robin_refusals(argv, message):
+    code, err = invoke_err(ROUND_ROBIN + argv)
+    assert code == 2 and message in err

@@ -871,6 +871,12 @@ def test_explicit_enumeration_walks_members_not_indices():
     assert t.enumerate_below(10 ** 12, 100) is None
 
 
+def test_explicit_set_holds_no_negative_point():
+    # a negative index does not read the prefix from its end
+    s = ExplicitSet([0, 0, 0, 1, 1], tail=(True,))
+    assert [s.contains(k) for k in (-5, -2, -1, 3, 5)] == [False] * 3 + [True] * 2
+
+
 def test_stride_selection_counts():
     evens = Progression(0, 2)
     quarters = StrideSelection(evens, 2, 0)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -380,3 +381,53 @@ def test_symbolic_materialize_agrees_with_contains_and_counts(default):
     member = {"singleton": lambda k: k == start, "empty": lambda k: False,
               "full": lambda k: True, "trace": lambda k: base.contains(k)}[default]
     assert bits[start:] == [member(k) for k in range(start, n)]
+
+
+_MINIMAL_BOUNDS = (0, 2, 7, 36, 325)
+
+
+@st.composite
+def explicit_subsets(draw):
+    """An interval k of a minimal partition (I_3 = [36, 325)) and a subset
+    of it, as the sorted list of its elements."""
+    k = draw(st.integers(0, 3))
+    lo, hi = _MINIMAL_BOUNDS[k], _MINIMAL_BOUNDS[k + 1]
+    return k, sorted(draw(st.sets(st.integers(lo, hi - 1), max_size=hi - lo)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(explicit_subsets(), explicit_subsets(), st.integers(1, 40))
+def test_explicit_subsets_match_brute_force(drawn, other_drawn, s):
+    # every query of an explicit subset against a brute-force scan of its
+    # interval, reading the elements, not the library
+    P = build_partition("minimal", 5)
+    k, elems = drawn
+    lo, hi = P.boundary(k), P.boundary(k + 1)
+    members = set(elems)
+    sub = P.explicit(k, elems)
+    assert sub.count == len(elems)
+    for x in range(lo - 1, hi + 2):
+        assert sub.membership(x) == (x in members)
+        assert sub.count_strictly_below(x) == sum(1 for e in elems if e < x)
+    assert [sub.select(j) for j in range(sub.count)] == elems
+    for S in (Progression(1, 3), PowersSet(2), BernoulliSet(Fraction(1, 2), 7)):
+        assert sub.intersect_set_count(S) == sum(1 for e in elems if S.contains(e))
+    evens = Progression(0, 2)
+    others = [P.first(k, min(s, P.size(k))), P.trace(k, evens), P.cotrace(k, evens)]
+    if other_drawn[0] == k:
+        others.append(P.explicit(k, other_drawn[1]))
+    for other in others:
+        inside = [x for x in range(lo, hi) if other.membership(x)]
+        expected = len(members.intersection(inside))
+        assert sub.intersect_subset_count(other) == expected, other.kind
+        assert other.intersect_subset_count(sub) == expected, other.kind
+    comp = sub.complement()
+    assert comp.kind == "explicit"
+    assert list(comp.elements) == [x for x in range(lo, hi) if x not in members]
+    for form in (sub, comp):
+        again = P.subset_from_json(form.to_json())
+        assert again.to_json() == form.to_json()
+        assert [x for x in range(lo, hi) if again.membership(x)] == list(form.elements)
+    # an interval-symbolic set with the subset as its value materialises it
+    bits = IntervalSymbolicSet(P, {k: sub}, default="empty").materialize(hi)
+    assert np.flatnonzero(bits[lo:hi]).tolist() == [e - lo for e in elems]

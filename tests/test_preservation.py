@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from rhosplit import (
     BernoulliSet,
@@ -49,6 +50,9 @@ def make_battery(P):
         "mult3": Progression(0, 3),
         "bern": BernoulliSet(HALF, 23),
     }
+
+
+BATTERY_NAMES = tuple(make_battery(build_partition("minimal", HORIZON_K)))
 
 
 @pytest.fixture(scope="module")
@@ -313,3 +317,72 @@ def _x_count(X, P, k):
     if isinstance(X, IntervalSymbolicSet) and X.part is P:
         return X.value_at(k).count
     return P.trace(k, X).count
+
+
+def fraction_rel(X, pair, n, horizon_k):
+    """The guarded relation in Fractions: the least k in H from n on with
+    |X ∩ E_k| >= (1/2 + eps)(|X ∩ I_k| + |I_<k|), and both sides there."""
+    P = pair.partition
+    for k in range(n, horizon_k):
+        if pair.H.contains(k):
+            lhs = pair.guard_at(k).intersect_set_count(X)
+            rhs = (HALF + pair.eps) * (_x_count(X, P, k) + P.boundary(k))
+            if not lhs < rhs:
+                return False, k, lhs, rhs
+    return True, None, None, None
+
+
+def fraction_escape_index(pair, n, m, horizon_k):
+    """nwd_escape's interval in Fractions: the least guarded k >= n with
+    b_k >= m and r > (1/2 + eps)(r + 2^-k) for the guard ratio r."""
+    P = pair.partition
+    for k in range(n, horizon_k):
+        r = pair.guard_at(k).ratio()
+        if (pair.H.contains(k) and P.boundary(k) >= m
+                and r > (HALF + pair.eps) * (r + Fraction(1, 2 ** k))):
+            return k
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(eps=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(499, 1000),
+                        max_denominator=1000),
+       sixteenths=st.lists(st.integers(4, 15), min_size=HORIZON_K, max_size=HORIZON_K),
+       name=st.sampled_from(BATTERY_NAMES), n=st.integers(0, 3),
+       m=st.sampled_from([0, 3, 40]))
+def test_rel_and_escape_agree_with_a_fraction_reference(P, battery, eps, sixteenths,
+                                                        name, n, m):
+    # guards of just over s/16 of each interval, above the 1/4 floor
+    X = battery[name]
+    guards = {k: P.first(k, max(1, s * P.size(k) // 16 + 1))
+              for k, s in enumerate(sixteenths)}
+    pair = GoodPair(P, all_indices(HORIZON_K), guards, eps)
+    got = rel_holds(X, pair, n, HORIZON_K)
+    assert (got.holds, got.witness_k, got.lhs, got.rhs) == fraction_rel(X, pair, n, HORIZON_K)
+    if not got.holds:
+        return
+    k = fraction_escape_index(pair, n, m, HORIZON_K)
+    if k is None:
+        with pytest.raises(ValueError, match="extend the horizon"):
+            nwd_escape(X, pair, n, m, HORIZON_K)
+    else:
+        assert nwd_escape(X, pair, n, m, HORIZON_K)[1] == k
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), HALF, Fraction(3), Fraction(-1, 10)])
+def test_good_pair_refuses_an_improper_width(P, eps):
+    X = Progression(0, 2)
+    for make in (lambda: GoodPair(P, all_indices(HORIZON_K), {}, eps),
+                 lambda: witness_above(X, eps, P, HORIZON_K),
+                 lambda: reap_tukey_map(X, eps, P, HORIZON_K)):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1/2\)"):
+            make()
+
+
+def test_rel_holds_refuses_a_negative_n(P):
+    X = Progression(0, 2)
+    pair = witness_above(X, EPS, P, HORIZON_K)
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        rel_holds(X, pair, -5, HORIZON_K)
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        nwd_escape(X, pair, -2, 0, HORIZON_K)

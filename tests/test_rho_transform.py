@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from rhosplit.density import build_checkpoints, density_report
 from rhosplit.rho_transform import (
     MAX_ATTEMPTS,
     RESIDUAL_TOLERANCE,
+    SQUARING_BITS,
     STAGE_TOLERANCE,
     BernoulliOracle,
     ChainConfig,
@@ -181,6 +183,17 @@ def test_squaring_plan_terminates(rho):
     for op in ops:
         y = y * y if op == "square" else 1 - y
     assert y == x
+
+
+@pytest.mark.parametrize("bits", [16, 20, 70])
+def test_squaring_plan_refuses_past_its_bit_budget(bits):
+    # rho = 1 - 2^-bits takes about bits squares to fall below 2/3, and
+    # each doubles the bits of its denominator: from bits = 16 on that is
+    # past 2^17 bits, refused at the first square beyond, in milliseconds
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {SQUARING_BITS} bits"):
+        squaring_plan(Fraction(2 ** bits - 1, 2 ** bits))
+    assert time.perf_counter() - t0 < 1
 
 
 # -- plans --------------------------------------------------------------------
