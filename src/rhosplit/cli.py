@@ -301,10 +301,11 @@ def _cmd_adversary(args) -> tuple[int, dict]:
 def _cmd_verify_cert(args) -> tuple[int, dict]:
     with open(args.input, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if isinstance(payload, dict) and "certificates" in payload:
-        payload = payload["certificates"]
     if isinstance(payload, dict):
-        payload = [payload]
+        payload = payload["certificates"] if "certificates" in payload else [payload]
+    if not isinstance(payload, list):
+        raise ValueError("malformed certificate file: expected a certificate, a list "
+                         "of them or {\"certificates\": [...]}")
     results = []
     all_ok = True
     for obj in payload:
@@ -479,7 +480,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report = _HANDLERS[args.command](args)
-    except (ValueError, HorizonOverflowError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, HorizonOverflowError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OracleExhaustedError, TransformError) as exc:

@@ -179,14 +179,6 @@ def _pack(n: int, fill: Callable[[int, np.ndarray], None]) -> np.ndarray:
     return words
 
 
-def _from_elements(n: int, elements: Sequence[int]) -> np.ndarray:
-    """Packed words of [0, n) with exactly the given members, all below n."""
-    words = np.zeros(_nwords(n), dtype=_WORD)
-    e = np.asarray(elements, dtype=np.int64)
-    np.bitwise_or.at(words, e >> 6, np.left_shift(np.uint64(1), (e & 63).astype(np.uint64)))
-    return words
-
-
 class OmegaSet:
     """Base class for enumerable subsets of the naturals.
 
@@ -324,16 +316,26 @@ class OmegaSet:
         """Drop the cached packed words; a later ``packed`` rebuilds them."""
         self._mat, self._built = None, 0
 
-    def materialize(self, n: int, cap: int | None = None) -> np.ndarray:
+    def materialize(self, n: int) -> np.ndarray:
         """Membership bits over [0, n) as a read-only bool vector,
         unpacked from the packed words."""
-        bits = _unpack(self.packed(n, cap), 0, n)
+        bits = _unpack(self.packed(n), 0, n)
         bits.flags.writeable = False
         return bits
 
     def _materialize_impl(self, n: int) -> np.ndarray:
         """Packed words of [0, n); bits above n may be set."""
-        return _from_elements(n, self.enumerate_below(n, n))
+        return _pack(n, self._fill)
+
+    def _fill(self, lo: int, out: np.ndarray) -> None:
+        """Writes the membership bits of [lo, lo + len(out)) into the bool
+        block ``out``, for any lo, leaving this set's cached words alone:
+        the one thing a leaf set supplies.  This fallback marks the
+        members that ``enumerate_below`` lists below the block's end."""
+        hi = lo + out.shape[0]
+        e = np.asarray(self.enumerate_below(hi, hi), dtype=np.int64)
+        out[:] = False
+        out[e[e >= lo] - lo] = True
 
     # -- enumeration -----------------------------------------------------
 
@@ -414,12 +416,10 @@ class Progression(OmegaSet):
             return None
         return [self.a + self.d * j for j in range(c)]
 
-    def _materialize_impl(self, n):
-        def fill(lo, out):
-            out[:] = False
-            first = max(self.a, lo + (self.a - lo) % self.d)
-            out[first - lo::self.d] = True
-        return _pack(n, fill)
+    def _fill(self, lo, out):
+        out[:] = False
+        first = max(self.a, lo + (self.a - lo) % self.d)
+        out[first - lo::self.d] = True
 
     def descriptor(self) -> str:
         if self.a == 0 and self.d == 1:
@@ -496,17 +496,14 @@ class ExplicitSet(OmegaSet):
                     for r in offsets if base + r < n]
         return out
 
-    def _materialize_impl(self, n):
+    def _fill(self, lo, out):
         plen = self.prefix.shape[0]
+        k = min(max(plen - lo, 0), out.shape[0])
+        out[:k] = self.prefix[lo:lo + k]
+        # the tail from index lo + k on, repeated to the block's end
         tail = np.asarray(self.tail, dtype=bool)
-
-        def fill(lo, out):
-            k = min(max(plen - lo, 0), out.shape[0])
-            out[:k] = self.prefix[lo:lo + k]
-            # the tail from index lo + k on, repeated to the block's end
-            phase = (lo + k - plen) % tail.shape[0]
-            out[k:] = np.resize(np.roll(tail, -phase), out.shape[0] - k)
-        return _pack(n, fill)
+        phase = (lo + k - plen) % tail.shape[0]
+        out[k:] = np.resize(np.roll(tail, -phase), out.shape[0] - k)
 
     def __repr__(self):
         return f"ExplicitSet(<{self.prefix.shape[0]} bits>, tail={self.tail})"
@@ -657,9 +654,6 @@ class BernoulliSet(OmegaSet):
                 x *= m2
                 _below(x, self._thr, t, out[start - lo:start - lo + m])
 
-    def _materialize_impl(self, n):
-        return _pack(n, self._fill)
-
     def descriptor(self) -> str:
         if (self._a, self._d) != (0, 1):
             raise NotImplementedError("a mapped BernoulliSet has no grammar form")
@@ -781,8 +775,8 @@ class CombineNode(OmegaSet):
         return merged if len(merged) <= limit else None
 
     def _materialize_impl(self, n):
-        # the horizon already passed the cap check of this node; the
-        # children's words may hold bits above n, which packed() clears
+        # no _fill: the op's word rule combines the children's cached words
+        # (n passed this node's cap check; packed() clears their bits above n)
         return self._rule(*[c.packed(n, cap=n) for c in self.children])
 
     def descriptor(self) -> str:
@@ -912,7 +906,8 @@ class StrideSelection(OmegaSet):
         return tp if tp is not None and not any(tp.pattern) else None
 
     def _materialize_impl(self, n):
-        # n already passed this node's cap check, as in CombineNode
+        # no _fill: a block's bits need the count of source members before it
+        # (n passed this node's cap check, as in CombineNode)
         source = self.source.packed(n, cap=n)
         seen = 0  # source members below the block
 
@@ -963,6 +958,9 @@ def complement(a: OmegaSet) -> OmegaSet:
 
 # -- descriptor grammar -----------------------------------------------------
 
+# at most this many constructors nest, one inside the next: parsing,
+# counting and materialising walk the tree recursively
+_MAX_DEPTH = 100
 _TOKEN = re.compile(r"\s*([0-9]+/[0-9]+|[0-9]+\.[0-9]+|[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[(),])")
 
 # constructor -> (argument kinds, builder); a kind ending in "?" is
@@ -1006,7 +1004,8 @@ def _tokenize(text: str) -> list[str]:
 
 def parse_set(text: str) -> OmegaSet:
     """Parse the textual set grammar: omega, or a constructor of
-    ``_GRAMMAR`` on arguments of its kinds, such as every(prog(0,2),3)."""
+    ``_GRAMMAR`` on arguments of its kinds, such as every(prog(0,2),3),
+    nested at most ``_MAX_DEPTH`` constructors deep."""
     return _parse(text, family=False)[0]
 
 
@@ -1033,18 +1032,20 @@ def _parse(text: str, family: bool) -> list[OmegaSet]:
         pos += 1
         return tok
 
-    def parse_args():  # a list of number tokens and sets
+    def parse_args(depth):  # a list of number tokens and sets
         take("(")
         args = []
         while peek() != ")":
             if args:
                 take(",")
             tok = peek()
-            args.append(take() if tok is not None and tok[0].isdigit() else parse_expr())
+            args.append(take() if tok is not None and tok[0].isdigit() else parse_expr(depth))
         take(")")
         return args
 
-    def parse_expr() -> OmegaSet:
+    def parse_expr(depth=1) -> OmegaSet:
+        if depth > _MAX_DEPTH:
+            raise ValueError(f"descriptor nests deeper than {_MAX_DEPTH} constructors")
         name = take()
         if not name[0].isalpha():
             raise ValueError(f"expected a set descriptor, got {name!r}")
@@ -1053,7 +1054,7 @@ def _parse(text: str, family: bool) -> list[OmegaSet]:
         if name not in _GRAMMAR:
             raise ValueError(f"unknown set constructor {name!r}")
         kinds, build = _GRAMMAR[name]
-        args = parse_args()
+        args = parse_args(depth + 1)
         vals = [_read_arg(k.rstrip("?"), v) for k, v in zip(kinds, args)]
         required = sum(not k.endswith("?") for k in kinds)
         if not required <= len(args) <= len(kinds) or any(v is None for v in vals):

@@ -25,7 +25,6 @@ from .omega_sets import (
     HorizonOverflowError,
     OmegaSet,
     TailPattern,
-    _pack,
     _unpack,
     parse_set,
 )
@@ -316,6 +315,8 @@ class IntervalSubset:
         """j-th element (0-indexed) of the subset."""
         if not 0 <= j < self.count:
             raise IndexError(f"subset of interval {self.index} has {self.count} points")
+        if self.elements is not None:
+            return self.elements[j]
         a, b, M, minus = self.span
         if M is OMEGA:
             return a + j
@@ -506,22 +507,20 @@ class IntervalSymbolicSet(OmegaSet):
             out.extend(map(sub.select, range(sub.count_strictly_below(n))))
         return out
 
-    def _materialize_impl(self, n):
-        def fill(lo, out):
-            hi = lo + out.shape[0]
-            out[:] = False
-            for j in range(self.part.interval_of(lo), self.part.interval_of(hi - 1) + 1):
-                sub = self.value_at(j)
-                a, b, M, minus = sub.span
-                a, b = max(a, lo), min(b, hi)
-                if sub.count == 0 or a >= b:
-                    continue
-                if M is OMEGA:
-                    out[a - lo:b - lo] = not minus
-                else:
-                    bits = _unpack(M.packed(b), a, b)
-                    out[a - lo:b - lo] = ~bits if minus else bits
-        return _pack(n, fill)
+    def _fill(self, lo, out):
+        hi = lo + out.shape[0]
+        out[:] = False
+        for j in range(self.part.interval_of(lo), self.part.interval_of(hi - 1) + 1):
+            sub = self.value_at(j)
+            a, b, M, minus = sub.span
+            a, b = max(a, lo), min(b, hi)
+            if sub.count == 0 or a >= b:
+                continue
+            if M is OMEGA:
+                out[a - lo:b - lo] = not minus
+            else:
+                bits = _unpack(M.packed(b), a, b)
+                out[a - lo:b - lo] = ~bits if minus else bits
 
     def to_json(self, count: int) -> dict:
         out = {

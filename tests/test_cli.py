@@ -879,3 +879,53 @@ def test_transform_round_robin_on_a_single_target():
 def test_transform_round_robin_refusals(argv, message):
     code, err = invoke_err(ROUND_ROBIN + argv)
     assert code == 2 and message in err
+
+
+def _nested(depth):
+    """A descriptor of ``depth`` constructors, one inside the next."""
+    return "compl(" * (depth - 1) + "prog(0,2)" + ")" * (depth - 1)
+
+
+@pytest.mark.parametrize("surface", ["density", "transform", "pair"])
+@pytest.mark.parametrize("depth, code", [(100, 0), (101, 2)])
+def test_descriptor_nesting_is_bounded(tmp_path, surface, depth, code):
+    # the bound, 100 constructors deep, runs; one more is refused
+    text = _nested(depth)
+    if surface == "density":
+        argv = ["density", "--S", text, "--horizon", "1000"]
+    elif surface == "transform":
+        argv = ["transform", "--direction", "half-to-rho", "--rho", "1/3",
+                "--family", f"omega,{text}", "--horizon", "2000", "--depth", "2"]
+    else:
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"eps": "1/4", "H": [0], "guards": {
+            "0": {"index": 0, "kind": "trace", "base": text}}}))
+        argv = ["preserve", "--op", "witness-below", "--pair", str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        got, out = invoke(argv)
+    assert got == code
+    if code:
+        prefix = "malformed pair: " if surface == "pair" else ""
+        assert (out, err.getvalue()) == (
+            "", f"error: {prefix}descriptor nests deeper than 100 constructors\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-cert", "--input"],
+    ["relsys", "--file"],
+    ["preserve", "--op", "witness-below", "--pair"],
+])
+def test_a_directory_for_an_input_file_is_a_usage_error(tmp_path, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(argv + [str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.getvalue().startswith("error: ") and str(tmp_path) in err.getvalue()
+
+
+@pytest.mark.parametrize("payload", [5, None, True, {"certificates": 5}, "abc"])
+def test_verify_cert_of_a_non_certificate_payload_is_a_usage_error(tmp_path, payload):
+    code, rep, err = _verify_cert_file(tmp_path, payload)
+    assert (code, rep) == (2, None)
+    assert err.startswith("error: malformed certificate file: ")

@@ -17,10 +17,12 @@ from rhosplit import (
     ExplicitSet,
     FiniteSetError,
     HorizonOverflowError,
+    IntervalSymbolicSet,
     PowersSet,
     Progression,
     SequenceSet,
     StrideSelection,
+    build_partition,
     complement,
     difference,
     intersect,
@@ -61,7 +63,7 @@ def combos():
 
 
 def bits_range(s, lo, hi):
-    """Membership bits of [lo, hi) from one vectorised Bernoulli fill."""
+    """Membership bits of [lo, hi) from one ``_fill`` of the set."""
     out = np.empty(hi - lo, dtype=bool)
     s._fill(lo, out)
     return out
@@ -370,24 +372,40 @@ def test_bit_vector_count_memory_is_bounded_by_the_chunk():
     assert counts == [int(np.count_nonzero(bits[:n])) for n in (2 ** 23, 2 ** 24)]
 
 
+def _fill_inputs():
+    """One set of each leaf kind: a Bernoulli set, a progression, an
+    explicit prefix with a periodic tail, powers of 3 (the base fill from
+    ``enumerate_below``) and a symbolic set with every kind of value."""
+    P = build_partition("minimal", 7)
+    values = {1: P.first(1, 2), 2: P.last(2, 10), 3: P.trace(3, BernoulliSet(Fraction(1, 3), 5)),
+              4: P.cotrace(4, Progression(1, 3)), 5: P.explicit(5, range(5526, 182359, 997))}
+    prefix = [k % 3 == 0 or k % 7 == 2 for k in range(100)]
+    return [BernoulliSet(Fraction(2, 5), 31), Progression(3, 7),
+            ExplicitSet(prefix, (True, False, False, True, True)), PowersSet(3),
+            IntervalSymbolicSet(P, values)]
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64, None])
 def test_bernoulli_fill_seams_match_the_scalar_prf(chunk):
-    s = BernoulliSet(Fraction(2, 5), 31)
-    with pytest.MonkeyPatch.context() as mp:
-        if chunk is not None:
-            mp.setattr(omega_sets, "_CHUNK", chunk)
-        c = omega_sets._CHUNK
-        # ranges that start and end off the block grid and cross seams
-        for lo, hi in [(0, 3 * c + 5), (max(0, c - 3), c + 4), (2 * c + 1, 4 * c - 1),
-                       (5, 6), (9, 9), (max(0, 3 * c - 40), 3 * c + 33)]:
-            bits = bits_range(s, lo, hi)
-            assert bits.shape == (hi - lo,)
-            assert bits.tolist() == [s.contains(k) for k in range(lo, hi)]
-        # the k-th member found block by block, around a seam
-        below = s.count_below(2 * c)
-        for k in range(max(0, below - 3), below + 3):
-            e = s.kth_element(k)
-            assert s.contains(e) and s.count_below(e) == k
+    # every leaf set's fill is held to the seams of the PRF's blocks
+    for s in _fill_inputs():
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(omega_sets, "_CHUNK", chunk)
+            c = omega_sets._CHUNK
+            # ranges that start and end off the block grid and cross seams
+            for lo, hi in [(0, 3 * c + 5), (max(0, c - 3), c + 4), (2 * c + 1, 4 * c - 1),
+                           (5, 6), (9, 9), (max(0, 3 * c - 40), 3 * c + 33)]:
+                bits = bits_range(s, lo, hi)
+                assert bits.shape == (hi - lo,)
+                assert bits.tolist() == [s.contains(k) for k in range(lo, hi)], s
+            # a fill leaves the set's own words alone
+            assert s._mat is None
+            # the k-th member found block by block, around a seam
+            below = s.count_below(2 * c)
+            for k in range(max(0, below - 3), below + 3):
+                e = s.kth_element(k)
+                assert s.contains(e) and s.count_below(e) == k
 
 
 def test_a_second_fill_makes_no_block_sized_temporaries():

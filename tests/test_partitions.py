@@ -10,6 +10,7 @@ from rhosplit import (
     BernoulliSet,
     CombineNode,
     ExactCountError,
+    ExplicitSet,
     IntervalSymbolicSet,
     PowersSet,
     Progression,
@@ -431,3 +432,20 @@ def test_explicit_subsets_match_brute_force(drawn, other_drawn, s):
     # an interval-symbolic set with the subset as its value materialises it
     bits = IntervalSymbolicSet(P, {k: sub}, default="empty").materialize(hi)
     assert np.flatnonzero(bits[lo:hi]).tolist() == [e - lo for e in elems]
+
+
+def test_explicit_select_reads_the_elements(monkeypatch):
+    # selecting from an explicit subset indexes its sorted elements: no
+    # count over its element set and no search for a k-th member there
+    P = build_partition("minimal", 6)
+    sub = P.explicit(5, range(5526, 182359, 175))  # I_5 = [5526, 182359)
+    M = sub.span[2]
+    calls = []
+    for name in ("counts_at", "kth_element"):
+        def spy(self, *args, _orig=getattr(ExplicitSet, name), _name=name):
+            if self is M:
+                calls.append(_name)
+            return _orig(self, *args)
+        monkeypatch.setattr(ExplicitSet, name, spy)
+    assert tuple(sub.select(j) for j in range(sub.count)) == sub.elements
+    assert calls == []
