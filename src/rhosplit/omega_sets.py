@@ -69,6 +69,14 @@ _TABLE_CAPACITY = 1 << 18
 _WORD = np.dtype("<u8")
 # _LOW_BITS[r]: the r lowest bits of a word set
 _LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
+# gathered evaluation (README, "Gathered evaluation"), in units of one
+# index of a dense Bernoulli fill: listing a set's members costs
+# _LIST_COST per index; each set evaluated at them costs _GATHER_COST per
+# member, and _WORDS_COST per index for its words.  So a lone set never
+# pays for the listing
+_LIST_COST = 0.86
+_GATHER_COST = 2.15
+_WORDS_COST = 0.14
 
 
 def explicit_cap() -> int:
@@ -179,18 +187,89 @@ def _pack(n: int, fill: Callable[[int, np.ndarray], None]) -> np.ndarray:
     return words
 
 
+class MemberList:
+    """The members below n of a set, listed once from its packed words so
+    that other sets can be evaluated at them alone (``packed_on``).
+
+    ``idx`` holds the members in increasing order, as int32 (int64 from
+    2^31 on), listed block by block: no bool vector of length n is built.
+    For the scatter back into words, ``bit`` holds each member's bit in
+    its word (uint8), ``wids`` the words that hold a member, and
+    ``starts`` where each such word's members start in idx, with len(idx)
+    appended.  ``pieces`` cuts idx at word starts into pieces (r0, r1,
+    s0, s1) of at most ``_CHUNK`` members, or one word: the words
+    wids[r0:r1] hold the members idx[s0:s1].
+    """
+
+    __slots__ = ("n", "idx", "bit", "wids", "starts", "pieces")
+
+    def __init__(self, words: np.ndarray, n: int):
+        self.n = n
+        q = n >> 6
+        # the whole words below n, then the low bits of word q
+        head = words[:q + 1].copy()
+        head[q] &= _LOW_BITS[n & 63]
+        self.wids = np.flatnonzero(head)
+        sizes = np.bitwise_count(head[self.wids])
+        self.starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        count = int(self.starts[-1])
+        self.idx = np.empty(count, dtype=np.int32 if n <= 1 << 31 else np.int64)
+        self.bit = np.empty(count, dtype=np.uint8)
+        step, pos = lcm(_CHUNK, 64), 0
+        for lo in range(0, n, step):
+            at = np.flatnonzero(_unpack(head, lo, min(lo + step, n)))
+            end = pos + at.shape[0]
+            np.add(at, lo, out=self.idx[pos:end], casting="unsafe")
+            np.bitwise_and(at, 63, out=self.bit[pos:end], casting="unsafe")
+            pos = end
+        # a piece takes at least one word, whose at most 64 members fit
+        # the scratch whatever the chunk
+        self.pieces, r = [], 0
+        while r < self.wids.shape[0]:
+            s0 = int(self.starts[r])
+            r1 = max(r + 1, int(np.searchsorted(self.starts, s0 + _CHUNK, "right")) - 1)
+            self.pieces.append((r, r1, s0, int(self.starts[r1])))
+            r = r1
+
+    def scatter(self, words: np.ndarray, piece: tuple[int, int, int, int],
+                keep: np.ndarray) -> None:
+        """Writes the words of one piece from its members' bits keep, in
+        word space: each member's bit shifted into place (in the block
+        scratch) and each word's bits ORed together (``reduceat``)."""
+        r0, r1, s0, s1 = piece
+        with _SCRATCH.lock:
+            v = _SCRATCH.t[:s1 - s0]
+            np.left_shift(keep, self.bit[s0:s1], out=v, dtype=np.uint64)
+            words[self.wids[r0:r1]] = np.bitwise_or.reduceat(v, self.starts[r0:r1] - s0)
+
+
+def sparse_members(s: OmegaSet, n: int, legs: int) -> MemberList | None:
+    """The members of s below n as a ``MemberList``, when listing them
+    and evaluating legs Bernoulli sets at them costs less than filling
+    those sets over [0, n); None otherwise, without reading s when no
+    list can pay.  s's words are packed past the cap check: n passed it
+    already."""
+    saved = legs * (1 - _WORDS_COST) - _LIST_COST  # per index, with no members
+    if saved <= 0:
+        return None
+    words = s.packed(n, cap=n)
+    if _prefix_counts(words, [n])[0] * legs * _GATHER_COST >= saved * n:
+        return None
+    return MemberList(words, n)
+
+
 class OmegaSet:
     """Base class for enumerable subsets of the naturals.
 
     Values are immutable after construction; all operations are pure, so
     sharing across threads is safe.  The only internal mutation is
     caching: packed membership words (one bit per index, see ``packed``)
-    of the first ``_built`` indices, grown on demand and dropped by
-    ``release_words``, and an intersection's grid (``CombineNode._grid``),
-    derived on first count.  Dropping words changes no answer, but a
-    reader in another thread may be between the length check and the
-    read, so only the code that built a set and alone holds it releases
-    its words.
+    of the first ``_built`` indices, grown on demand, dropped by
+    ``release_words`` and set by ``hold_words``, and an intersection's
+    grid (``CombineNode._grid``), derived on first count.  Dropping words
+    changes no answer, but a reader in another thread may be between the
+    length check and the read, so only the code that built a set and
+    alone holds it releases its words or hands it words.
     """
 
     __slots__ = ("_mat", "_built")
@@ -316,6 +395,48 @@ class OmegaSet:
         """Drop the cached packed words; a later ``packed`` rebuilds them."""
         self._mat, self._built = None, 0
 
+    def hold_words(self, words: np.ndarray, n: int) -> None:
+        """Cache words as this set's packed words of [0, n]: for the code
+        that built this set and found its words another way (such as
+        ``packed_on`` at a superset's members).  Bits at and above n are
+        cleared, on a copy when any is set."""
+        if words.shape[0] != _nwords(n):
+            raise ValueError(f"{words.shape[0]} words do not cover [0, {n}]")
+        if int(words[-1]) >> (n & 63):
+            words = words.copy()
+            words[-1] &= _LOW_BITS[n & 63]
+        words.flags.writeable = False
+        self._mat, self._built = words, n
+
+    def holds(self, n: int) -> bool:
+        """Whether this set's cached words reach n."""
+        return self._mat is not None and self._built >= n
+
+    def members_at(self, idx: np.ndarray) -> np.ndarray | None:
+        """Membership of each index of idx, an array of naturals, as a
+        bool array, or None when this set has no vectorised test.  Cached
+        words that reach every index answer by bit gather; otherwise
+        ``_members_at`` does (a closed form, the PRF, or an op's rule)."""
+        if self._mat is not None and int(idx.max(initial=-1)) < self._built:
+            bits = self._mat[idx >> 6] >> (idx & 63).astype(np.uint64)
+            return (bits & np.uint64(1)).astype(bool)
+        return self._members_at(idx)
+
+    def _members_at(self, idx: np.ndarray) -> np.ndarray | None:
+        return None
+
+    def packed_on(self, members: MemberList) -> np.ndarray | None:
+        """Packed words of [0, members.n) holding this set's members among
+        the listed ones, found by evaluating ``members_at`` there alone,
+        piece by piece; None when it has no vectorised test."""
+        words = np.zeros(_nwords(members.n), dtype=_WORD)
+        for piece in members.pieces:
+            keep = self.members_at(members.idx[piece[2]:piece[3]])
+            if keep is None:
+                return None
+            members.scatter(words, piece, keep)
+        return words
+
     def materialize(self, n: int) -> np.ndarray:
         """Membership bits over [0, n) as a read-only bool vector,
         unpacked from the packed words."""
@@ -421,6 +542,15 @@ class Progression(OmegaSet):
         first = max(self.a, lo + (self.a - lo) % self.d)
         out[first - lo::self.d] = True
 
+    def _members_at(self, idx):
+        k = idx.astype(np.int64)
+        top = int(k.max(initial=-1))
+        if self.a > top:
+            return np.zeros(k.shape, dtype=bool)
+        if self.d > top:  # a alone lies in [0, top]
+            return k == self.a
+        return (k >= self.a) & ((k - self.a) % self.d == 0)
+
     def descriptor(self) -> str:
         if self.a == 0 and self.d == 1:
             return "omega"
@@ -505,6 +635,14 @@ class ExplicitSet(OmegaSet):
         phase = (lo + k - plen) % tail.shape[0]
         out[k:] = np.resize(np.roll(tail, -phase), out.shape[0] - k)
 
+    def _members_at(self, idx):
+        plen = self.prefix.shape[0]
+        k = idx.astype(np.int64)
+        out = np.asarray(self.tail, dtype=bool)[(k - plen) % len(self.tail)]
+        head = k < plen
+        out[head] = self.prefix[k[head]]
+        return out
+
     def __repr__(self):
         return f"ExplicitSet(<{self.prefix.shape[0]} bits>, tail={self.tail})"
 
@@ -550,13 +688,16 @@ class _BlockScratch:
         # (i + d*k) * M1 = i * M1 + k * (d * M1) (mod 2^64)
         ramp = self.ramp_of((d * MIX_M1) & MASK64)[:out.shape[0]]
         np.add(ramp, np.uint64((i * MIX_M1) & MASK64), out=out)
-        np.right_shift(out, np.uint64(30), out=t)
+        np.right_shift(out, _S30, out=t)
         out ^= t
 
 
 _SCRATCH = _BlockScratch(_CHUNK, _TABLE_CAPACITY)
 # below a threshold with these bits zero, mix64's last step need not run
 _LOW33 = (1 << 33) - 1
+# mix64's multipliers and shifts as numpy scalars, made once
+_M1, _M2 = np.uint64(MIX_M1), np.uint64(MIX_M2)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def tabulate_first_round(n: int) -> None:
@@ -583,7 +724,7 @@ def _below(x: np.ndarray, thr: int, t: np.ndarray, out: np.ndarray) -> None:
     u >> 33 < thr >> 33 iff x >> 33 < thr >> 33 iff x < thr.
     """
     if thr & _LOW33:
-        np.right_shift(x, np.uint64(31), out=t)
+        np.right_shift(x, _S31, out=t)
         x ^= t
     np.less(x, np.uint64(thr), out=out)
 
@@ -612,8 +753,19 @@ class BernoulliSet(OmegaSet):
         self._a, self._d = 0, 1  # member k is PRF index a + d*k
 
     def contains(self, k: int) -> bool:
-        u = mix64(self._key ^ (((self._a + self._d * k) * MIX_M1) & MASK64))
+        i = self._a + self._d * k  # the PRF index
+        u = mix64(self._index_key(i) ^ ((i * MIX_M1) & MASK64))
         return u < self._thr
+
+    def _index_key(self, i: int) -> int:
+        """The PRF key of PRF index i: the set's key below 2^64, and from
+        2^64 on that key hashed with each 64-bit limb of i >> 64 in turn,
+        so that indices that agree mod 2^64 get independent bits."""
+        key, high = self._key, i >> 64
+        while high > 0:
+            key = mix64(key ^ ((high & MASK64) * MIX_M1 & MASK64))
+            high >>= 64
+        return key
 
     def _along(self, a, d):
         g = BernoulliSet(self.p, self.seed)
@@ -629,16 +781,17 @@ class BernoulliSet(OmegaSet):
         whatever the range.  A block of consecutive PRF indices inside the
         tabulated first round reads that round from the table; any other
         block computes it.  The PRF is a function of the index alone, so
-        the block seams do not show.
+        the block seams do not show.  Members whose PRF index reaches 2^64
+        go through ``contains``.
         """
-        a, d = self._a, self._d
-        key = np.uint64(self._key ^ self._key >> 30)  # the key's share of round 1
-        m1, m2, s27 = np.uint64(MIX_M1), np.uint64(MIX_M2), np.uint64(27)
+        a, d, key = self._a, self._d, self._round_key()
         hi = lo + out.shape[0]
+        # the first member whose PRF index a + d*k reaches 2^64
+        wide = min(max(lo, -((a - (1 << 64)) // d)), hi)
         scratch = _SCRATCH
         with scratch.lock:
-            for start in range(lo, hi, _CHUNK):
-                m = min(_CHUNK, hi - start)
+            for start in range(lo, wide, _CHUNK):
+                m = min(_CHUNK, wide - start)
                 x, t = scratch.x[:m], scratch.t[:m]
                 i = a + d * start  # the PRF index of member start
                 if d == 1 and i + m <= scratch.written:
@@ -646,13 +799,53 @@ class BernoulliSet(OmegaSet):
                 else:
                     scratch.first_round(i, d, x, t)
                     x ^= key
-                # the rest of mix64 up to its last step, with the shifted
-                # copies in t
-                x *= m1
-                np.right_shift(x, s27, out=t)
+                self._last_rounds(x, t, out[start - lo:start - lo + m])
+        for k in range(wide, hi):
+            out[k - lo] = self.contains(k)
+
+    def _members_at(self, idx):
+        """``_fill``'s PRF steps at the gathered indices idx, ``_CHUNK`` of
+        them at a time in the resident block scratch, with the first round
+        computed from the indices: reading it from the table (``np.take``)
+        made the fallback transforms about 4% slower, likely as its 2 MiB
+        compete with the scratch for the cache.
+        Indices whose PRF index reaches 2^64 go through ``contains``."""
+        a, d, key = self._a, self._d, self._round_key()
+        out = np.empty(idx.shape, dtype=bool)
+        if a + d * int(idx.max(initial=-1)) > MASK64:
+            out[:] = [self.contains(int(k)) for k in idx]
+            return out
+        step, base = np.uint64((d * MIX_M1) & MASK64), np.uint64((a * MIX_M1) & MASK64)
+        scratch = _SCRATCH
+        with scratch.lock:
+            for s in range(0, idx.shape[0], _CHUNK):
+                part = idx[s:s + _CHUNK]
+                m = part.shape[0]
+                x, t = scratch.x[:m], scratch.t[:m]
+                # (a + d*k) * M1 = a * M1 + k * (d * M1) (mod 2^64)
+                x[:] = part
+                x *= step
+                x += base
+                np.right_shift(x, _S30, out=t)
                 x ^= t
-                x *= m2
-                _below(x, self._thr, t, out[start - lo:start - lo + m])
+                x ^= key
+                self._last_rounds(x, t, out[s:s + m])
+        return out
+
+    def _round_key(self) -> np.uint64:
+        """The key's share of mix64's first round (``first_round``)."""
+        return np.uint64(self._key ^ self._key >> 30)
+
+    def _last_rounds(self, x: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+        """out = (PRF < threshold) from x, the first round of mix64 with
+        the key in, in place; t is scratch of x's length.  Called under the
+        scratch's lock."""
+        # the rest of mix64 up to its last step, with the shifted copies in t
+        x *= _M1
+        np.right_shift(x, _S27, out=t)
+        x ^= t
+        x *= _M2
+        _below(x, self._thr, t, out)
 
     def descriptor(self) -> str:
         if (self._a, self._d) != (0, 1):
@@ -725,7 +918,7 @@ class CombineNode(OmegaSet):
         a, b = self.children
         other = b if a is x else a
         omega = (x.a, x.d) == (0, 1)
-        if not omega and other._mat is not None and other._built >= horizon:
+        if not omega and other.holds(horizon):
             return None
         if self._g is None:
             self._g = other.along(x.a, x.d)
@@ -774,10 +967,39 @@ class CombineNode(OmegaSet):
         merged = sorted(set(left) | set(right))
         return merged if len(merged) <= limit else None
 
+    def _members_at(self, idx):
+        bits = []
+        for c in self.children:
+            b = c.members_at(idx)
+            if b is None:
+                return None
+            bits.append(b)
+        return self._rule(*bits)
+
     def _materialize_impl(self, n):
-        # no _fill: the op's word rule combines the children's cached words
-        # (n passed this node's cap check; packed() clears their bits above n)
-        return self._rule(*[c.packed(n, cap=n) for c in self.children])
+        # no _fill: a gathered intersection, or else the op's word rule on
+        # the children's cached words (n passed this node's cap check;
+        # packed() clears their bits above n)
+        words = self._gathered(n) if self.op == "inter" else None
+        if words is None:
+            words = self._rule(*[c.packed(n, cap=n) for c in self.children])
+        return words
+
+    def _gathered(self, n: int) -> np.ndarray | None:
+        """An intersection's words from one side's cached words, when they
+        reach n and are sparse enough to list for the other side's
+        Bernoulli leaves (``sparse_members``), and the other side
+        evaluated at that side's members alone (``packed_on``), so that
+        the other side is never filled over [0, n).  None when no side
+        qualifies, or the other side holds words reaching n too (the AND
+        of the two is cheaper), or has no vectorised test."""
+        for side, other in (self.children, self.children[::-1]):
+            if side.holds(n) and not other.holds(n):
+                members = sparse_members(side, n, _bernoulli_leaves(other))
+                words = None if members is None else other.packed_on(members)
+                if words is not None:
+                    return words
+        return None
 
     def descriptor(self) -> str:
         parts = ",".join(c.descriptor() for c in self.children)
@@ -785,6 +1007,14 @@ class CombineNode(OmegaSet):
 
     def __repr__(self):
         return f"CombineNode({self.op!r}, {list(self.children)!r})"
+
+
+def _bernoulli_leaves(s: OmegaSet) -> int:
+    """The Bernoulli sets in s's tree: those a dense fill of s runs the
+    PRF for."""
+    if isinstance(s, CombineNode):
+        return sum(_bernoulli_leaves(c) for c in s.children)
+    return int(isinstance(s, BernoulliSet))
 
 
 class SequenceSet(OmegaSet):
@@ -832,6 +1062,17 @@ class SequenceSet(OmegaSet):
     def enumerate_below(self, n, limit):
         c = self.terms_below(n)
         return None if c > limit else [int(self.fn(i)) for i in range(c)]
+
+    def _fill(self, lo, out):
+        # the terms in [lo, hi) alone, from the first at or above lo
+        hi = lo + out.shape[0]
+        out[:] = False
+        j, last = self.terms_below(lo), lo - 1
+        while (t := int(self.fn(j))) < hi:
+            if t <= last:
+                raise ValueError(f"{self.name} is not strictly increasing at index {j}")
+            out[t - lo] = True
+            j, last = j + 1, t
 
     def __repr__(self):
         return f"SequenceSet({self.name})"

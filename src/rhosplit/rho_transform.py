@@ -32,6 +32,7 @@ from .omega_sets import (
     OMEGA,
     BernoulliSet,
     CombineNode,
+    MemberList,
     OmegaSet,
     StrideSelection,
     _prefix_counts,
@@ -40,6 +41,7 @@ from .omega_sets import (
     difference,
     intersect,
     require_infinite,
+    sparse_members,
     tabulate_first_round,
     union,
 )
@@ -193,16 +195,21 @@ class Counted:
     read-only row of packed words at a horizon per member, and each row's
     int64 counts at the horizon's checkpoints (``build_checkpoints``).
     A trace is a set only once ``trace`` builds it.  Without words, the
-    family (P = omega) is packed and counted here."""
+    family (P = omega) is packed and counted here.
+
+    members, when set, lists the members of the stage's path below the
+    horizon (a ``MemberList``, from ``sparse_members``), a superset of
+    P's: a proposal met here is evaluated at those indices alone."""
 
     def __init__(self, family: Sequence[OmegaSet], horizon: int, path: OmegaSet = OMEGA,
-                 words: np.ndarray | None = None, counts: np.ndarray | None = None):
+                 words: np.ndarray | None = None, counts: np.ndarray | None = None,
+                 members: MemberList | None = None):
         if words is None:
             words = np.stack([X.packed(horizon) for X in family])
             counts = _prefix_counts(words, build_checkpoints(horizon))
         words.flags.writeable = False
         self.family, self.path, self.horizon = tuple(family), path, horizon
-        self.words, self.counts = words, counts
+        self.words, self.counts, self.members = words, counts, members
 
     def trace(self, i: int) -> OmegaSet:
         """Row i's set, P ∩ family[i], built on each call."""
@@ -210,21 +217,38 @@ class Counted:
         return X if self.path is OMEGA else intersect(self.path, X)
 
     def meet(self, S: OmegaSet, words: np.ndarray | None = None,
-             counts: np.ndarray | None = None) -> Counted:
-        """S's traces on these, the family's on the path P ∩ S: unless
-        the caller holds their words and counts, S's words are ANDed into
-        every row and every row is counted in one call."""
+             counts: np.ndarray | None = None,
+             path_words: np.ndarray | None = None) -> Counted:
+        """S's traces on these, the family's on the path P ∩ S, whose node
+        holds path_words.  Unless the caller holds the traces' words and
+        counts, S is evaluated at the listed members alone where it has a
+        vectorised test (``packed_on``) and packed over the horizon
+        otherwise; its words are ANDed into P's, which P ∩ S then holds,
+        and into every row, and every row is counted in one call."""
+        H = self.horizon
+        node = intersect(self.path, S)
         if words is None:
-            words = np.bitwise_and(self.words, S.packed(self.horizon))
-            counts = _prefix_counts(words, build_checkpoints(self.horizon))
-        return Counted(self.family, self.horizon, intersect(self.path, S), words, counts)
+            on = None if self.members is None else S.packed_on(self.members)
+            if on is None:
+                on = S.packed(H)
+            # H passed the cap check when the family was packed
+            path_words = self.path.packed(H, cap=H) & on
+            words = np.bitwise_and(self.words, on)
+            counts = _prefix_counts(words, build_checkpoints(H))
+        if path_words is not None:
+            node.hold_words(path_words, H)
+        return Counted(self.family, H, node, words, counts, self.members)
 
 
 class SplitterOracle:
     """Source of candidate p-splitters for the current family.  ``propose``
-    returns a proposal S with its traces on the targets, ``targets.meet(S)``."""
+    returns a proposal S with its traces on the targets, ``targets.meet(S)``.
+    ``legs`` is the number of Bernoulli sets a proposal evaluates over the
+    targets' path, for which a stage lists that path's members when it is
+    sparse enough (``sparse_members``)."""
 
     p: Fraction
+    legs = 1
 
     def propose(self, stage: int, attempt: int,
                 targets: Counted) -> tuple[OmegaSet, Counted]:
@@ -251,6 +275,9 @@ class RoundRobinOracle(SplitterOracle):
     """Deterministic exact 1/2-splitter of a single target: every second
     element of the target in enumeration order."""
 
+    # a stride over the trace runs no PRF and has no membership test
+    legs = 0
+
     def __init__(self):
         self.p = HALF
 
@@ -270,15 +297,17 @@ class ComposedOracle(SplitterOracle):
     intersection-squaring steps, each leg validated against its own
     targets, and complementations; its p is the plan's effective p.
     The inner oracle's proposals become legs whose packed words are
-    released once combined, so it should return sets of its own.
+    released once met, so it should return sets of its own.
 
-    Nothing is counted twice: leg a's validation hands on its traces on
-    the targets, which are leg b's targets, and the proposal's traces are
-    the targets met with it on leg b's words and counts, or for a
-    complement on the targets' less leg a's."""
+    Nothing is counted twice, and no combination is packed: leg a's
+    validation hands on its traces on the targets, which are leg b's
+    targets, and the proposal's traces are the targets met with it on leg
+    b's words, counts and path words P ∩ a ∩ b, or for a complement on
+    the targets' less leg a's, with P ∖ a = P XOR (P ∩ a)."""
 
     def __init__(self, inner: SplitterOracle, ops: Sequence[str], effective_p: Fraction):
         self.inner, self.ops, self.p = inner, tuple(ops), effective_p
+        self.legs = inner.legs << self.ops.count("square")
 
     def propose(self, stage, attempt, targets):
         return self._build(len(self.ops), stage, attempt * 2 + 1, targets)
@@ -288,23 +317,26 @@ class ComposedOracle(SplitterOracle):
         targets, as a ``Counted``."""
         if level == 0:
             return _accepted_proposal(self.inner, stage, salt, targets)
+        H = targets.horizon
         a, on_a = self._build(level - 1, stage, salt * 3 + 1, targets)
         if self.ops[level - 1] == "complement":
             out, legs = complement(a), (a,)
-            # a's traces are a subset of the targets, bit for bit
+            # a's traces are a subset of the targets, bit for bit, and
+            # P ∩ a of P
             words = targets.words ^ on_a.words
             counts = targets.counts - on_a.counts
+            path_words = targets.path.packed(H) ^ on_a.path.packed(H)
         else:
             b, on_b = self._build(level - 1, stage, salt * 3 + 2, on_a)
             out, legs = intersect(a, b), (a, b)
             words, counts = on_b.words, on_b.counts
-        # the combination's words are read next anyway; once they exist no
-        # one reads the legs', so words are held for one leg per level of
+            path_words = on_b.path.packed(H)
+        # once its traces exist no one reads a leg's words (packed where the
+        # stage's path is dense), so they are held for one leg per level of
         # the plan, not for all of its 2^L legs
-        out.packed(targets.horizon)
         for leg in legs:
             leg.release_words()
-        return out, targets.meet(out, words, counts)
+        return out, targets.meet(out, words, counts, path_words)
 
 
 # -- validation --------------------------------------------------------------
@@ -430,6 +462,10 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     nested[m-1] ∩ S_m, and their words are checked against the exact
     identity "stage-m family = {nested[m] ∩ X}".  The PRF's first round
     is tabulated below the horizon first (``tabulate_first_round``).
+    Each stage lists its path's members once when they are sparse enough
+    for the oracle's legs (``sparse_members``), and its proposals and
+    their legs are evaluated at those alone; the list is dropped with the
+    stage.
     """
     if not family:
         raise ValueError("family must be non-empty")
@@ -438,11 +474,15 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     if cfg.depth < 1:
         raise ValueError("depth must be at least 1")
     # the chain's Bernoulli proposals and legs are filled over [0, H)
+    # while its path is dense
     tabulate_first_round(cfg.horizon)
     targets = Counted(family, cfg.horizon)
     stages, nested = [OMEGA], [OMEGA]
     differences: list[OmegaSet | None] = [None]
     for stage_idx in range(1, cfg.depth + 1):
+        # the last stage's list is dropped before this one's is made
+        targets.members = None
+        targets.members = sparse_members(targets.path, cfg.horizon, oracle.legs)
         S, targets = _accepted_proposal(oracle, stage_idx, 0, targets)
         path = targets.path
         if not (isinstance(path, CombineNode) and path.op == "inter"

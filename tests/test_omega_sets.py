@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from bisect import bisect_left
+from math import lcm
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from rhosplit import (
     union,
 )
 from rhosplit import omega_sets
-from rhosplit._util import MASK64, MIX_M1
+from rhosplit._util import MASK64, MIX_M1, mix64
 from rhosplit.omega_sets import TailPattern, agree_below, parse_family, require_infinite
 
 from conftest import brute_count
@@ -1005,3 +1006,111 @@ def test_parse_family_handles_nested_commas():
 def test_parse_family_rejects_empty_members(text):
     with pytest.raises(ValueError):
         parse_family(text)
+
+
+# -- gathered evaluation ------------------------------------------------------
+
+# leaves with a vectorised membership test, and their boolean trees
+_gather_leaves = st.one_of(
+    st.tuples(st.just("prog"), st.integers(0, 60), st.integers(1, 9)),
+    st.tuples(st.just("bern"), st.sampled_from(["1/3", "1/2", "3/4"]),
+              st.integers(0, 99)),
+    st.tuples(st.just("explicit"), st.lists(st.booleans(), max_size=80),
+              st.lists(st.booleans(), min_size=1, max_size=5)),
+)
+_gather_recipes = st.recursive(_gather_leaves, lambda inner: st.one_of(
+    st.tuples(st.just("compl"), inner),
+    st.tuples(st.sampled_from(["inter", "union", "diff"]), inner, inner),
+), max_leaves=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gather_recipes, _gather_recipes, st.sampled_from(["1/32", "1/8", "2/5"]),
+       st.integers(0, 99), st.integers(0, 700), st.sampled_from([1, 7, 64]),
+       st.integers(0, 900), st.lists(st.integers(0, 1000), max_size=40))
+def test_gathered_membership_is_contains_and_a_gathered_inter_is_the_dense_and(
+        recipe, side, p, seed, n, chunk, cached, idx):
+    def sparse_side():  # a sparse set, built afresh
+        return intersect(_build(side), BernoulliSet(Fraction(p), seed))
+
+    with pytest.MonkeyPatch.context() as mp:
+        # small chunks cut the member lists into many pieces
+        mp.setattr(omega_sets, "_CHUNK", chunk)
+        want = sparse_side().packed(n) & _build(recipe).packed(n)
+        T = _build(recipe)
+        T.packed(cached)  # bit gather answers indices below cached alone
+        at = np.array(idx, dtype=np.int32)  # unsorted, with repeats
+        got = T.members_at(at)
+        assert got is not None and got.tolist() == [T.contains(k) for k in idx]
+
+        # the held side always listed, whatever its density
+        listed = []
+
+        def always(side, n, legs):
+            listed.append(n)
+            return omega_sets.MemberList(side.packed(n), n)
+
+        mp.setattr(omega_sets, "sparse_members", always)
+        P, T = sparse_side(), _build(recipe)
+        P.packed(n)
+        got = intersect(P, T).packed(n)
+    assert listed == [n] and T._mat is None  # gathered, T never filled
+    assert agree_below(got, want, n)
+
+
+def test_a_lone_bernoulli_set_is_never_gathered_and_many_legs_are():
+    n = 1 << 16
+    path = BernoulliSet(Fraction(1, 4), 3)
+    # a lone leg never pays for the list, so the path is not even read
+    assert omega_sets.sparse_members(path, n, 1) is None
+    assert omega_sets.sparse_members(path, n, 0) is None
+    assert path._mat is None
+    listed = omega_sets.sparse_members(path, n, 16)
+    assert listed.idx.dtype == np.int32
+    assert listed.idx.tolist() == np.flatnonzero(path.materialize(n)).tolist()
+    # past the crossover a dense fill is cheaper, whatever the legs
+    assert omega_sets.sparse_members(BernoulliSet(Fraction(1, 2), 3), n, 1 << 20) is None
+
+
+def _within_hoeffding(count, total, delta=1e-9):
+    """Whether count/total lies within Hoeffding's band around 1/2 at
+    confidence 1 - delta."""
+    return abs(count / total - 0.5) <= (np.log(2 / delta) / (2 * total)) ** 0.5
+
+
+def test_bernoulli_bits_do_not_repeat_with_period_2_to_the_64():
+    B = BernoulliSet(Fraction(1, 2), 7)
+    # 2^16 members of prog(0, 2^64), counted on the grid, whose PRF
+    # indices 2^64 * j all agree mod 2^64
+    assert _within_hoeffding(intersect(B, Progression(0, 2 ** 64)).count_below(2 ** 80),
+                             2 ** 16)
+    # 1000 powers of two, counted by sparse enumeration
+    assert _within_hoeffding(intersect(B, PowersSet(2)).count_below(2 ** 1000), 1000)
+
+
+def test_bits_below_2_to_the_64_keep_their_prf_and_the_vector_paths_cross_it():
+    B = BernoulliSet(Fraction(1, 3), 11)
+    old = lambda k: mix64(B._key ^ (k * MIX_M1 & MASK64)) < B._thr
+    for k in (0, 1, 12345, 2 ** 63, 2 ** 64 - 1):
+        assert B.contains(k) == old(k)
+    assert B.contains(2 ** 64) != B.contains(0) or B.contains(2 ** 64 + 1) != B.contains(1)
+    # mapped sets whose PRF indices run across 2^64, filled and gathered
+    for s in (B.along(2 ** 64 - 40, 1), B.along(2 ** 64 - 300, 7), B.along(0, 2 ** 64)):
+        want = [s.contains(k) for k in range(100)]
+        assert bits_range(s, 0, 100).tolist() == want
+        assert s.members_at(np.arange(100, dtype=np.int32)).tolist() == want
+
+
+def test_sequence_fill_reads_each_blocks_terms_alone():
+    P = PowersSet(2)
+    calls, fn = [], P.fn
+    P.fn = lambda k: calls.append(k) or fn(k)
+    n = 1 << 20
+    words = P.packed(n)
+    assert np.flatnonzero(omega_sets._unpack(words, 0, n)).tolist() == [2 ** j for j in range(20)]
+    # each block reads its own terms and the first term past it
+    blocks = n // lcm(omega_sets._CHUNK, 64)
+    assert len(calls) == 20 + blocks
+    squares = SequenceSet(lambda k: k * k, name="squares")
+    bits = squares.materialize(70_000)
+    assert np.flatnonzero(bits).tolist() == [k * k for k in range(265)]

@@ -22,7 +22,13 @@ from rhosplit import (
     transform_splitter,
 )
 from rhosplit import rho_transform
-from rhosplit.omega_sets import FiniteSetError, _prefix_counts, agree_below, parse_family
+from rhosplit.omega_sets import (
+    FiniteSetError,
+    _prefix_counts,
+    agree_below,
+    parse_family,
+    parse_set,
+)
 from rhosplit.density import build_checkpoints, density_report
 from rhosplit.rho_transform import (
     MAX_ATTEMPTS,
@@ -881,3 +887,35 @@ def test_a_thin_target_first_reached_by_a_later_proposal_raises_then():
     with pytest.raises(ValueError, match="X has only 5 points"):
         _accepted_proposal(oracle, 1, 0, Counted([OMEGA, _spec_set(("thin", 5), H)], H))
     assert oracle.asked == [(1, 0), (1, 1000)]
+
+
+@pytest.mark.parametrize("direction, rho", [("rho-to-half", Fraction(1, 32)),
+                                            ("half-to-rho", Fraction(7, 16))])
+def test_each_nested_set_is_the_and_of_its_stages_recomputed_densely(monkeypatch, direction, rho):
+    H = 200_000
+    plan = plan_transform(direction, rho, 8, Fraction(1, 50))
+    oracle = BernoulliOracle(plan.p, 3)
+    if plan.ops:
+        oracle = ComposedOracle(oracle, plan.ops, plan.effective_p)
+    listed = []
+    sparse_members = rho_transform.sparse_members
+
+    def spy(path, n, legs):
+        members = sparse_members(path, n, legs)
+        listed.append(members is not None)
+        return members
+
+    monkeypatch.setattr(rho_transform, "sparse_members", spy)
+    family = parse_family("omega,prog(0,2),prog(1,2),prog(0,3),prog(1,4)")
+    chain = build_chain(family, oracle, ChainConfig(depth=8, horizon=H))
+    # 1/32 squares four times, so 16 legs a proposal: its stages are
+    # evaluated at their path's members once the path is sparse (about
+    # 0.6^(m-1) of [0, H) at stage m), and a lone Bernoulli proposal never is
+    assert len(listed) == 8
+    assert listed[:2] + listed[3:] == ([False] * 2 + [True] * 5 if plan.ops else [False] * 7)
+    stages = None
+    for m in range(1, 9):
+        # a fresh copy of the stage, every leg filled over [0, H)
+        fresh = parse_set(chain.stages[m].descriptor()).packed(H)
+        stages = fresh if stages is None else stages & fresh
+        assert agree_below(chain.nested[m].packed(H), stages, H)
