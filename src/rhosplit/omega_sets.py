@@ -384,11 +384,7 @@ class OmegaSet:
             # a longer horizon grows the cache geometrically within the
             # cap, so a scan over increasing horizons rebuilds O(log n) times
             size = n if self._mat is None else min(max(n, 2 * self._built), cap)
-            words = self._materialize_impl(size)
-            words[-1] &= np.uint64((1 << (size & 63)) - 1)
-            words.flags.writeable = False
-            # words first: a reader that sees the new length sees them too
-            self._mat, self._built = words, size
+            self.hold_words(self._materialize_impl(size), size)
         return self._mat[:_nwords(n)]
 
     def release_words(self) -> None:
@@ -396,21 +392,20 @@ class OmegaSet:
         self._mat, self._built = None, 0
 
     def hold_words(self, words: np.ndarray, n: int) -> None:
-        """Cache words as this set's packed words of [0, n]: for the code
-        that built this set and found its words another way (such as
-        ``packed_on`` at a superset's members).  Bits at and above n are
-        cleared, on a copy when any is set."""
+        """Cache words as this set's packed words of [0, n]: ``packed``
+        stores what it builds here, and so may the code that built this
+        set and found its words another way (such as ``packed_on`` at a
+        superset's members).  Bits at and above n are cleared, on a copy
+        when words is read-only."""
         if words.shape[0] != _nwords(n):
             raise ValueError(f"{words.shape[0]} words do not cover [0, {n}]")
         if int(words[-1]) >> (n & 63):
-            words = words.copy()
+            if not words.flags.writeable:
+                words = words.copy()
             words[-1] &= _LOW_BITS[n & 63]
         words.flags.writeable = False
+        # words first: a reader that sees the new length sees them too
         self._mat, self._built = words, n
-
-    def holds(self, n: int) -> bool:
-        """Whether this set's cached words reach n."""
-        return self._mat is not None and self._built >= n
 
     def members_at(self, idx: np.ndarray) -> np.ndarray | None:
         """Membership of each index of idx, an array of naturals, as a
@@ -679,15 +674,22 @@ class _BlockScratch:
             self.step = step
         return self.ramp
 
-    def first_round(self, i: int, d: int, out: np.ndarray, t: np.ndarray) -> None:
-        """out[k] = R ^ (R >> 30) for R = (i + d*k) * M1 mod 2^64, the
-        first round of mix64 on PRF index i + d*k before the key: with
-        x = R ^ key, x ^ (x >> 30) = (R ^ R >> 30) ^ (key ^ key >> 30),
-        since a right shift distributes over XOR.  t is scratch of out's
-        length; called under the lock."""
-        # (i + d*k) * M1 = i * M1 + k * (d * M1) (mod 2^64)
-        ramp = self.ramp_of((d * MIX_M1) & MASK64)[:out.shape[0]]
-        np.add(ramp, np.uint64((i * MIX_M1) & MASK64), out=out)
+    def first_round(self, i: int, d: int, out: np.ndarray, t: np.ndarray,
+                    at: np.ndarray | None = None) -> None:
+        """out[k] = R ^ (R >> 30) for R = (i + d*j) * M1 mod 2^64, with
+        j = k, or j = at[k] for given offsets at: the first round of mix64
+        on PRF index i + d*j before the key.  With x = R ^ key,
+        x ^ (x >> 30) = (R ^ R >> 30) ^ (key ^ key >> 30), since a right
+        shift distributes over XOR.  t is scratch of out's length; called
+        under the lock."""
+        # (i + d*j) * M1 = i * M1 + j * (d * M1) (mod 2^64)
+        step, base = (d * MIX_M1) & MASK64, np.uint64((i * MIX_M1) & MASK64)
+        if at is None:
+            np.add(self.ramp_of(step)[:out.shape[0]], base, out=out)
+        else:
+            out[:] = at
+            out *= np.uint64(step)
+            out += base
         np.right_shift(out, _S30, out=t)
         out ^= t
 
@@ -815,19 +817,13 @@ class BernoulliSet(OmegaSet):
         if a + d * int(idx.max(initial=-1)) > MASK64:
             out[:] = [self.contains(int(k)) for k in idx]
             return out
-        step, base = np.uint64((d * MIX_M1) & MASK64), np.uint64((a * MIX_M1) & MASK64)
         scratch = _SCRATCH
         with scratch.lock:
             for s in range(0, idx.shape[0], _CHUNK):
                 part = idx[s:s + _CHUNK]
                 m = part.shape[0]
                 x, t = scratch.x[:m], scratch.t[:m]
-                # (a + d*k) * M1 = a * M1 + k * (d * M1) (mod 2^64)
-                x[:] = part
-                x *= step
-                x += base
-                np.right_shift(x, _S30, out=t)
-                x ^= t
+                scratch.first_round(a, d, x, t, at=part)
                 x ^= key
                 self._last_rounds(x, t, out[s:s + m])
         return out
@@ -918,7 +914,7 @@ class CombineNode(OmegaSet):
         a, b = self.children
         other = b if a is x else a
         omega = (x.a, x.d) == (0, 1)
-        if not omega and other.holds(horizon):
+        if not omega and other._mat is not None and other._built >= horizon:
             return None
         if self._g is None:
             self._g = other.along(x.a, x.d)
@@ -977,29 +973,9 @@ class CombineNode(OmegaSet):
         return self._rule(*bits)
 
     def _materialize_impl(self, n):
-        # no _fill: a gathered intersection, or else the op's word rule on
-        # the children's cached words (n passed this node's cap check;
-        # packed() clears their bits above n)
-        words = self._gathered(n) if self.op == "inter" else None
-        if words is None:
-            words = self._rule(*[c.packed(n, cap=n) for c in self.children])
-        return words
-
-    def _gathered(self, n: int) -> np.ndarray | None:
-        """An intersection's words from one side's cached words, when they
-        reach n and are sparse enough to list for the other side's
-        Bernoulli leaves (``sparse_members``), and the other side
-        evaluated at that side's members alone (``packed_on``), so that
-        the other side is never filled over [0, n).  None when no side
-        qualifies, or the other side holds words reaching n too (the AND
-        of the two is cheaper), or has no vectorised test."""
-        for side, other in (self.children, self.children[::-1]):
-            if side.holds(n) and not other.holds(n):
-                members = sparse_members(side, n, _bernoulli_leaves(other))
-                words = None if members is None else other.packed_on(members)
-                if words is not None:
-                    return words
-        return None
+        # no _fill: the op's word rule combines the children's cached words
+        # (n passed this node's cap check; packed() clears their bits above n)
+        return self._rule(*[c.packed(n, cap=n) for c in self.children])
 
     def descriptor(self) -> str:
         parts = ",".join(c.descriptor() for c in self.children)
@@ -1007,14 +983,6 @@ class CombineNode(OmegaSet):
 
     def __repr__(self):
         return f"CombineNode({self.op!r}, {list(self.children)!r})"
-
-
-def _bernoulli_leaves(s: OmegaSet) -> int:
-    """The Bernoulli sets in s's tree: those a dense fill of s runs the
-    PRF for."""
-    if isinstance(s, CombineNode):
-        return sum(_bernoulli_leaves(c) for c in s.children)
-    return int(isinstance(s, BernoulliSet))
 
 
 class SequenceSet(OmegaSet):

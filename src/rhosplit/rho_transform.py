@@ -231,8 +231,9 @@ class Counted:
             on = None if self.members is None else S.packed_on(self.members)
             if on is None:
                 on = S.packed(H)
-            # H passed the cap check when the family was packed
-            path_words = self.path.packed(H, cap=H) & on
+            # H passed the cap check when the family was packed; omega's
+            # words are never built
+            path_words = on if self.path is OMEGA else self.path.packed(H, cap=H) & on
             words = np.bitwise_and(self.words, on)
             counts = _prefix_counts(words, build_checkpoints(H))
         if path_words is not None:
@@ -303,7 +304,7 @@ class ComposedOracle(SplitterOracle):
     validation hands on its traces on the targets, which are leg b's
     targets, and the proposal's traces are the targets met with it on leg
     b's words, counts and path words P ∩ a ∩ b, or for a complement on
-    the targets' less leg a's, with P ∖ a = P XOR (P ∩ a)."""
+    the targets' less leg a's, with P ∖ a = P & ~(P ∩ a)."""
 
     def __init__(self, inner: SplitterOracle, ops: Sequence[str], effective_p: Fraction):
         self.inner, self.ops, self.p = inner, tuple(ops), effective_p
@@ -322,10 +323,12 @@ class ComposedOracle(SplitterOracle):
         if self.ops[level - 1] == "complement":
             out, legs = complement(a), (a,)
             # a's traces are a subset of the targets, bit for bit, and
-            # P ∩ a of P
+            # P ∖ a = P & ~(P ∩ a), with omega's words never built
             words = targets.words ^ on_a.words
             counts = targets.counts - on_a.counts
-            path_words = targets.path.packed(H) ^ on_a.path.packed(H)
+            path_words = ~on_a.path.packed(H)
+            if targets.path is not OMEGA:
+                path_words &= targets.path.packed(H)
         else:
             b, on_b = self._build(level - 1, stage, salt * 3 + 2, on_a)
             out, legs = intersect(a, b), (a, b)
@@ -480,9 +483,11 @@ def build_chain(family: Sequence[OmegaSet], oracle: SplitterOracle,
     stages, nested = [OMEGA], [OMEGA]
     differences: list[OmegaSet | None] = [None]
     for stage_idx in range(1, cfg.depth + 1):
-        # the last stage's list is dropped before this one's is made
+        # the last stage's list is dropped before this one's is made, and
+        # omega, the first stage's path, is never sparse
         targets.members = None
-        targets.members = sparse_members(targets.path, cfg.horizon, oracle.legs)
+        if targets.path is not OMEGA:
+            targets.members = sparse_members(targets.path, cfg.horizon, oracle.legs)
         S, targets = _accepted_proposal(oracle, stage_idx, 0, targets)
         path = targets.path
         if not (isinstance(path, CombineNode) and path.op == "inter"

@@ -1028,7 +1028,7 @@ _gather_recipes = st.recursive(_gather_leaves, lambda inner: st.one_of(
 @given(_gather_recipes, _gather_recipes, st.sampled_from(["1/32", "1/8", "2/5"]),
        st.integers(0, 99), st.integers(0, 700), st.sampled_from([1, 7, 64]),
        st.integers(0, 900), st.lists(st.integers(0, 1000), max_size=40))
-def test_gathered_membership_is_contains_and_a_gathered_inter_is_the_dense_and(
+def test_gathered_membership_is_contains_and_gathered_words_are_the_dense_and(
         recipe, side, p, seed, n, chunk, cached, idx):
     def sparse_side():  # a sparse set, built afresh
         return intersect(_build(side), BernoulliSet(Fraction(p), seed))
@@ -1043,18 +1043,10 @@ def test_gathered_membership_is_contains_and_a_gathered_inter_is_the_dense_and(
         got = T.members_at(at)
         assert got is not None and got.tolist() == [T.contains(k) for k in idx]
 
-        # the held side always listed, whatever its density
-        listed = []
-
-        def always(side, n, legs):
-            listed.append(n)
-            return omega_sets.MemberList(side.packed(n), n)
-
-        mp.setattr(omega_sets, "sparse_members", always)
+        # T evaluated at the sparse side's members, whatever their density
         P, T = sparse_side(), _build(recipe)
-        P.packed(n)
-        got = intersect(P, T).packed(n)
-    assert listed == [n] and T._mat is None  # gathered, T never filled
+        got = T.packed_on(omega_sets.MemberList(P.packed(n), n))
+    assert T._mat is None  # gathered, T never filled
     assert agree_below(got, want, n)
 
 

@@ -907,12 +907,15 @@ def test_each_nested_set_is_the_and_of_its_stages_recomputed_densely(monkeypatch
 
     monkeypatch.setattr(rho_transform, "sparse_members", spy)
     family = parse_family("omega,prog(0,2),prog(1,2),prog(0,3),prog(1,4)")
+    OMEGA.release_words()
     chain = build_chain(family, oracle, ChainConfig(depth=8, horizon=H))
+    # the shared omega, the first stage's path, holds no words
+    assert OMEGA._mat is None
     # 1/32 squares four times, so 16 legs a proposal: its stages are
     # evaluated at their path's members once the path is sparse (about
     # 0.6^(m-1) of [0, H) at stage m), and a lone Bernoulli proposal never is
-    assert len(listed) == 8
-    assert listed[:2] + listed[3:] == ([False] * 2 + [True] * 5 if plan.ops else [False] * 7)
+    assert len(listed) == 7
+    assert listed[:1] + listed[2:] == ([False] + [True] * 5 if plan.ops else [False] * 6)
     stages = None
     for m in range(1, 9):
         # a fresh copy of the stage, every leg filled over [0, H)
