@@ -189,7 +189,7 @@ def _pack(n: int, fill: Callable[[int, np.ndarray], None]) -> np.ndarray:
 
 class MemberList:
     """The members below n of a set, listed once from its packed words so
-    that other sets can be evaluated at them alone (``packed_on``).
+    that Bernoulli sets can be evaluated at them alone (``packed_on``).
 
     ``idx`` holds the members in increasing order, as int32 (int64 from
     2^31 on), listed block by block: no bool vector of length n is built.
@@ -407,30 +407,11 @@ class OmegaSet:
         # words first: a reader that sees the new length sees them too
         self._mat, self._built = words, n
 
-    def members_at(self, idx: np.ndarray) -> np.ndarray | None:
-        """Membership of each index of idx, an array of naturals, as a
-        bool array, or None when this set has no vectorised test.  Cached
-        words that reach every index answer by bit gather; otherwise
-        ``_members_at`` does (a closed form, the PRF, or an op's rule)."""
-        if self._mat is not None and int(idx.max(initial=-1)) < self._built:
-            bits = self._mat[idx >> 6] >> (idx & 63).astype(np.uint64)
-            return (bits & np.uint64(1)).astype(bool)
-        return self._members_at(idx)
-
-    def _members_at(self, idx: np.ndarray) -> np.ndarray | None:
-        return None
-
     def packed_on(self, members: MemberList) -> np.ndarray | None:
         """Packed words of [0, members.n) holding this set's members among
-        the listed ones, found by evaluating ``members_at`` there alone,
-        piece by piece; None when it has no vectorised test."""
-        words = np.zeros(_nwords(members.n), dtype=_WORD)
-        for piece in members.pieces:
-            keep = self.members_at(members.idx[piece[2]:piece[3]])
-            if keep is None:
-                return None
-            members.scatter(words, piece, keep)
-        return words
+        the listed ones, found by evaluating it there alone; None when it
+        has no vectorised test, as only a Bernoulli set has."""
+        return None
 
     def materialize(self, n: int) -> np.ndarray:
         """Membership bits over [0, n) as a read-only bool vector,
@@ -446,12 +427,8 @@ class OmegaSet:
     def _fill(self, lo: int, out: np.ndarray) -> None:
         """Writes the membership bits of [lo, lo + len(out)) into the bool
         block ``out``, for any lo, leaving this set's cached words alone:
-        the one thing a leaf set supplies.  This fallback marks the
-        members that ``enumerate_below`` lists below the block's end."""
-        hi = lo + out.shape[0]
-        e = np.asarray(self.enumerate_below(hi, hi), dtype=np.int64)
-        out[:] = False
-        out[e[e >= lo] - lo] = True
+        the one thing a leaf set supplies."""
+        raise NotImplementedError
 
     # -- enumeration -----------------------------------------------------
 
@@ -537,15 +514,6 @@ class Progression(OmegaSet):
         first = max(self.a, lo + (self.a - lo) % self.d)
         out[first - lo::self.d] = True
 
-    def _members_at(self, idx):
-        k = idx.astype(np.int64)
-        top = int(k.max(initial=-1))
-        if self.a > top:
-            return np.zeros(k.shape, dtype=bool)
-        if self.d > top:  # a alone lies in [0, top]
-            return k == self.a
-        return (k >= self.a) & ((k - self.a) % self.d == 0)
-
     def descriptor(self) -> str:
         if self.a == 0 and self.d == 1:
             return "omega"
@@ -629,14 +597,6 @@ class ExplicitSet(OmegaSet):
         tail = np.asarray(self.tail, dtype=bool)
         phase = (lo + k - plen) % tail.shape[0]
         out[k:] = np.resize(np.roll(tail, -phase), out.shape[0] - k)
-
-    def _members_at(self, idx):
-        plen = self.prefix.shape[0]
-        k = idx.astype(np.int64)
-        out = np.asarray(self.tail, dtype=bool)[(k - plen) % len(self.tail)]
-        head = k < plen
-        out[head] = self.prefix[k[head]]
-        return out
 
     def __repr__(self):
         return f"ExplicitSet(<{self.prefix.shape[0]} bits>, tail={self.tail})"
@@ -805,8 +765,9 @@ class BernoulliSet(OmegaSet):
         for k in range(wide, hi):
             out[k - lo] = self.contains(k)
 
-    def _members_at(self, idx):
-        """``_fill``'s PRF steps at the gathered indices idx, ``_CHUNK`` of
+    def members_at(self, idx: np.ndarray) -> np.ndarray:
+        """Membership of each index of idx, an array of naturals, as a bool
+        array: ``_fill``'s PRF steps at the gathered indices, ``_CHUNK`` of
         them at a time in the resident block scratch, with the first round
         computed from the indices: reading it from the table (``np.take``)
         made the fallback transforms about 4% slower, likely as its 2 MiB
@@ -827,6 +788,12 @@ class BernoulliSet(OmegaSet):
                 x ^= key
                 self._last_rounds(x, t, out[s:s + m])
         return out
+
+    def packed_on(self, members):
+        words = np.zeros(_nwords(members.n), dtype=_WORD)
+        for piece in members.pieces:
+            members.scatter(words, piece, self.members_at(members.idx[piece[2]:piece[3]]))
+        return words
 
     def _round_key(self) -> np.uint64:
         """The key's share of mix64's first round (``first_round``)."""
@@ -962,15 +929,6 @@ class CombineNode(OmegaSet):
             return None
         merged = sorted(set(left) | set(right))
         return merged if len(merged) <= limit else None
-
-    def _members_at(self, idx):
-        bits = []
-        for c in self.children:
-            b = c.members_at(idx)
-            if b is None:
-                return None
-            bits.append(b)
-        return self._rule(*bits)
 
     def _materialize_impl(self, n):
         # no _fill: the op's word rule combines the children's cached words

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -30,6 +32,7 @@ from rhosplit import (
     parse_set,
     union,
 )
+import rhosplit
 from rhosplit import omega_sets
 from rhosplit._util import MASK64, MIX_M1, mix64
 from rhosplit.omega_sets import TailPattern, agree_below, parse_family, require_infinite
@@ -1010,7 +1013,7 @@ def test_parse_family_rejects_empty_members(text):
 
 # -- gathered evaluation ------------------------------------------------------
 
-# leaves with a vectorised membership test, and their boolean trees
+# the sparse side's leaves, and their boolean trees
 _gather_leaves = st.one_of(
     st.tuples(st.just("prog"), st.integers(0, 60), st.integers(1, 9)),
     st.tuples(st.just("bern"), st.sampled_from(["1/3", "1/2", "3/4"]),
@@ -1025,26 +1028,30 @@ _gather_recipes = st.recursive(_gather_leaves, lambda inner: st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(_gather_recipes, _gather_recipes, st.sampled_from(["1/32", "1/8", "2/5"]),
-       st.integers(0, 99), st.integers(0, 700), st.sampled_from([1, 7, 64]),
-       st.integers(0, 900), st.lists(st.integers(0, 1000), max_size=40))
+@given(st.sampled_from(["1/3", "1/2", "3/4"]), st.integers(0, 99),
+       st.one_of(st.none(), st.tuples(st.integers(0, 1 << 40), st.integers(1, 1 << 20))),
+       _gather_recipes, st.sampled_from(["1/32", "1/8", "2/5"]), st.integers(0, 99),
+       st.integers(0, 700), st.sampled_from([1, 7, 64]),
+       st.lists(st.integers(0, 1000), max_size=40))
 def test_gathered_membership_is_contains_and_gathered_words_are_the_dense_and(
-        recipe, side, p, seed, n, chunk, cached, idx):
-    def sparse_side():  # a sparse set, built afresh
+        q, t_seed, mapped, side, p, seed, n, chunk, idx):
+    def bernoulli():  # the gathered set, built afresh, mapped along (a, d) or not
+        T = BernoulliSet(Fraction(q), t_seed)
+        return T if mapped is None else T.along(*mapped)
+
+    def sparse_side():
         return intersect(_build(side), BernoulliSet(Fraction(p), seed))
 
     with pytest.MonkeyPatch.context() as mp:
         # small chunks cut the member lists into many pieces
         mp.setattr(omega_sets, "_CHUNK", chunk)
-        want = sparse_side().packed(n) & _build(recipe).packed(n)
-        T = _build(recipe)
-        T.packed(cached)  # bit gather answers indices below cached alone
+        want = sparse_side().packed(n) & bernoulli().packed(n)
+        T = bernoulli()
         at = np.array(idx, dtype=np.int32)  # unsorted, with repeats
-        got = T.members_at(at)
-        assert got is not None and got.tolist() == [T.contains(k) for k in idx]
+        assert T.members_at(at).tolist() == [T.contains(k) for k in idx]
 
         # T evaluated at the sparse side's members, whatever their density
-        P, T = sparse_side(), _build(recipe)
+        P, T = sparse_side(), bernoulli()
         got = T.packed_on(omega_sets.MemberList(P.packed(n), n))
     assert T._mat is None  # gathered, T never filled
     assert agree_below(got, want, n)
@@ -1106,3 +1113,22 @@ def test_sequence_fill_reads_each_blocks_terms_alone():
     squares = SequenceSet(lambda k: k * k, name="squares")
     bits = squares.materialize(70_000)
     assert np.flatnonzero(bits).tolist() == [k * k for k in range(265)]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_set_kind_supplies_its_words_and_the_base_fill_is_abstract():
+    # every module of the package, so that every set kind is defined
+    for info in pkgutil.iter_modules(rhosplit.__path__):
+        importlib.import_module(f"rhosplit.{info.name}")
+    base = omega_sets.OmegaSet
+    kinds = [c for c in _subclasses(base) if c.__module__.startswith("rhosplit.")]
+    assert IntervalSymbolicSet in kinds and PowersSet in kinds
+    for kind in kinds:
+        assert kind._fill is not base._fill or kind._materialize_impl is not base._materialize_impl, kind
+    with pytest.raises(NotImplementedError):
+        base()._fill(0, np.empty(8, dtype=bool))

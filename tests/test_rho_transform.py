@@ -13,6 +13,7 @@ from rhosplit import (
     BernoulliSet,
     ExplicitSet,
     Progression,
+    StrideSelection,
     binary_digits,
     build_chain,
     greedy_base_digits,
@@ -28,6 +29,7 @@ from rhosplit.omega_sets import (
     agree_below,
     parse_family,
     parse_set,
+    sparse_members,
 )
 from rhosplit.density import build_checkpoints, density_report
 from rhosplit.rho_transform import (
@@ -601,6 +603,25 @@ def test_meet_builds_one_set_not_one_per_row(monkeypatch):
     on_t = traces.meet(T, traces.words, traces.counts)
     assert len(built) == 2 and built[1] == (traces.path, T)
     assert on_t.words is traces.words and on_t.counts is traces.counts
+
+
+def test_a_proposal_without_a_gathered_test_is_packed_densely_at_a_listed_path():
+    H = 20_000
+    family = parse_family("omega,prog(0,2),prog(1,3)")
+    dense = Counted(family, H).meet(BernoulliSet(Fraction(1, 8), 5))
+    members = sparse_members(dense.path, H, 16)
+    assert members is not None
+    listed = Counted(family, H, dense.path, dense.words, dense.counts, members)
+    for make in (lambda: Progression(1, 3),
+                 lambda: parse_set("union(prog(0,5),bern(1/3,2))"),
+                 # the round-robin proposal on the first target's trace
+                 lambda: StrideSelection(dense.trace(0), 2, 0)):
+        T = make()
+        assert T.packed_on(members) is None and T._mat is None
+        got, want = listed.meet(make()), dense.meet(make())
+        assert np.array_equal(got.words, want.words)
+        assert np.array_equal(got.counts, want.counts)
+        assert agree_below(got.path.packed(H), want.path.packed(H), H)
 
 
 _dense_members = st.one_of(
